@@ -496,6 +496,7 @@ class InversionResult:
     t1: CDOperator
     residual: float
     condition: float
+    envelope: Envelope  # nuclear envelope of t1
     envelope_report: EnvelopeReport
 
 
@@ -505,8 +506,8 @@ def invert_one_plus(op: CDOperator, weight: Weight,
 
     The dense system is solved by LU factorization with partial pivoting
     (refusing condition numbers above cond_limit); the correction
-    (1+T)^{-1} - 1 is re-blocked over the full band W = N, its nuclear
-    envelope is fitted, and the weighted envelope report is attached.
+    (1+T)^{-1} - 1 is re-blocked over the full band W = N, and its fitted
+    nuclear envelope and weighted envelope report are attached.
     """
     if op.boundary != "circulant":
         raise ValueError("inversion is defined on the circulant window")
@@ -538,8 +539,8 @@ def invert_one_plus(op: CDOperator, weight: Weight,
         boundary="circulant",
         blocks=blocks,
     )
-    report = EnvelopeReport.build(fit_envelope(t1, "nuclear"), weight)
+    envelope = fit_envelope(t1, "nuclear")
     return InversionResult(
-        t1=t1, residual=float(residual), condition=condition,
-        envelope_report=report,
+        t1=t1, residual=float(residual), condition=condition, envelope=envelope,
+        envelope_report=EnvelopeReport.build(envelope, weight),
     )

@@ -40,7 +40,7 @@ from .cd_operator import (
 )
 from .lattice import window_indices, window_size
 from .nuclear_blocks import NuclearFactorization, trace_norm
-from .rng import Xoshiro256StarStar
+from .rng import Xoshiro256StarStar, box_muller, uniforms
 from .seq_algebra import (
     FiniteSeq,
     SymbolVanishes,
@@ -219,12 +219,8 @@ def envelope_values(cfg: ExperimentConfig) -> np.ndarray:
     return vals.reshape(shape)
 
 
-def _draw_matrix(rng: Xoshiro256StarStar, rows: int, cols: int) -> np.ndarray:
-    out = np.empty((rows, cols), dtype=np.complex128)
-    for i in range(rows):
-        for j in range(cols):
-            out[i, j] = rng.complex_normal()
-    return out
+# words per chunk of blocks drawn at once: bounds the temporaries of a trial
+_CHUNK_WORDS = 1 << 14
 
 
 def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
@@ -235,30 +231,47 @@ def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
     r uniform in [0.5, 1]; the factorization (rows of Y against columns
     of X) is kept alongside.  Draw order is fixed (cells then offsets,
     lexicographic), so the operator is a pure function of (seed, trial).
+    Each block with beta_m > 0 takes 1 + 4 d block_rank words of the
+    stream: r, then the entries of X and of Y row by row, one complex
+    normal (a full Box-Muller pair) each.  Blocks are drawn in chunks,
+    with one batched product and one batched SVD per chunk.
     """
     rng = Xoshiro256StarStar(cfg.seed, stream=trial)
     beta = envelope_values(cfg)
     d, rank = cfg.local_dim, cfg.block_rank
+    offsets = [
+        (m, float(beta[tuple(x + cfg.band_radius for x in m)]))
+        for m in window_indices(cfg.band_radius, cfg.c)
+    ]
+    keyed = [
+        ((k, m), target)
+        for k in window_indices(cfg.window_radius, cfg.c)
+        for m, target in offsets
+        if target != 0.0
+    ]
+    stride = 1 + 4 * d * rank
+    per_chunk = max(1, _CHUNK_WORDS // stride)
     blocks = {}
     factorizations = {}
-    for k in window_indices(cfg.window_radius, cfg.c):
-        for m in window_indices(cfg.band_radius, cfg.c):
-            target = float(beta[tuple(x + cfg.band_radius for x in m)])
-            if target == 0.0:
+    for start in range(0, len(keyed), per_chunk):
+        chunk = keyed[start:start + per_chunk]
+        words = rng.u64_array(len(chunk) * stride).reshape(len(chunk), stride)
+        r = 0.5 + 0.5 * uniforms(words[:, 0])  # as uniform_in(0.5, 1.0)
+        z = box_muller(words[:, 1:]).view(np.complex128)
+        x = z[:, :d * rank].reshape(-1, d, rank)
+        y = z[:, d * rank:].reshape(-1, rank, d)
+        g = x @ y
+        tn = np.linalg.svd(g, compute_uv=False).sum(axis=-1)
+        targets = np.array([target for _, target in chunk])
+        scale = targets * r / tn
+        scaled = g * scale[:, None, None]
+        rows = y * scale[:, None, None]  # term j of block i: (rows[i, j], cols[i, j])
+        cols = x.transpose(0, 2, 1).copy()
+        for i, (key, _) in enumerate(chunk):
+            if tn[i] == 0.0:  # pragma: no cover - measure-zero draw
                 continue
-            r_km = rng.uniform_in(0.5, 1.0)
-            x = _draw_matrix(rng, d, rank)
-            y = _draw_matrix(rng, rank, d)
-            g = x @ y
-            tn = trace_norm(g)
-            if tn == 0.0:  # pragma: no cover - measure-zero draw
-                continue
-            scale = target * r_km / tn
-            blocks[(k, m)] = g * scale
-            factorizations[(k, m)] = NuclearFactorization(
-                dim=d,
-                terms=[(scale * y[i, :], x[:, i].copy()) for i in range(rank)],
-            )
+            blocks[key] = scaled[i]
+            factorizations[key] = NuclearFactorization(dim=d, terms=list(zip(rows[i], cols[i])))
     op = CDOperator(
         c=cfg.c,
         window_radius=cfg.window_radius,
@@ -303,6 +316,22 @@ def _write_report(report: dict, out_dir: Path) -> Path:
     return path
 
 
+def _aggregates(kind: str, records: list) -> dict:
+    """A report's aggregates from its records; the runners and verify_report share it."""
+    ok = [r for r in records if "error" not in r]
+    out = {"trials_failed": len(records) - len(ok)}
+    if kind == "inverse_closedness":
+        slopes = [r["slope"] for r in ok if r.get("slope") is not None]
+        out["median_slope"] = statistics.median(slopes) if slopes else None
+        out["max_residual"] = max((r["residual"] for r in ok), default=None)
+        out["max_condition"] = max((r["condition"] for r in ok), default=None)
+    elif kind == "kernel":
+        out["max_kernel_rel_err"] = max((r["kernel_rel_err"] for r in ok), default=None)
+        out["all_isometries_exact"] = all(all(r["isometry_exact"].values()) for r in ok)
+        out["all_round_trips_exact"] = all(r["round_trip_exact"] for r in ok)
+    return out
+
+
 def _resolve_out_dir(cfg_output_dir, out_dir) -> Path:
     path = Path(out_dir if out_dir is not None else (cfg_output_dir or "."))
     path.mkdir(parents=True, exist_ok=True)
@@ -323,6 +352,9 @@ def _domination_holds(op: CDOperator, beta: np.ndarray, band_radius: int) -> boo
 def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None,
                            fmt: str = "csv") -> dict:
     """Generate, certify, invert, and measure decay, one record per trial."""
+    if cfg.boundary != "circulant":
+        raise ConfigError("invert needs the circulant boundary: inversion is "
+                          "defined on the circulant window")
     out_path = _resolve_out_dir(cfg.output_dir, out_dir)
     beta = envelope_values(cfg)
 
@@ -346,7 +378,7 @@ def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None,
             res = invert_one_plus(op, cfg.weight)
         except NumericallySingular as exc:
             return {"trial": trial, "error": str(exc)}
-        slope = decay_slope(fit_envelope(res.t1, "nuclear"))
+        slope = decay_slope(res.envelope)
         report = res.envelope_report
         return {
             "trial": trial,
@@ -379,20 +411,12 @@ def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None,
                 ]
         records.append(rec)
 
-    ok = [r for r in records if "error" not in r]
-    slopes = [r["slope"] for r in ok if r["slope"] is not None]
-    aggregates = {
-        "trials_failed": len(records) - len(ok),
-        "median_slope": statistics.median(slopes) if slopes else None,
-        "max_residual": max((r["residual"] for r in ok), default=None),
-        "max_condition": max((r["condition"] for r in ok), default=None),
-    }
     report = {
         "format_version": FORMAT_VERSION,
         "kind": "inverse_closedness",
         "config": cfg.to_json(),
         "records": records,
-        "aggregates": aggregates,
+        "aggregates": _aggregates("inverse_closedness", records),
     }
     _write_report(report, out_path)
     return report
@@ -588,10 +612,7 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
         op = generate_operator(cfg, trial)
         rng = Xoshiro256StarStar(cfg.seed ^ 0x6B65726E, stream=trial)
         n_cells = window_size(cfg.window_radius, cfg.c)
-        vals = np.empty((n_cells, cfg.q ** cfg.c), dtype=np.complex128)
-        for i in range(n_cells):
-            for j in range(cfg.q ** cfg.c):
-                vals[i, j] = rng.complex_normal()
+        vals = rng.complex_normals(n_cells * cfg.q ** cfg.c).reshape(n_cells, -1)
         f = GridFunction(cfg.c, cfg.window_radius, cfg.q, vals)
 
         kern = assemble_kernel(op, cfg.q)
@@ -632,20 +653,12 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
             rec["grid_file"] = gname
         records.append(rec)
 
-    aggregates = {
-        "max_kernel_rel_err": max((r["kernel_rel_err"] for r in records), default=None),
-        "all_isometries_exact": all(
-            all(r["isometry_exact"].values()) for r in records
-        ),
-        "all_round_trips_exact": all(r["round_trip_exact"] for r in records),
-        "trials_failed": 0,
-    }
     report = {
         "format_version": FORMAT_VERSION,
         "kind": "kernel",
         "config": cfg.to_json(),
         "records": records,
-        "aggregates": aggregates,
+        "aggregates": _aggregates("kernel", records),
     }
     _write_report(report, out_path)
     return report
@@ -683,7 +696,7 @@ def run_gen(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
         "kind": "gen",
         "config": cfg.to_json(),
         "records": records,
-        "aggregates": {"trials_failed": 0},
+        "aggregates": _aggregates("gen", records),
     }
     _write_report(report, out_path)
     return report
@@ -692,32 +705,58 @@ def run_gen(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
 # ---------------------------------------------------------------- verify
 
 
-def _verify_envelope_csv(path: Path, weight: Weight, c: int) -> list:
-    problems = []
+def _envelope_table(rec: dict, out_dir: Path, c: int) -> tuple:
+    """(rows, problems) of a record's envelope table, from its CSV or embedded rows.
+
+    Rows are (label, m, beta, weight, weighted_beta, cumsum); a label names
+    the row in messages.  Problems are structural: missing file, bad shape.
+    """
+    if rec.get("envelope_csv") is None:
+        embedded = rec.get("envelope_rows")
+        if embedded is None:
+            return [], [f"trial {rec.get('trial')}: no envelope table"]
+        return [
+            (f"trial {rec.get('trial')}: embedded row {i}", tuple(row[:c]), *row[c:])
+            for i, row in enumerate(embedded)
+        ], []
+    path = out_dir / rec["envelope_csv"]
     if not path.exists():
-        return [f"missing envelope CSV {path.name}"]
+        return [], [f"missing envelope CSV {path.name}"]
     lines = path.read_text().splitlines()
     want_header = ",".join(
         [f"m_{i + 1}" for i in range(c)] + ["beta", "weight", "weighted_beta", "cumsum"]
     )
     if not lines or lines[0] != want_header:
-        return [f"{path.name}: bad header"]
-    running = 0.0
+        return [], [f"{path.name}: bad header"]
+    rows, problems = [], []
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != c + 4:
             problems.append(f"{path.name}:{ln}: wrong column count")
             continue
         m = tuple(int(x) for x in parts[:c])
-        beta, g, weighted, cumsum = (float(x) for x in parts[c:])
-        g_expect = float(weight.eval_many(np.array([m], dtype=float))[0])
-        if g != g_expect:
-            problems.append(f"{path.name}:{ln}: weight column mismatch")
+        rows.append((f"{path.name}:{ln}", m, *(float(x) for x in parts[c:])))
+    return rows, problems
+
+
+def _verify_envelope_rows(rows: list, rec: dict, weight: Weight) -> list:
+    """Re-derive an envelope table's columns; its last row must match the record."""
+    problems = []
+    running = 0.0
+    for label, m, beta, g, weighted, cumsum in rows:
+        if g != float(weight.eval_many(np.array([m], dtype=float))[0]):
+            problems.append(f"{label}: weight column mismatch")
         if weighted != g * beta:
-            problems.append(f"{path.name}:{ln}: weighted_beta mismatch")
+            problems.append(f"{label}: weighted_beta mismatch")
         running += weighted
         if cumsum != running:
-            problems.append(f"{path.name}:{ln}: cumsum mismatch")
+            problems.append(f"{label}: cumsum mismatch")
+    last_weighted, last_cumsum = rows[-1][4:] if rows else (0.0, 0.0)
+    trial = rec.get("trial")
+    if rec.get("weighted_total") != last_cumsum:
+        problems.append(f"trial {trial}: weighted_total does not match its envelope table")
+    if rec.get("final_increment") != last_weighted:
+        problems.append(f"trial {trial}: final_increment does not match its envelope table")
     return problems
 
 
@@ -736,19 +775,13 @@ def verify_report(path) -> list:
     records = report.get("records", [])
     aggregates = report.get("aggregates", {})
 
+    if "records" in report:
+        for key, value in _aggregates(kind, records).items():
+            if aggregates.get(key) != value:
+                problems.append(f"aggregate {key} does not match records")
     ok = [r for r in records if "error" not in r]
-    failed = len(records) - len(ok)
-    if "records" in report and aggregates.get("trials_failed") != failed:
-        problems.append("aggregate trials_failed does not match records")
 
     if kind == "inverse_closedness":
-        slopes = [r["slope"] for r in ok if r.get("slope") is not None]
-        median = statistics.median(slopes) if slopes else None
-        if aggregates.get("median_slope") != median:
-            problems.append("aggregate median_slope does not match records")
-        max_res = max((r["residual"] for r in ok), default=None)
-        if aggregates.get("max_residual") != max_res:
-            problems.append("aggregate max_residual does not match records")
         for r in ok:
             if not r.get("envelope_dominates", False):
                 problems.append(f"trial {r.get('trial')}: envelope domination violated")
@@ -759,31 +792,8 @@ def verify_report(path) -> list:
             problems.append(f"config not reconstructible: {exc}")
             return problems
         for r in ok:
-            name = r.get("envelope_csv")
-            if name is not None:
-                problems.extend(_verify_envelope_csv(path.parent / name, weight, c))
-            rows = r.get("envelope_rows")
-            if rows is not None:
-                running = 0.0
-                for row in rows:
-                    beta_v, g, weighted, cumsum = row[c:]
-                    if weighted != g * beta_v:
-                        problems.append(
-                            f"trial {r.get('trial')}: embedded weighted_beta mismatch"
-                        )
-                    running += weighted
-                    if cumsum != running:
-                        problems.append(
-                            f"trial {r.get('trial')}: embedded cumsum mismatch"
-                        )
-    elif kind == "kernel":
-        max_err = max((r["kernel_rel_err"] for r in ok), default=None)
-        if aggregates.get("max_kernel_rel_err") != max_err:
-            problems.append("aggregate max_kernel_rel_err does not match records")
-        if aggregates.get("all_isometries_exact") != all(
-            all(r["isometry_exact"].values()) for r in ok
-        ):
-            problems.append("aggregate all_isometries_exact does not match records")
+            rows, table_problems = _envelope_table(r, path.parent, c)
+            problems.extend(table_problems or _verify_envelope_rows(rows, r, weight))
     elif kind == "wiener":
         if "error" not in report and report.get("residual") is None:
             problems.append("wiener report has neither residual nor error")
@@ -792,6 +802,6 @@ def verify_report(path) -> list:
             name = r.get("operator_json")
             if name is None or not (path.parent / name).exists():
                 problems.append(f"trial {r.get('trial')}: operator file missing")
-    else:
+    elif kind != "kernel":  # a kernel report's derivable content is its aggregates
         problems.append(f"unknown report kind {kind!r}")
     return problems

@@ -24,13 +24,30 @@ four outputs become s0..s3.  Uniform doubles take the top 53 bits,
 uniform = (next >> 11) * 2^-53 in [0, 1); normals come from the
 Box-Muller transform (using 1 - uniform inside the logarithm, second
 value cached).
+
+Bulk draws.  `next_u64`, `normal` and `complex_normal` are the spec and
+the test oracle; `u64_array`, `normals` and `complex_normals` return
+exactly the same bits, many at a time, and leave the generator in the
+same state.  The xoshiro256** update is linear over GF(2), so n steps
+are cut into K lanes of L steps each (L a power of two near sqrt(n)):
+lane j starts at A^(jL) s.  The jump matrix A^L is built on first use
+for each L, by stepping the 256 unit states L times, and cached as 64
+nibble tables (32 KiB), so one jump is 64 lookups XORed together.  All
+lanes then step together in numpy uint64 arithmetic, and the scrambler
+is applied to the whole block at once.  Box-Muller keeps the scalar formulas:
+uniforms, 1 - u, sqrt and the products are correctly rounded in numpy
+and so agree bit for bit, but log, cos and sin go through `math` (libm)
+because numpy's own versions differ from libm in the last bit on some
+inputs.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["splitmix64", "Xoshiro256StarStar"]
+import numpy as np
+
+__all__ = ["splitmix64", "Xoshiro256StarStar", "box_muller", "uniforms"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -47,6 +64,79 @@ def splitmix64(x: int) -> tuple:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return x, z ^ (z >> 31)
+
+
+_UNIT = 2.0 ** -53
+_NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)
+_NIBBLE_ROWS = np.arange(64)
+_JUMPS: dict = {}  # lane length L -> nibble tables of the jump matrix A^L
+
+
+def _step_lanes(s: np.ndarray, steps: int, s1_out=None) -> None:
+    """Step the lanes s (shape (4, K)) in place; s1_out[i] gets s1 before step i."""
+    s0, s1, s2, s3 = s
+    t = np.empty_like(s0)
+    for i in range(steps):
+        if s1_out is not None:
+            s1_out[i] = s1
+        np.left_shift(s1, np.uint64(17), out=t)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.left_shift(s3, np.uint64(45), out=t)
+        s3 >>= np.uint64(19)
+        s3 |= t
+
+
+def _jump_tables(lane: int) -> np.ndarray:
+    """A^lane as 64 nibble tables: [b, v] is the image of the state whose nibble b is v.
+
+    State bit i is bit i % 64 of word i // 64, so nibble b holds bits 4b..4b+3.
+    """
+    tables = _JUMPS.get(lane)
+    if tables is None:
+        i = np.arange(256)
+        units = np.zeros((4, 256), dtype=np.uint64)
+        units[i // 64, i] = np.uint64(1) << (i % 64).astype(np.uint64)
+        _step_lanes(units, lane)  # column i is A^lane e_i
+        images = units.T.reshape(64, 4, 4)
+        tables = np.zeros((64, 16, 4), dtype=np.uint64)
+        for k in range(4):
+            tables[:, 1 << k:2 << k] = tables[:, :1 << k] ^ images[:, k, None]
+        # concurrent first builds compute the same tables
+        tables = _JUMPS.setdefault(lane, tables)
+    return tables
+
+
+def _jump(tables: np.ndarray, state: np.ndarray) -> np.ndarray:
+    nibbles = ((state[:, None] >> _NIBBLE_SHIFTS) & np.uint64(0xF)).astype(np.intp)
+    return np.bitwise_xor.reduce(tables[_NIBBLE_ROWS, nibbles.ravel()], axis=0)
+
+
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from words, as `uniform()` makes them."""
+    return (words >> np.uint64(11)) * _UNIT
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
+
+
+def box_muller(words: np.ndarray) -> np.ndarray:
+    """Normals from consecutive word pairs, as `normal()` draws a fresh pair.
+
+    words has an even last axis; pair (w_a, w_b) gives r cos(theta) then
+    r sin(theta) in the same two places of the float64 result.
+    """
+    u1 = 1.0 - uniforms(words[..., 0::2])
+    theta = 2.0 * math.pi * uniforms(words[..., 1::2])
+    r = np.sqrt(-2.0 * _libm(math.log, u1))
+    out = np.empty(words.shape, dtype=float)
+    out[..., 0::2] = r * _libm(math.cos, theta)
+    out[..., 1::2] = r * _libm(math.sin, theta)
+    return out
 
 
 class Xoshiro256StarStar:
@@ -97,3 +187,40 @@ class Xoshiro256StarStar:
         re = self.normal()
         im = self.normal()
         return complex(re, im)
+
+    def u64_array(self, n: int) -> np.ndarray:
+        """The next n words as uint64, the same as n calls to next_u64."""
+        n = int(n)
+        if n <= 0:
+            return np.empty(0, dtype=np.uint64)
+        lane = 1 << round(math.log2(n) / 2)  # the power of two nearest sqrt(n)
+        lanes = -(-n // lane)
+        s = np.empty((4, lanes), dtype=np.uint64)
+        s[:, 0] = self._s
+        if lanes > 1:
+            tables = _jump_tables(lane)
+            for j in range(1, lanes):
+                s[:, j] = _jump(tables, s[:, j - 1])
+        trace = np.empty((lane, lanes), dtype=np.uint64)
+        last = n - (lanes - 1) * lane  # steps the last lane contributes
+        _step_lanes(s, last, trace)
+        self._s = s[:, -1].tolist()
+        _step_lanes(s, lane - last, trace[last:])
+        x = trace.T.reshape(-1)[:n] * np.uint64(5)
+        return ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
+
+    def normals(self, n: int) -> np.ndarray:
+        """The next n normals as float64, the same as n calls to normal()."""
+        out = np.empty(n, dtype=float)
+        head = 0
+        if n and self._cached_normal is not None:
+            out[0], self._cached_normal, head = self._cached_normal, None, 1
+        fresh = box_muller(self.u64_array(2 * ((n - head + 1) // 2)))
+        out[head:] = fresh[: n - head]
+        if fresh.size > n - head:
+            self._cached_normal = float(fresh[-1])
+        return out
+
+    def complex_normals(self, n: int) -> np.ndarray:
+        """The next n complex normals, the same as n calls to complex_normal()."""
+        return self.normals(2 * n).view(np.complex128)

@@ -90,6 +90,14 @@ def test_bad_field_exits_2(tmp_path, capsys):
     assert "boundary" in capsys.readouterr().err
 
 
+def test_invert_dirichlet_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", boundary="dirichlet")
+    assert main(["invert", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "circulant" in err
+    assert "Traceback" not in err
+
+
 def test_all_trials_failing_exits_3(tmp_path, capsys):
     # envelope l1 >= 1 and spectral radius >= 1: no certification possible
     cfg = write_config(

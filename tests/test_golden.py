@@ -1,0 +1,64 @@
+"""Outputs pinned across code versions: the sha256 of every emitted file.
+
+`tests/golden/sha256.json` maps each case below to {file name: sha256}
+of everything its CLI command writes.  The digests were taken from the
+code before the generation path was vectorized; a change that alters
+any byte must explain why in CHANGES.md and show value-level agreement.
+Never regenerate the digests just to make this test pass.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from decayalg.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "sha256.json"
+
+_CRITERION_7 = {
+    "seed": 7, "c": 1, "N": 16, "W": 4, "d": 4, "block_rank": 4, "trials": 10,
+    "weight": {"a": 0.5, "b": 0.5},
+    "envelope_profile": {"kind": "exponential", "rate": 1.0, "l1": 0.5},
+    "boundary": "circulant",
+}
+
+# case name -> (subcommand, config, extra CLI flags)
+CASES = {
+    "invert-criterion7-csv": ("invert", _CRITERION_7, ["--trials", "2"]),
+    "invert-criterion7-json": ("invert", _CRITERION_7,
+                               ["--trials", "2", "--format", "json"]),
+    "kernel-c2-q2-d4": ("kernel", {
+        "seed": 5, "c": 2, "q": 2, "N": 3, "W": 1, "d": 4, "block_rank": 2,
+        "trials": 2, "weight": {"a": 0.5, "b": 0.5},
+        "envelope_profile": {"kind": "exponential", "rate": 1.0, "l1": 0.5},
+    }, []),
+    "gen-table-zeros": ("gen", {
+        "seed": 3, "c": 1, "N": 3, "W": 1, "d": 3, "block_rank": 1, "trials": 2,
+        "envelope_profile": {"kind": "table", "values": [0.25, 0.0, 0.5]},
+    }, []),
+    "wiener": ("wiener", {
+        "symbol": "3+u+u^{-1}", "grid": 256, "out_radius": 20,
+        "weight": {"s": 1.0},
+    }, []),
+}
+
+
+def emitted_digests(case: str, work: Path) -> dict:
+    """Run one case into `work` and hash every file it wrote."""
+    command, config, flags = CASES[case]
+    cfg_path = work / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = work / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out), *flags]) == 0
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_golden_digests(case, tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    assert emitted_digests(case, tmp_path) == golden[case]

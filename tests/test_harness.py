@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decayalg.cd_operator import densify, fit_envelope
 from decayalg.harness import (
@@ -19,8 +20,10 @@ from decayalg.harness import (
     verify_report,
     worker_count,
 )
-from decayalg.cd_operator import CDOperator
+from decayalg.cd_operator import CDOperator, decay_slope, invert_one_plus
+from decayalg.lattice import window_indices
 from decayalg.nuclear_blocks import trace_norm
+from decayalg.rng import Xoshiro256StarStar
 from decayalg.weights import Weight
 
 
@@ -129,6 +132,64 @@ def test_generate_operator_factorizations_assemble():
         fact = op.factorizations[key]
         assert len(fact.terms) == 1
         np.testing.assert_allclose(fact.assemble(), blk, rtol=1e-12, atol=1e-14)
+
+
+def reference_operator(cfg, trial):
+    """Block-by-block generation from the scalar draws: the spec of the bulk path."""
+    rng = Xoshiro256StarStar(cfg.seed, stream=trial)
+    beta = envelope_values(cfg)
+    d, rank = cfg.local_dim, cfg.block_rank
+
+    def draw(rows, cols):
+        out = np.empty((rows, cols), dtype=np.complex128)
+        for i in range(rows):
+            for j in range(cols):
+                out[i, j] = rng.complex_normal()
+        return out
+
+    blocks, terms = {}, {}
+    for k in window_indices(cfg.window_radius, cfg.c):
+        for m in window_indices(cfg.band_radius, cfg.c):
+            target = float(beta[tuple(x + cfg.band_radius for x in m)])
+            if target == 0.0:
+                continue
+            r_km = rng.uniform_in(0.5, 1.0)
+            x = draw(d, rank)
+            y = draw(rank, d)
+            g = x @ y
+            scale = target * r_km / trace_norm(g)
+            blocks[(k, m)] = g * scale
+            terms[(k, m)] = [(scale * y[i, :], x[:, i].copy()) for i in range(rank)]
+    return blocks, terms
+
+
+GENERATION_CASES = {
+    "rank-1": dict(block_rank=1),
+    "d8-rank3": dict(local_dim=8, block_rank=3),
+    "c2-polynomial": dict(c=2, window_radius=2, envelope_profile={"kind": "polynomial",
+                                                                  "power": 2.0}),
+    "table-with-zeros": dict(local_dim=3, block_rank=1,
+                             envelope_profile={"kind": "table", "values": [0.2, 0.0, 0.4]}),
+    # 729 blocks of 97 words: the trial spans several draw chunks
+    "several-chunks": dict(window_radius=40, band_radius=4, local_dim=8, block_rank=3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATION_CASES))
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32), trial=st.integers(0, 50))
+def test_generate_operator_equals_block_by_block_reference(case, seed, trial):
+    cfg = small_config(seed=seed, **GENERATION_CASES[case])
+    op = generate_operator(cfg, trial)
+    blocks, terms = reference_operator(cfg, trial)
+    assert list(op.blocks) == list(blocks)
+    for key, want in blocks.items():
+        assert op.blocks[key].tobytes() == want.tobytes()
+        got_terms = op.factorizations[key].terms
+        assert len(got_terms) == len(terms[key])
+        for (u, v), (u_ref, v_ref) in zip(got_terms, terms[key]):
+            assert u.tobytes() == u_ref.tobytes()
+            assert v.tobytes() == v_ref.tobytes()
 
 
 def test_generate_operator_zero_table():
@@ -262,6 +323,21 @@ def test_run_wiener_geometric(tmp_path):
     assert verify_report(tmp_path / "report.json") == []
 
 
+def test_run_inverse_closedness_rejects_dirichlet(tmp_path):
+    cfg = small_config(boundary="dirichlet")
+    with pytest.raises(ConfigError, match="circulant"):
+        run_inverse_closedness(cfg, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_inverse_closedness_slope_from_fitted_envelope(tmp_path):
+    cfg = small_config(trials=1)
+    report = run_inverse_closedness(cfg, out_dir=tmp_path)
+    res = invert_one_plus(generate_operator(cfg, 0), cfg.weight)
+    assert np.array_equal(res.envelope.values, fit_envelope(res.t1, "nuclear").values)
+    assert report["records"][0]["slope"] == decay_slope(res.envelope)
+
+
 def test_run_wiener_three_term(tmp_path):
     cfg = {"symbol": "3+u+u^{-1}", "grid": 512, "out_radius": 30}
     report = run_wiener(cfg, out_dir=tmp_path)
@@ -373,6 +449,42 @@ def test_verify_report_catches_csv_tampering(tmp_path):
     assert any("cumsum" in p for p in verify_report(tmp_path / "report.json"))
     csv_path.unlink()
     assert any("missing" in p for p in verify_report(tmp_path / "report.json"))
+
+
+def tamper(path, edit):
+    report = json.loads(path.read_text())
+    edit(report)
+    path.write_text(json.dumps(report, sort_keys=True))
+    return verify_report(path)
+
+
+def test_verify_report_catches_max_condition(tmp_path):
+    run_inverse_closedness(small_config(), out_dir=tmp_path)
+    problems = tamper(tmp_path / "report.json",
+                      lambda r: r["aggregates"].update(max_condition=-1.0))
+    assert any("max_condition" in p for p in problems)
+
+
+def test_verify_report_catches_kernel_round_trip_aggregate(tmp_path):
+    run_kernel(small_config(), out_dir=tmp_path)
+    assert verify_report(tmp_path / "report.json") == []
+    problems = tamper(tmp_path / "report.json",
+                      lambda r: r["aggregates"].update(all_round_trips_exact=False))
+    assert any("all_round_trips_exact" in p for p in problems)
+
+
+def test_verify_report_checks_weighted_total_against_csv(tmp_path):
+    run_inverse_closedness(small_config(), out_dir=tmp_path)
+    problems = tamper(tmp_path / "report.json",
+                      lambda r: r["records"][1].update(weighted_total=123.0))
+    assert problems == ["trial 1: weighted_total does not match its envelope table"]
+
+
+def test_verify_report_checks_final_increment_against_embedded_rows(tmp_path):
+    run_inverse_closedness(small_config(), out_dir=tmp_path, fmt="json")
+    problems = tamper(tmp_path / "report.json",
+                      lambda r: r["records"][0].update(final_increment=0.5))
+    assert problems == ["trial 0: final_increment does not match its envelope table"]
 
 
 def test_verify_report_rejects_unreadable(tmp_path):

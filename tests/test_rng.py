@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from decayalg.rng import Xoshiro256StarStar, splitmix64
+from decayalg.rng import Xoshiro256StarStar, box_muller, splitmix64
 
 
 def test_splitmix64_known_answers():
@@ -70,3 +72,72 @@ def test_complex_normal_draws_real_then_imaginary():
     assert z.real == g2.normal()
     assert z.imag == g2.normal()
     assert math.isfinite(abs(z))
+
+
+# ------------------------------------------------------------ bulk draws
+#
+# The bulk path must reproduce the scalar methods bit for bit and leave the
+# generator where the scalar calls would.  Lane lengths are powers of two
+# near sqrt(n), so these lengths fill the last lane exactly, leave it one
+# short, or spill one word into a new lane.
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 64, 65, 4095, 4096, 4097, 5000, 16384])
+def test_u64_array_equals_scalar_words(n):
+    bulk = Xoshiro256StarStar(17, stream=n)
+    scalar = Xoshiro256StarStar(17, stream=n)
+    words = bulk.u64_array(n)
+    assert words.dtype == np.uint64
+    assert words.tolist() == [scalar.next_u64() for _ in range(n)]
+    assert bulk._s == scalar._s
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**20),
+       sizes=st.lists(st.integers(0, 3000), min_size=1, max_size=4))
+def test_u64_array_state_continuity(seed, stream, sizes):
+    # bulk -> scalar -> bulk -> ... matches one scalar stream
+    bulk = Xoshiro256StarStar(seed, stream)
+    scalar = Xoshiro256StarStar(seed, stream)
+    for n in sizes:
+        assert bulk.u64_array(n).tolist() == [scalar.next_u64() for _ in range(n)]
+        assert bulk.next_u64() == scalar.next_u64()
+    assert bulk._s == scalar._s
+
+
+def bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 600))
+def test_complex_normals_equal_scalar_bitwise(seed, n):
+    bulk = Xoshiro256StarStar(seed)
+    scalar = Xoshiro256StarStar(seed)
+    z = bulk.complex_normals(n)
+    want = np.array([scalar.complex_normal() for _ in range(n)], dtype=np.complex128)
+    assert z.shape == (n,)
+    assert np.array_equal(bits(z), bits(want))
+    assert bulk._s == scalar._s and bulk._cached_normal == scalar._cached_normal
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       sizes=st.lists(st.integers(0, 50), min_size=1, max_size=5))
+def test_normals_keep_the_cached_value(seed, sizes):
+    # odd counts leave a cached normal that the next draw, bulk or scalar, uses
+    bulk = Xoshiro256StarStar(seed)
+    scalar = Xoshiro256StarStar(seed)
+    for n in sizes:
+        got = bulk.normals(n)
+        assert np.array_equal(bits(got), bits([scalar.normal() for _ in range(n)]))
+        assert bulk._cached_normal == scalar._cached_normal
+        assert bulk.normal() == scalar.normal()
+    assert bulk._s == scalar._s
+
+
+def test_box_muller_matches_a_fresh_pair():
+    words = Xoshiro256StarStar(3).u64_array(8).reshape(2, 4)
+    out = box_muller(words)
+    scalar = Xoshiro256StarStar(3)
+    assert np.array_equal(bits(out.ravel()), bits([scalar.normal() for _ in range(8)]))
