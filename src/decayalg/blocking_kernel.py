@@ -21,14 +21,23 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
 import numpy as np
 
-from .cd_operator import BlockVector, CDOperator, ShapeMismatch, lp_accumulate
-from .lattice import flat_offset, window_indices, window_size, wrap_index
-from .nuclear_blocks import svd_factorization
+from .cd_operator import (
+    BlockStore,
+    BlockVector,
+    CDOperator,
+    MissingFactorization,
+    ShapeMismatch,
+    lp_accumulate,
+    route,
+    split_passes,
+    sum_groups,
+)
+from .lattice import flat_offsets, window_array, window_indices, window_size
 
 __all__ = [
     "GridFunction",
@@ -43,10 +52,6 @@ __all__ = [
     "read_grid_function",
     "kernel_block_to_csv",
 ]
-
-
-class MissingFactorization(ValueError):
-    """A kernel was requested from blocks without nuclear factorizations."""
 
 
 @dataclass
@@ -100,32 +105,35 @@ def unblock(v: BlockVector, q: int) -> GridFunction:
     return GridFunction(v.c, v.window_radius, q, v.values.copy())
 
 
-@dataclass
-class Kernel:
-    """A sampled integral kernel between cell pairs of the window."""
+class Kernel(BlockStore):
+    """A sampled integral kernel between cell pairs of the window.
 
-    c: int
-    window_radius: int
-    q: int
-    blocks: Dict[Tuple[tuple, tuple], np.ndarray]
+    Its q^c x q^c blocks are stored like a CDOperator's, keyed by the
+    cell pair (k, l) instead of (cell, offset).
+    """
 
-    def __post_init__(self):
-        qq = self.q ** self.c
-        normalized = {}
-        for (k, l), blk in self.blocks.items():
-            b = np.asarray(blk, dtype=np.complex128)
-            if b.shape != (qq, qq):
-                raise ShapeMismatch(f"kernel block at {(k, l)} has shape {b.shape}")
-            for idx in (k, l):
-                if max(abs(x) for x in idx) > self.window_radius:
-                    raise ShapeMismatch(f"cell {idx} outside window")
-            normalized[(tuple(k), tuple(l))] = b
-        self.blocks = normalized
+    def __init__(self, c: int, window_radius: int, q: int, blocks: Mapping):
+        self._set(c, window_radius, q, *self._table(blocks, c, (q ** c, q ** c)))
+
+    @classmethod
+    def from_arrays(cls, c: int, window_radius: int, q: int, keys, stack) -> "Kernel":
+        kern = cls.__new__(cls)
+        kern._set(c, window_radius, q, keys, stack)
+        return kern
+
+    def _set(self, c, window_radius, q, keys, stack) -> None:
+        self.c, self.window_radius, self.q = c, window_radius, q
+        self._store(keys, stack, (q ** c, q ** c), (window_radius,) * 2, ("cell", "cell"))
 
 
 def attach_svd_factorizations(op: CDOperator) -> CDOperator:
-    """Fill op.factorizations with the minimal (SVD) decompositions."""
-    op.factorizations = {key: svd_factorization(blk) for key, blk in op.blocks.items()}
+    """Set op.factors to the minimal (SVD) decompositions of its blocks.
+
+    Terms of zero singular value come out as zero terms, which add
+    exactly nothing.
+    """
+    u, s, vh = np.linalg.svd(op.stack)
+    op.factors = (s[..., None] * vh, u.transpose(0, 2, 1))
     return op
 
 
@@ -135,44 +143,44 @@ def assemble_kernel(op: CDOperator, q: int) -> Kernel:
     Every block must carry a nuclear factorization; the kernel block is
     its rank-one assembly divided by the cell quadrature weight h^c.
     Offsets that wrap onto the same source cell accumulate, mirroring
-    the circulant apply.
+    the circulant apply, in ascending order of the offset.
     """
     if q ** op.c != op.local_dim:
         raise ShapeMismatch(
             f"local dim {op.local_dim} does not match q^c = {q ** op.c}"
         )
-    if op.factorizations is None:
+    if op.factors is None:
         raise MissingFactorization("operator carries no factorizations")
     h_pow = q ** (-op.c)
-    blocks: Dict[Tuple[tuple, tuple], np.ndarray] = {}
-    for (k, m) in sorted(op.blocks):
-        fact = op.factorizations.get((k, m))
-        if fact is None:
-            raise MissingFactorization(f"block at {(k, m)} has no factorization")
-        src = tuple(ki - mi for ki, mi in zip(k, m))
-        if op.boundary == "circulant":
-            src = wrap_index(src, op.window_radius)
-        elif max(abs(x) for x in src) > op.window_radius:
-            continue
-        contrib = fact.assemble() / h_pow
-        key = (k, src)
-        if key in blocks:
-            blocks[key] += contrib
-        else:
-            blocks[key] = contrib
-    return Kernel(op.c, op.window_radius, q, blocks)
+    cells, sources = route(op)
+    live = np.flatnonzero(sources >= 0)
+    a, y = op.factors[0][live], op.factors[1][live]
+    assembled = np.zeros((len(live), op.local_dim, op.local_dim), dtype=np.complex128)
+    for j in range(a.shape[1]):
+        assembled += y[:, j, :, None] * a[:, j, None, :]
+    n = op.n_cells
+    codes, group = np.unique(cells[live] * n + sources[live], return_inverse=True)
+    stack = sum_groups(assembled / h_pow, group,
+                       flat_offsets(op.keys[live, 1], op.band_radius))
+    window = window_array(op.window_radius, op.c)
+    keys = np.stack((window[codes // n], window[codes % n]), axis=1)
+    return Kernel.from_arrays(op.c, op.window_radius, q, keys, stack)
 
 
 def apply_kernel(kernel: Kernel, f: GridFunction) -> GridFunction:
-    """Integrate the kernel against f with the midpoint quadrature."""
+    """Integrate the kernel against f with the midpoint quadrature.
+
+    Each output cell adds its blocks in ascending order of the source cell.
+    """
     if (f.c, f.window_radius, f.q) != (kernel.c, kernel.window_radius, kernel.q):
         raise ShapeMismatch("grid function does not match kernel geometry")
     h_pow = kernel.q ** (-kernel.c)
+    rows_k = flat_offsets(kernel.keys[:, 0], kernel.window_radius)
+    rows_l = flat_offsets(kernel.keys[:, 1], kernel.window_radius)
     out = np.zeros_like(f.values)
-    for (k, l) in sorted(kernel.blocks):
-        rk = flat_offset(k, kernel.window_radius)
-        rl = flat_offset(l, kernel.window_radius)
-        out[rk] += (kernel.blocks[(k, l)] @ f.values[rl]) * h_pow
+    for rows in split_passes(rows_k, rows_l):
+        prod = (kernel.stack[rows] @ f.values[rows_l[rows], :, None])[..., 0]
+        out[rows_k[rows]] += prod * h_pow
     return GridFunction(f.c, f.window_radius, f.q, out)
 
 

@@ -16,24 +16,39 @@ Shift-invariant operators (b_{k,m} independent of k) are block Laurent
 operators; their symbol sum_m b_m e^{i m.theta} is a matrix function on
 the torus and, with the circulant boundary, its values at the grid
 points of order 2N+1 carry exactly the spectrum of the dense form.
+
+Stored form.  An operator keeps its blocks as one (n_blocks, d, d)
+complex128 `stack` and an (n_blocks, 2, c) int64 `keys` table whose row
+i holds the cell k and the offset m of block i; optional nuclear
+factor terms are two more stacks (`factors`).  All three are validated
+in bulk once, at construction, and are read-only afterwards.  `blocks`
+is a read-only {(k, m): block} view whose values are rows of the stack.
+`route` is the one place a block is routed to its source cell; apply,
+densify, compose and the kernel assembly all go through it, and then do
+a fixed number of numpy calls per pass over the stack, where a pass
+holds at most one block per target, so additions into one target happen
+in the same order as a block-by-block walk over sorted keys.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .lattice import as_index, flat_offset, window_indices, window_size, wrap_index
-from .nuclear_blocks import (
-    DenseBlock,
-    NuclearFactorization,
-    operator_norm,
-    trace_norm,
+from .lattice import (
+    as_index,
+    flat_offset,
+    flat_offsets,
+    window_array,
+    window_indices,
+    window_size,
 )
+from .nuclear_blocks import DenseBlock, NuclearFactorization, operator_norm
 from .seq_algebra import TorusPoint
 from .weights import Weight
 
@@ -72,15 +87,20 @@ class NumericallySingular(ArithmeticError):
     """The dense system is too ill-conditioned to invert reliably."""
 
 
-def _norm_of_block(block: np.ndarray, kind: str) -> float:
+class MissingFactorization(ValueError):
+    """A kernel was requested from blocks without nuclear factorizations."""
+
+
+def _block_norms(stack: np.ndarray, kind: str) -> np.ndarray:
+    """The norm of every block of an (n, d, d) stack."""
     if kind == "nuclear":
-        return trace_norm(block)
+        return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
     if kind == "operator_1":
-        return operator_norm(block, 1)
+        return np.abs(stack).sum(axis=-2).max(axis=-1, initial=0.0)
     if kind == "operator_2":
-        return operator_norm(block, 2)
+        return np.linalg.svd(stack, compute_uv=False)[:, 0]
     if kind == "operator_inf":
-        return operator_norm(block, np.inf)
+        return np.abs(stack).sum(axis=-1).max(axis=-1, initial=0.0)
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -137,35 +157,181 @@ def lp_accumulate(values: np.ndarray, p, cell_weight: float = 1.0) -> float:
     raise ValueError(f"unsupported exponent {p!r}")
 
 
-@dataclass
-class CDOperator:
-    """Banded block operator with explicit boundary convention."""
+# ----------------------------------------------------------- block store
+
+
+class _RowMap(Mapping):
+    """Read-only {(index, index): value} view of a block store, in row order."""
+
+    def __init__(self, owner: "BlockStore", value):
+        self._owner = owner
+        self._value = value
+
+    def __getitem__(self, key):
+        return self._value(self._owner.row(key))
+
+    def __iter__(self):
+        keys = self._owner.keys
+        return zip(map(tuple, keys[:, 0].tolist()), map(tuple, keys[:, 1].tolist()))
+
+    def __len__(self) -> int:
+        return len(self._owner.keys)
+
+
+class BlockStore:
+    """Blocks kept as one stack plus a key table of index pairs.
+
+    Row i of `stack` is the block at the key (keys[i, 0], keys[i, 1]),
+    each an index of the lattice Z^c.  Both arrays are read-only.
+    """
 
     c: int
-    window_radius: int
-    band_radius: int
-    local_dim: int
-    boundary: str
-    blocks: Dict[Tuple[tuple, tuple], np.ndarray] = field(default_factory=dict)
-    factorizations: Optional[Dict[Tuple[tuple, tuple], NuclearFactorization]] = None
+    keys: np.ndarray  # (n_blocks, 2, c) int64
+    stack: np.ndarray  # (n_blocks, r, r) complex128
 
-    def __post_init__(self):
-        if self.boundary not in _BOUNDARIES:
+    def _store(self, keys, stack, block_shape: tuple, radii: tuple,
+               names: tuple) -> None:
+        """Validate and keep the arrays: one shape check, one bounds check per key part."""
+        stack = np.asarray(stack, dtype=np.complex128)
+        keys = np.asarray(keys, dtype=np.int64)
+        if stack.shape[1:] != block_shape:
+            raise ShapeMismatch(f"blocks have shape {stack.shape[1:]}, want {block_shape}")
+        if keys.shape != (len(stack), 2, self.c):
+            raise ShapeMismatch(f"key table has shape {keys.shape}, "
+                                f"want {(len(stack), 2, self.c)}")
+        for part, (radius, name) in enumerate(zip(radii, names)):
+            outside = np.flatnonzero(np.abs(keys[:, part]).max(axis=1, initial=0) > radius)
+            if outside.size:
+                raise ShapeMismatch(
+                    f"{name} {tuple(keys[outside[0], part].tolist())} outside radius {radius}"
+                )
+        keys.flags.writeable = False
+        stack.flags.writeable = False
+        self.keys, self.stack = keys, stack
+        self._radii = radii
+        self._rows = None
+
+    def row(self, key) -> int:
+        """The row of the block at key (a pair of indices); KeyError if there is none."""
+        (r0, r1), c = self._radii, self.c
+        try:
+            a, b = key
+            code = flat_offset(as_index(a, c), r0) * window_size(r1, c) + \
+                flat_offset(as_index(b, c), r1)
+        except (IndexError, TypeError, ValueError):
+            raise KeyError(key) from None
+        if self._rows is None:  # {key code: row}, built on first use
+            codes = flat_offsets(self.keys[:, 0], r0) * window_size(r1, c) + \
+                flat_offsets(self.keys[:, 1], r1)
+            self._rows = dict(zip(codes.tolist(), range(len(codes))))
+        try:
+            return self._rows[code]
+        except KeyError:
+            raise KeyError(key) from None
+
+    @staticmethod
+    def _table(blocks: Mapping, c: int, block_shape: tuple) -> tuple:
+        """(keys, stack) of a {(index, index): block} dict, in its order.
+
+        Indices go through as_index (a plain int is accepted for c == 1);
+        a key that normalizes onto an earlier one replaces its block.
+        """
+        table = {(as_index(a, c), as_index(b, c)): blk for (a, b), blk in blocks.items()}
+        keys = np.array(list(table), dtype=np.int64).reshape(len(table), 2, c)
+        if not table:
+            return keys, np.zeros((0,) + block_shape, dtype=np.complex128)
+        try:
+            return keys, np.array(list(table.values()), dtype=np.complex128)
+        except ValueError as exc:  # blocks of differing shapes
+            raise ShapeMismatch(f"blocks differ in shape, want {block_shape}") from exc
+
+    @property
+    def blocks(self) -> Mapping:
+        """Read-only {(index, index): block} view; the blocks are rows of `stack`."""
+        return _RowMap(self, self.stack.__getitem__)
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.stack)
+
+
+class CDOperator(BlockStore):
+    """Banded block operator with explicit boundary convention.
+
+    Built from a {(k, m): d x d block} dict, or from its stored arrays by
+    `from_arrays`.  `factors`, when set, is a pair (a, y) of
+    (n_blocks, rank, d) stacks with block i = sum_j outer(y[i, j], a[i, j]);
+    a block of lower rank is padded with zero terms, which add exactly
+    nothing.  `factorizations` views them per block.
+    """
+
+    def __init__(self, c: int, window_radius: int, band_radius: int,
+                 local_dim: int, boundary: str, blocks: Optional[Mapping] = None):
+        self._set(c, window_radius, band_radius, local_dim, boundary,
+                  *self._table(blocks or {}, c, (local_dim, local_dim)))
+        self.factors = None
+
+    @classmethod
+    def from_arrays(cls, c: int, window_radius: int, band_radius: int,
+                    local_dim: int, boundary: str, keys, stack,
+                    factors: Optional[tuple] = None) -> "CDOperator":
+        """An operator over a key table and a block stack, validated in bulk.
+
+        The arrays are kept, not copied, and become read-only.
+        """
+        op = cls.__new__(cls)
+        op._set(c, window_radius, band_radius, local_dim, boundary, keys, stack)
+        op.factors = factors
+        return op
+
+    def _set(self, c, window_radius, band_radius, local_dim, boundary, keys, stack) -> None:
+        if boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}")
-        d = self.local_dim
-        normalized = {}
-        for (k, m), blk in self.blocks.items():
-            k = as_index(k, self.c)
-            m = as_index(m, self.c)
-            if max(abs(x) for x in k) > self.window_radius:
-                raise ShapeMismatch(f"cell index {k} outside window")
-            if max(abs(x) for x in m) > self.band_radius:
-                raise ShapeMismatch(f"offset {m} outside band")
-            b = np.asarray(blk, dtype=np.complex128)
-            if b.shape != (d, d):
-                raise ShapeMismatch(f"block at {(k, m)} has shape {b.shape}, want {(d, d)}")
-            normalized[(k, m)] = b
-        self.blocks = normalized
+        self.c, self.window_radius, self.band_radius = c, window_radius, band_radius
+        self.local_dim, self.boundary = local_dim, boundary
+        self._store(keys, stack, (local_dim, local_dim), (window_radius, band_radius),
+                    ("cell index", "offset"))
+
+    @property
+    def factors(self) -> Optional[tuple]:
+        """The factor term stacks (a, y), or None."""
+        return self._factors
+
+    @factors.setter
+    def factors(self, factors: Optional[tuple]) -> None:
+        if factors is not None:
+            a, y = (np.asarray(f, dtype=np.complex128) for f in factors)
+            if a.shape != y.shape or a.ndim != 3 or a.shape[::2] != (self.n_blocks, self.local_dim):
+                raise ShapeMismatch(f"factor stacks of shapes {a.shape} and {y.shape}")
+            a.flags.writeable = y.flags.writeable = False
+            factors = (a, y)
+        self._factors = factors
+
+    @property
+    def factorizations(self) -> Optional[Mapping]:
+        """Read-only {(k, m): NuclearFactorization} view of `factors`, or None."""
+        if self.factors is None:
+            return None
+        a, y = self.factors
+        return _RowMap(self, lambda i: NuclearFactorization(self.local_dim, list(zip(a[i], y[i]))))
+
+    @factorizations.setter
+    def factorizations(self, facts: Optional[Mapping]) -> None:
+        """Stack a {(k, m): NuclearFactorization} dict; every block needs one."""
+        if facts is None:
+            self.factors = None
+            return
+        try:
+            per_block = [facts[key] for key in self.blocks]
+        except KeyError as exc:
+            raise MissingFactorization(f"block at {exc.args[0]} has no factorization") from None
+        rank = max((len(f.terms) for f in per_block), default=0)
+        a = np.zeros((self.n_blocks, rank, self.local_dim), dtype=np.complex128)
+        y = np.zeros_like(a)
+        for i, fact in enumerate(per_block):
+            for j, (a_term, y_term) in enumerate(fact.terms):
+                a[i, j], y[i, j] = a_term, y_term
+        self.factors = (a, y)
 
     @property
     def n_cells(self) -> int:
@@ -184,7 +350,7 @@ class CDOperator:
         return cls(c, window_radius, band_radius, local_dim, boundary, blocks)
 
     def band_offsets(self) -> list:
-        return sorted({m for (_, m) in self.blocks})
+        return [tuple(m) for m in np.unique(self.keys[:, 1], axis=0).tolist()]
 
     # ---- serialization ------------------------------------------------
 
@@ -222,13 +388,69 @@ class CDOperator:
         )
 
 
-def _source_cell(op: CDOperator, k: tuple, m: tuple) -> Optional[tuple]:
-    src = tuple(ki - mi for ki, mi in zip(k, m))
+# --------------------------------------------------------------- routing
+
+
+def route(op: CDOperator) -> tuple:
+    """(cells, sources): flat window rows of each block's cell k and source k - m.
+
+    The circulant boundary wraps the source into the window; the
+    dirichlet boundary drops a source outside it, marked -1.
+    """
+    radius = op.window_radius
+    k, m = op.keys[:, 0], op.keys[:, 1]
+    src = k - m
     if op.boundary == "circulant":
-        return wrap_index(src, op.window_radius)
-    if max(abs(x) for x in src) > op.window_radius:
-        return None
-    return src
+        src = (src + radius) % (2 * radius + 1) - radius
+    sources = flat_offsets(src, radius)
+    sources[np.abs(src).max(axis=1, initial=0) > radius] = -1
+    return flat_offsets(k, radius), sources
+
+
+def split_passes(group: np.ndarray, order: np.ndarray) -> list:
+    """Positions split into passes: pass p holds the p-th member of every group.
+
+    Members of a group are ranked by ascending `order`, so no group
+    appears twice in a pass and running the passes in turn visits each
+    group's members in that order.
+    """
+    ranked = np.lexsort((order, group))
+    g = group[ranked]
+    starts = np.flatnonzero(np.diff(g, prepend=-1))
+    rank = np.arange(len(g)) - np.repeat(starts, np.diff(np.append(starts, len(g))))
+    by_pass = ranked[np.argsort(rank, kind="stable")]
+    return np.split(by_pass, np.cumsum(np.bincount(rank))[:-1])
+
+
+def sum_groups(values: np.ndarray, group: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """out[g] = sum of values[group == g] in ascending `order`.
+
+    group must take every value 0..G-1.  The first term of a group is
+    assigned, not added to zero, as a dict that stores a key's first
+    product and adds the rest would do.
+    """
+    out = np.empty((group.max(initial=-1) + 1,) + values.shape[1:], dtype=values.dtype)
+    for p, rows in enumerate(split_passes(group, order)):
+        if p == 0:
+            out[group[rows]] = values[rows]
+        else:
+            out[group[rows]] += values[rows]
+    return out
+
+
+def _offset_passes(op: CDOperator):
+    """(rows, cells, sources) per pass over the blocks that route somewhere.
+
+    Pass p holds the p-th offset (ascending) of every cell, so adding the
+    passes in turn repeats, for each cell, the additions of a walk over
+    the blocks in sorted (m, k) order.
+    """
+    cells, sources = route(op)
+    live = np.flatnonzero(sources >= 0)
+    offsets = flat_offsets(op.keys[live, 1], op.band_radius)
+    for rows in split_passes(cells[live], offsets):
+        rows = live[rows]
+        yield rows, cells[rows], sources[rows]
 
 
 def apply(op: CDOperator, x: BlockVector) -> BlockVector:
@@ -240,13 +462,8 @@ def apply(op: CDOperator, x: BlockVector) -> BlockVector:
             f"vector payload dim {x.local_dim} != operator dim {op.local_dim}"
         )
     out = np.zeros_like(x.values)
-    for (k, m) in sorted(op.blocks, key=lambda km: (km[1], km[0])):
-        src = _source_cell(op, k, m)
-        if src is None:
-            continue
-        out[flat_offset(k, op.window_radius)] += (
-            op.blocks[(k, m)] @ x.values[flat_offset(src, op.window_radius)]
-        )
+    for rows, cells, sources in _offset_passes(op):
+        out[cells] += (op.stack[rows] @ x.values[sources, :, None])[..., 0]
     return BlockVector(op.c, op.window_radius, out)
 
 
@@ -255,50 +472,46 @@ def compose(a: CDOperator, b: CDOperator) -> CDOperator:
 
     Offsets add without wrapping; only the hop through the intermediate
     cell respects the boundary convention, which keeps the dense form of
-    the composition equal to the product of the dense forms.
+    the composition equal to the product of the dense forms.  A product
+    block sums its terms in ascending order of the first factor's offset;
+    the result's blocks come in sorted (k, m) order.
     """
     for attr in ("c", "window_radius", "local_dim", "boundary"):
         if getattr(a, attr) != getattr(b, attr):
             raise ShapeMismatch(f"operands differ in {attr}")
-    by_cell: Dict[tuple, list] = {}
-    for (j, m2), blk in b.blocks.items():
-        by_cell.setdefault(j, []).append((m2, blk))
-    out: Dict[Tuple[tuple, tuple], np.ndarray] = {}
-    for (k, m1), blk_a in sorted(a.blocks.items(), key=lambda kv: kv[0]):
-        j = _source_cell(a, k, m1)
-        if j is None:
-            continue
-        for m2, blk_b in by_cell.get(j, ()):
-            m = tuple(x + y for x, y in zip(m1, m2))
-            key = (k, m)
-            prod = blk_a @ blk_b
-            if key in out:
-                out[key] += prod
-            else:
-                out[key] = prod
-    return CDOperator(
-        c=a.c,
-        window_radius=a.window_radius,
-        band_radius=a.band_radius + b.band_radius,
-        local_dim=a.local_dim,
-        boundary=a.boundary,
-        blocks=out,
-    )
+    cells_a, sources_a = route(a)
+    live = np.flatnonzero(sources_a >= 0)
+    # pair every block (k, m1) of a with each block (j, m2) of b at its source j
+    cells_b = flat_offsets(b.keys[:, 0], b.window_radius)
+    per_cell = np.bincount(cells_b, minlength=a.n_cells)
+    first = np.cumsum(per_cell) - per_cell
+    fan = per_cell[sources_a[live]]
+    ia = np.repeat(live, fan)
+    step = np.repeat(first[sources_a[live]] - (np.cumsum(fan) - fan), fan)
+    ib = np.argsort(cells_b, kind="stable")[step + np.arange(len(ia))]
+
+    band = a.band_radius + b.band_radius
+    m1 = a.keys[ia, 1]
+    m = m1 + b.keys[ib, 1]
+    target = cells_a[ia] * window_size(band, a.c) + flat_offsets(m, band)
+    codes, group = np.unique(target, return_inverse=True)
+    stack = sum_groups(a.stack[ia] @ b.stack[ib], group, flat_offsets(m1, a.band_radius))
+    keys = np.empty((len(codes), 2, a.c), dtype=np.int64)
+    keys[group, 0] = a.keys[ia, 0]
+    keys[group, 1] = m
+    return CDOperator.from_arrays(a.c, a.window_radius, band, a.local_dim,
+                                  a.boundary, keys, stack)
 
 
 def densify(op: CDOperator) -> np.ndarray:
     """The full matrix on the flattened window, (2N+1)^c * d square."""
     n, d = op.n_cells, op.local_dim
     dense = np.zeros((n * d, n * d), dtype=np.complex128)
-    for (k, m) in sorted(op.blocks):
-        j = _source_cell(op, k, m)
-        if j is None:
-            continue
-        rk = flat_offset(k, op.window_radius)
-        rj = flat_offset(j, op.window_radius)
+    cell_blocks = dense.reshape(n, d, n, d)
+    for rows, cells, sources in _offset_passes(op):
         # += rather than =: with a band wider than the window two offsets
         # can wrap onto the same source cell, and they accumulate
-        dense[rk * d:(rk + 1) * d, rj * d:(rj + 1) * d] += op.blocks[(k, m)]
+        cell_blocks[cells, :, sources, :] += op.stack[rows]
     return dense
 
 
@@ -308,18 +521,13 @@ def shift_decomposition(op: CDOperator) -> list:
     Applying the layers separately and adding the results in this order
     reproduces apply(op, x) addition for addition.
     """
-    by_offset: Dict[tuple, dict] = {}
-    for (k, m), blk in op.blocks.items():
-        by_offset.setdefault(m, {})[(k, m)] = blk
+    offsets = flat_offsets(op.keys[:, 1], op.band_radius)
     out = []
-    for m in sorted(by_offset):
-        out.append((m, CDOperator(
-            c=op.c,
-            window_radius=op.window_radius,
-            band_radius=op.band_radius,
-            local_dim=op.local_dim,
-            boundary=op.boundary,
-            blocks=by_offset[m],
+    for code in np.unique(offsets):
+        rows = np.flatnonzero(offsets == code)
+        out.append((tuple(op.keys[rows[0], 1].tolist()), CDOperator.from_arrays(
+            op.c, op.window_radius, op.band_radius, op.local_dim, op.boundary,
+            op.keys[rows], op.stack[rows],
         )))
     return out
 
@@ -327,9 +535,10 @@ def shift_decomposition(op: CDOperator) -> list:
 def _offset_block_if_invariant(op: CDOperator, m: tuple) -> np.ndarray:
     """The common block of offset m, or NotShiftInvariant."""
     zero = np.zeros((op.local_dim, op.local_dim), dtype=np.complex128)
+    blocks = op.blocks
     ref = None
     for k in window_indices(op.window_radius, op.c):
-        blk = op.blocks.get((k, m))
+        blk = blocks.get((k, m))
         cur = zero if blk is None else blk
         if ref is None:
             ref = cur
@@ -414,11 +623,9 @@ class Envelope:
 
 def fit_envelope(op: CDOperator, norm_kind: str = "nuclear") -> Envelope:
     """The tightest constant-in-k envelope: beta_m = max_k ||b_{k,m}||."""
-    shape = (2 * op.band_radius + 1,) * op.c
-    vals = np.zeros(shape, dtype=float)
-    for (k, m), blk in op.blocks.items():
-        idx = tuple(x + op.band_radius for x in m)
-        vals[idx] = max(vals[idx], _norm_of_block(blk, norm_kind))
+    vals = np.zeros((2 * op.band_radius + 1,) * op.c, dtype=float)
+    np.maximum.at(vals.reshape(-1), flat_offsets(op.keys[:, 1], op.band_radius),
+                  _block_norms(op.stack, norm_kind))
     return Envelope(op.c, op.band_radius, vals, norm_kind)
 
 
@@ -521,23 +728,15 @@ def invert_one_plus(op: CDOperator, weight: Weight,
     corr = a_inv - np.eye(n * d, dtype=np.complex128)
     residual = operator_norm(a @ a_inv - np.eye(n * d, dtype=np.complex128), 2)
 
-    # re-block the correction: for each pair of cells the offset
-    # m = wrap(k - j) is unique within the band W = N
+    # re-block the correction: block (k, j) of the dense matrix sits at the
+    # offset m = wrap(k - j), unique within the band W = N
     radius = op.window_radius
-    blocks = {}
-    for k in window_indices(radius, op.c):
-        rk = flat_offset(k, radius)
-        for j in window_indices(radius, op.c):
-            rj = flat_offset(j, radius)
-            m = wrap_index(tuple(ki - ji for ki, ji in zip(k, j)), radius)
-            blocks[(k, m)] = corr[rk * d:(rk + 1) * d, rj * d:(rj + 1) * d].copy()
-    t1 = CDOperator(
-        c=op.c,
-        window_radius=radius,
-        band_radius=radius,
-        local_dim=d,
-        boundary="circulant",
-        blocks=blocks,
+    cells = window_array(radius, op.c)
+    k = np.repeat(cells, n, axis=0)
+    m = (k - np.tile(cells, (n, 1)) + radius) % (2 * radius + 1) - radius
+    t1 = CDOperator.from_arrays(
+        op.c, radius, radius, d, "circulant", np.stack((k, m), axis=1),
+        corr.reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n * n, d, d),
     )
     envelope = fit_envelope(t1, "nuclear")
     return InversionResult(

@@ -10,6 +10,7 @@ no timestamps.
 from __future__ import annotations
 
 import json
+import math
 import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
@@ -38,8 +39,7 @@ from .cd_operator import (
     fit_envelope,
     invert_one_plus,
 )
-from .lattice import window_indices, window_size
-from .nuclear_blocks import NuclearFactorization, trace_norm
+from .lattice import window_array, window_indices, window_size
 from .rng import Xoshiro256StarStar, box_muller, uniforms
 from .seq_algebra import (
     FiniteSeq,
@@ -71,6 +71,22 @@ _PROFILE_KINDS = ("exponential", "polynomial", "table")
 
 class ConfigError(ValueError):
     """The experiment configuration is malformed or inconsistent."""
+
+
+def _parsed(what: str, parse):
+    """parse(), with any parsing error raised as a ConfigError naming `what`."""
+    try:
+        return parse()
+    except ConfigError:
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc!r}") from exc
+
+
+def _require_positive(prof: dict, key: str) -> None:
+    value = _parsed(key, lambda: float(prof.get(key, 0)))
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{prof['kind']} profile needs a finite {key} > 0")
 
 
 @dataclass
@@ -128,20 +144,21 @@ class ExperimentConfig:
         if kind not in _PROFILE_KINDS:
             raise ConfigError(f"envelope kind must be one of {_PROFILE_KINDS}")
         if kind == "exponential":
-            if not (float(prof.get("rate", 0)) > 0):
-                raise ConfigError("exponential profile needs rate > 0")
+            _require_positive(prof, "rate")
         elif kind == "polynomial":
-            if not (float(prof.get("power", 0)) > 0):
-                raise ConfigError("polynomial profile needs power > 0")
+            _require_positive(prof, "power")
         else:
             values = prof.get("values")
             want = window_size(self.band_radius, self.c)
-            if values is None or len(values) != want:
+            if not isinstance(values, (list, tuple)) or len(values) != want:
                 raise ConfigError(f"table profile needs exactly {want} values")
-            if any(float(v) < 0 for v in values):
-                raise ConfigError("table values must be nonnegative")
-        if "l1" in prof and not (float(prof["l1"]) > 0):
-            raise ConfigError("l1 target must be positive")
+            floats = [_parsed("table value", lambda: float(v)) for v in values]
+            if not all(math.isfinite(v) and v >= 0 for v in floats):
+                raise ConfigError("table values must be finite and nonnegative")
+            if "l1" in prof and not any(floats):
+                raise ConfigError("cannot rescale an all-zero envelope to an l1 target")
+        if "l1" in prof:
+            _require_positive(prof, "l1")
 
     def to_json(self) -> dict:
         out = {
@@ -229,59 +246,50 @@ def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
     Each stored block is X @ Y with X of shape (d, block_rank) and Y of
     shape (block_rank, d), rescaled so its trace norm is beta_m * r with
     r uniform in [0.5, 1]; the factorization (rows of Y against columns
-    of X) is kept alongside.  Draw order is fixed (cells then offsets,
-    lexicographic), so the operator is a pure function of (seed, trial).
+    of X) is kept alongside as two stacks of factor terms.  Draw order is
+    fixed (cells then offsets, lexicographic), so the operator is a pure
+    function of (seed, trial).
     Each block with beta_m > 0 takes 1 + 4 d block_rank words of the
     stream: r, then the entries of X and of Y row by row, one complex
     normal (a full Box-Muller pair) each.  Blocks are drawn in chunks,
     with one batched product and one batched SVD per chunk.
     """
     rng = Xoshiro256StarStar(cfg.seed, stream=trial)
-    beta = envelope_values(cfg)
     d, rank = cfg.local_dim, cfg.block_rank
-    offsets = [
-        (m, float(beta[tuple(x + cfg.band_radius for x in m)]))
-        for m in window_indices(cfg.band_radius, cfg.c)
-    ]
-    keyed = [
-        ((k, m), target)
-        for k in window_indices(cfg.window_radius, cfg.c)
-        for m, target in offsets
-        if target != 0.0
-    ]
+    beta = envelope_values(cfg).reshape(-1)  # in window_indices order
+    drawn = np.flatnonzero(beta != 0.0)
+    cells = window_array(cfg.window_radius, cfg.c)
+    n = len(cells) * len(drawn)
+    keys = np.empty((n, 2, cfg.c), dtype=np.int64)
+    keys[:, 0] = np.repeat(cells, len(drawn), axis=0)
+    keys[:, 1] = np.tile(window_array(cfg.band_radius, cfg.c)[drawn], (len(cells), 1))
+    targets = np.tile(beta[drawn], len(cells))
+    stack = np.empty((n, d, d), dtype=np.complex128)
+    # term j of block i: functional a[i, j] (a row of Y), output y[i, j] (a column of X)
+    a = np.empty((n, rank, d), dtype=np.complex128)
+    y = np.empty_like(a)
+    tn = np.empty(n)
     stride = 1 + 4 * d * rank
     per_chunk = max(1, _CHUNK_WORDS // stride)
-    blocks = {}
-    factorizations = {}
-    for start in range(0, len(keyed), per_chunk):
-        chunk = keyed[start:start + per_chunk]
-        words = rng.u64_array(len(chunk) * stride).reshape(len(chunk), stride)
+    for start in range(0, n, per_chunk):
+        part = slice(start, min(n, start + per_chunk))
+        count = part.stop - start
+        words = rng.u64_array(count * stride).reshape(count, stride)
         r = 0.5 + 0.5 * uniforms(words[:, 0])  # as uniform_in(0.5, 1.0)
         z = box_muller(words[:, 1:]).view(np.complex128)
-        x = z[:, :d * rank].reshape(-1, d, rank)
-        y = z[:, d * rank:].reshape(-1, rank, d)
-        g = x @ y
-        tn = np.linalg.svd(g, compute_uv=False).sum(axis=-1)
-        targets = np.array([target for _, target in chunk])
-        scale = targets * r / tn
-        scaled = g * scale[:, None, None]
-        rows = y * scale[:, None, None]  # term j of block i: (rows[i, j], cols[i, j])
-        cols = x.transpose(0, 2, 1).copy()
-        for i, (key, _) in enumerate(chunk):
-            if tn[i] == 0.0:  # pragma: no cover - measure-zero draw
-                continue
-            blocks[key] = scaled[i]
-            factorizations[key] = NuclearFactorization(dim=d, terms=list(zip(rows[i], cols[i])))
-    op = CDOperator(
-        c=cfg.c,
-        window_radius=cfg.window_radius,
-        band_radius=cfg.band_radius,
-        local_dim=d,
-        boundary=cfg.boundary,
-        blocks=blocks,
-    )
-    op.factorizations = factorizations
-    return op
+        xs = z[:, :d * rank].reshape(-1, d, rank)
+        ys = z[:, d * rank:].reshape(-1, rank, d)
+        g = xs @ ys
+        tn[part] = np.linalg.svd(g, compute_uv=False).sum(axis=-1)
+        scale = targets[part] * r / tn[part]
+        stack[part] = g * scale[:, None, None]
+        a[part] = ys * scale[:, None, None]
+        y[part] = xs.transpose(0, 2, 1)
+    kept = tn != 0.0
+    if not kept.all():  # pragma: no cover - measure-zero draw
+        keys, stack, a, y = keys[kept], stack[kept], a[kept], y[kept]
+    return CDOperator.from_arrays(cfg.c, cfg.window_radius, cfg.band_radius, d,
+                                  cfg.boundary, keys, stack, factors=(a, y))
 
 
 def worker_count() -> int:
@@ -341,14 +349,6 @@ def _resolve_out_dir(cfg_output_dir, out_dir) -> Path:
 # ------------------------------------------------------ inverse closedness
 
 
-def _domination_holds(op: CDOperator, beta: np.ndarray, band_radius: int) -> bool:
-    for (_, m), blk in op.blocks.items():
-        bound = float(beta[tuple(x + band_radius for x in m)])
-        if trace_norm(blk) > bound * (1.0 + 1e-12) + 1e-15:
-            return False
-    return True
-
-
 def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None,
                            fmt: str = "csv") -> dict:
     """Generate, certify, invert, and measure decay, one record per trial."""
@@ -389,7 +389,8 @@ def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None,
             "final_increment": _json_float(report.final_increment),
             "envelope_l1": _json_float(env_l1),
             "invertibility_check": check,
-            "envelope_dominates": _domination_holds(op, beta, cfg.band_radius),
+            # the fitted beta_m is the max over cells, so this bounds every block
+            "envelope_dominates": bool((fitted.values <= beta * (1.0 + 1e-12) + 1e-15).all()),
             "_envelope_report": report,
         }
 
@@ -515,18 +516,17 @@ def _geometric_closed_form_error(seq: FiniteSeq, inverse: FiniteSeq) -> Optional
     return worst
 
 
-def run_wiener(cfg: dict, out_dir=None, fmt: str = "csv") -> dict:
-    """Invert a scalar symbol on the torus and report coefficient decay."""
+def _wiener_inputs(cfg: dict) -> tuple:
+    """(seq, grid, out_radius, weight, margin) of a wiener config, checked up front."""
     if not isinstance(cfg, dict):
         raise ConfigError("wiener config must be a JSON object")
     version = cfg.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ConfigError(f"unsupported format_version {version}")
-    out_path = _resolve_out_dir(cfg.get("output_dir"), out_dir)
     if "seq" in cfg:
-        seq = FiniteSeq.from_json(cfg["seq"])
+        seq = _parsed("seq", lambda: FiniteSeq.from_json(cfg["seq"]))
     elif "symbol" in cfg:
-        seq = parse_symbol(cfg["symbol"], int(cfg.get("c", 1)))
+        seq = _parsed("symbol", lambda: parse_symbol(cfg["symbol"], int(cfg.get("c", 1))))
     else:
         raise ConfigError("wiener config needs 'symbol' or 'seq'")
     try:
@@ -534,8 +534,45 @@ def run_wiener(cfg: dict, out_dir=None, fmt: str = "csv") -> dict:
         out_radius = int(cfg["out_radius"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"wiener config needs integer grid/out_radius: {exc}") from exc
-    weight = Weight.from_json(cfg["weight"]) if "weight" in cfg else Weight()
-    margin = float(cfg.get("margin", 0.0))
+    weight = _parsed("weight", lambda: Weight.from_json(cfg["weight"]) if "weight" in cfg
+                     else Weight())
+    margin = _parsed("margin", lambda: float(cfg.get("margin", 0.0)))
+    if grid < 1 or grid & (grid - 1):
+        raise ConfigError(f"grid must be a power of two, got {grid}")
+    if out_radius < 0:
+        raise ConfigError(f"out_radius must be >= 0, got {out_radius}")
+    if grid < 2 * (seq.radius + out_radius) + 2:
+        raise ConfigError(f"grid {grid} too short for radii R={seq.radius}, "
+                          f"R'={out_radius}: need grid >= 2(R + R') + 2")
+    if not math.isfinite(margin):
+        raise ConfigError("margin must be finite")
+    return seq, grid, out_radius, weight, margin
+
+
+def _wiener_partial_sums(inverse: FiniteSeq, weight: Weight, out_radius: int) -> list:
+    """(radius, partial_sum, increment) rows: weighted |coefficient| mass, shell by shell.
+
+    The runner writes these rows and verify_report re-derives them.
+    """
+    partial = []
+    running = 0.0
+    by_radius: dict = {}
+    for pos, val in inverse.support():
+        by_radius.setdefault(max(abs(x) for x in pos), []).append((pos, val))
+    for r in range(out_radius + 1):
+        increment = 0.0
+        for pos, val in sorted(by_radius.get(r, [])):
+            coords = np.array([pos], dtype=float)
+            increment += float(weight.eval_many(coords)[0]) * abs(val)
+        running += increment
+        partial.append((r, running, increment))
+    return partial
+
+
+def run_wiener(cfg: dict, out_dir=None, fmt: str = "csv") -> dict:
+    """Invert a scalar symbol on the torus and report coefficient decay."""
+    seq, grid, out_radius, weight, margin = _wiener_inputs(cfg)
+    out_path = _resolve_out_dir(cfg.get("output_dir"), out_dir)
 
     probe = invertibility_test(seq, grid, margin)
     report: dict = {
@@ -559,24 +596,13 @@ def run_wiener(cfg: dict, out_dir=None, fmt: str = "csv") -> dict:
         return report
 
     closed = _geometric_closed_form_error(seq, result.inverse)
-    partial = []
-    running = 0.0
-    by_radius: dict = {}
-    for pos, val in result.inverse.support():
-        by_radius.setdefault(max(abs(x) for x in pos), []).append((pos, val))
-    for r in range(out_radius + 1):
-        increment = 0.0
-        for pos, val in sorted(by_radius.get(r, [])):
-            coords = np.array([pos], dtype=float)
-            increment += float(weight.eval_many(coords)[0]) * abs(val)
-        running += increment
-        partial.append((r, running, increment))
+    partial = _wiener_partial_sums(result.inverse, weight, out_radius)
 
     report["residual"] = _json_float(result.residual)
     if closed is not None:
         report["closed_form_max_err"] = _json_float(closed)
-    report["weighted_total"] = _json_float(running)
-    report["final_increment"] = _json_float(partial[-1][2] if partial else 0.0)
+    report["weighted_total"] = _json_float(partial[-1][1])
+    report["final_increment"] = _json_float(partial[-1][2])
 
     inverse_json = result.inverse.to_json()
     if fmt == "csv":
@@ -760,6 +786,65 @@ def _verify_envelope_rows(rows: list, rec: dict, weight: Weight) -> list:
     return problems
 
 
+def _wiener_rows(report: dict, out_dir: Path) -> tuple:
+    """(rows, problems) of a wiener report's partial sums, from its CSV or embedded rows.
+
+    Rows are (label, [radius, partial_sum, increment]).
+    """
+    if report.get("partial_sums_csv") is None:
+        embedded = report.get("partial_sums")
+        if not isinstance(embedded, list):
+            return [], ["wiener report has no partial sums"]
+        rows = [(f"embedded partial sum {i}", row) for i, row in enumerate(embedded)]
+    else:
+        csv_path = out_dir / report["partial_sums_csv"]
+        if not csv_path.exists():
+            return [], [f"missing partial sums CSV {csv_path.name}"]
+        lines = csv_path.read_text().splitlines()
+        if not lines or lines[0] != "radius,partial_sum,increment":
+            return [], [f"{csv_path.name}: bad header"]
+        rows = []
+        for ln, line in enumerate(lines[1:], start=2):
+            try:
+                r, total, inc = line.split(",")
+                rows.append((f"{csv_path.name}:{ln}", [int(r), float(total), float(inc)]))
+            except ValueError:
+                rows.append((f"{csv_path.name}:{ln}", None))
+    bad = [f"{label}: malformed row" for label, row in rows
+           if not (isinstance(row, list) and len(row) == 3)]
+    return rows, bad
+
+
+def _verify_wiener_partial_sums(report: dict, out_dir: Path) -> list:
+    """Re-derive the partial sums from the stored inverse and the weight."""
+    try:
+        cfg = report["config"]
+        weight = Weight.from_json(cfg["weight"])
+        out_radius = int(cfg["out_radius"])
+        if report.get("inverse_json") is not None:
+            inverse = json.loads((out_dir / report["inverse_json"]).read_text())
+        else:
+            inverse = report["inverse"]
+        want = _wiener_partial_sums(FiniteSeq.from_json(inverse), weight, out_radius)
+        last_total, last_increment = want[-1][1:]
+    except (OSError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        return [f"wiener inverse not reconstructible: {exc!r}"]
+    rows, problems = _wiener_rows(report, out_dir)
+    if problems:
+        return problems
+    if len(rows) != len(want):
+        problems.append(f"{len(rows)} partial sum rows, want {len(want)}")
+    for (label, got), expected in zip(rows, want):
+        for name, g, w in zip(("radius", "partial_sum", "increment"), got, expected):
+            if g != w:
+                problems.append(f"{label}: {name} mismatch")
+    if report.get("weighted_total") != last_total:
+        problems.append("weighted_total does not match the partial sums")
+    if report.get("final_increment") != last_increment:
+        problems.append("final_increment does not match the partial sums")
+    return problems
+
+
 def verify_report(path) -> list:
     """Re-derive everything derivable in a report; list every mismatch."""
     path = Path(path)
@@ -795,8 +880,10 @@ def verify_report(path) -> list:
             rows, table_problems = _envelope_table(r, path.parent, c)
             problems.extend(table_problems or _verify_envelope_rows(rows, r, weight))
     elif kind == "wiener":
-        if "error" not in report and report.get("residual") is None:
-            problems.append("wiener report has neither residual nor error")
+        if "error" not in report:
+            if report.get("residual") is None:
+                problems.append("wiener report has neither residual nor error")
+            problems.extend(_verify_wiener_partial_sums(report, path.parent))
     elif kind == "gen":
         for r in records:
             name = r.get("operator_json")

@@ -12,7 +12,15 @@ from itertools import product
 
 import numpy as np
 
-__all__ = ["as_index", "window_indices", "window_size", "flat_offset", "wrap_index"]
+__all__ = [
+    "as_index",
+    "window_indices",
+    "window_array",
+    "window_size",
+    "flat_offset",
+    "flat_offsets",
+    "wrap_index",
+]
 
 
 def as_index(n, c: int | None = None) -> tuple[int, ...]:
@@ -34,6 +42,11 @@ def window_indices(radius: int, c: int) -> list[tuple[int, ...]]:
     return [tuple(p) for p in product(rng, repeat=c)]
 
 
+def window_array(radius: int, c: int) -> np.ndarray:
+    """The indices of `window_indices` as rows of an (n, c) int64 array."""
+    return np.array(window_indices(radius, c), dtype=np.int64)
+
+
 def window_size(radius: int, c: int) -> int:
     return (2 * radius + 1) ** c
 
@@ -46,6 +59,15 @@ def flat_offset(n: tuple[int, ...], radius: int) -> int:
         if abs(v) > radius:
             raise IndexError(f"index {n} outside window of radius {radius}")
         pos = pos * width + (v + radius)
+    return pos
+
+
+def flat_offsets(idx: np.ndarray, radius: int) -> np.ndarray:
+    """`flat_offset` of each row of an (n, c) int array; rows must lie in the cube."""
+    width = 2 * radius + 1
+    pos = np.zeros(idx.shape[0], dtype=np.int64)
+    for col in idx.T:
+        pos = pos * width + (col + radius)
     return pos
 
 

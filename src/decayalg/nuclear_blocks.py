@@ -23,7 +23,6 @@ reciprocals of J's eigenvalues, where the resolvent blows up.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,9 +63,6 @@ class PathHitsSpectrum(ArithmeticError):
     """The continuation path passes through a reciprocal eigenvalue of J."""
 
 
-_DBLK_MAGIC = b"DBLK"
-
-
 def _as_matrix(a) -> np.ndarray:
     if isinstance(a, DenseBlock):
         return a.entries
@@ -78,7 +74,7 @@ def _as_matrix(a) -> np.ndarray:
 
 @dataclass
 class DenseBlock:
-    """A validated square complex matrix with stable serialization."""
+    """A validated square complex matrix with stable JSON serialization."""
 
     entries: np.ndarray
 
@@ -109,26 +105,6 @@ class DenseBlock:
         if re.shape != im.shape or re.shape != (obj["d"], obj["d"]):
             raise ValueError("inconsistent block dimensions in JSON")
         return cls(re + 1j * im)
-
-    # binary: magic "DBLK", little-endian u32 d, then d*d complex128
-    # (little-endian pairs of 64-bit floats), row-major.
-    def to_bytes(self) -> bytes:
-        return (
-            _DBLK_MAGIC
-            + struct.pack("<I", self.dim)
-            + np.ascontiguousarray(self.entries).astype("<c16").tobytes()
-        )
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "DenseBlock":
-        if blob[:4] != _DBLK_MAGIC:
-            raise ValueError("bad magic: not a DBLK blob")
-        (d,) = struct.unpack("<I", blob[4:8])
-        expected = 8 + 16 * d * d
-        if len(blob) != expected:
-            raise ValueError(f"DBLK blob length {len(blob)} != expected {expected}")
-        flat = np.frombuffer(blob, dtype="<c16", offset=8)
-        return cls(flat.reshape(d, d).astype(np.complex128))
 
 
 def trace_norm(a) -> float:

@@ -20,7 +20,13 @@ xoshiro256** (state s0..s3, all updates mod 2^64):
 
 A stream is opened per (seed, stream) pair: the splitmix64 counter
 starts at (seed + stream * 0x9E3779B97F4A7C15) mod 2^64 and its first
-four outputs become s0..s3.  Uniform doubles take the top 53 bits,
+four outputs become s0..s3.  A pair therefore names its stream only
+through that counter: (seed + G, stream - 1) opens the same stream as
+(seed, stream), for G = 0x9E3779B97F4A7C15, and two pairs give distinct
+streams exactly when their counters differ mod 2^64.  The experiments
+open (seed, trial) for trial operators, and the kernel experiment draws
+its grid values from (seed ^ 0x6B65726E, trial), which is the operator
+stream of trial `trial` under the seed seed ^ 0x6B65726E.  Uniform doubles take the top 53 bits,
 uniform = (next >> 11) * 2^-53 in [0, 1); normals come from the
 Box-Muller transform (using 1 - uniform inside the logarithm, second
 value cached).

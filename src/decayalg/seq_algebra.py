@@ -45,7 +45,6 @@ __all__ = [
     "symbol_on_grid",
     "invertibility_test",
     "wiener_inverse",
-    "symbol_grid_to_csv",
 ]
 
 
@@ -149,9 +148,14 @@ class FiniteSeq:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteSeq":
-        seq = cls.zeros(int(obj["c"]), int(obj["radius"]))
+        c, radius = int(obj["c"]), int(obj["radius"])
+        if c < 1 or radius < 0:
+            raise ValueError(f"need c >= 1 and radius >= 0, got c={c}, radius={radius}")
+        seq = cls.zeros(c, radius)
         for e in obj["entries"]:
             idx = as_index(e["index"], seq.c)
+            if any(abs(i) > radius for i in idx):
+                raise ValueError(f"entry index {idx} outside radius {radius}")
             seq.data[tuple(i + seq.radius for i in idx)] = complex(e["re"], e["im"])
         return seq
 
@@ -335,17 +339,3 @@ def wiener_inverse(a: FiniteSeq, grid: int, out_radius: int,
         grid=grid,
         out_radius=out_radius,
     )
-
-
-def symbol_grid_to_csv(grid_values: np.ndarray, path) -> None:
-    """Write a sampled symbol as CSV with columns theta_1..theta_c,re,im."""
-    arr = np.asarray(grid_values)
-    c = arr.ndim
-    N = arr.shape[0]
-    lines = [",".join([f"theta_{i+1}" for i in range(c)] + ["re", "im"])]
-    for pos in np.ndindex(*arr.shape):
-        thetas = [repr(2.0 * math.pi * p / N) for p in pos]
-        v = arr[pos]
-        lines.append(",".join(thetas + [repr(float(v.real)), repr(float(v.imag))]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

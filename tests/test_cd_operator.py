@@ -294,8 +294,8 @@ def test_invert_one_plus_matches_dense_inverse():
     N, d = 3, 2
     op = random_op(rng, 1, N, 1, d, "circulant")
     # scale down so 1 + T is comfortably invertible
-    for key in op.blocks:
-        op.blocks[key] = 0.1 * op.blocks[key]
+    op = CDOperator(op.c, op.window_radius, op.band_radius, op.local_dim,
+                    op.boundary, {km: 0.1 * blk for km, blk in op.blocks.items()})
     res = invert_one_plus(op, Weight(s=1.0))
     n = op.n_cells * d
     dense = densify(op)

@@ -150,3 +150,77 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def write_raw_config(path, profile_text):
+    """A config whose envelope_profile is spliced in as raw JSON text."""
+    write_config(path, envelope_profile="PROFILE")
+    path.write_text(path.read_text().replace('"PROFILE"', profile_text))
+    return path
+
+
+def assert_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()  # rejected before any work
+
+
+@pytest.mark.parametrize("profile", [
+    '{"kind": "exponential", "rate": "fast"}',
+    '{"kind": "polynomial", "power": [2]}',
+    '{"kind": "exponential", "rate": 1.0, "l1": "half"}',
+    '{"kind": "table", "values": [0.1, "x", 0.1]}',
+])
+def test_non_numeric_profile_parameter_exits_2(tmp_path, capsys, profile):
+    cfg = write_raw_config(tmp_path / "cfg.json", profile)
+    assert_config_error(tmp_path, capsys, ["invert", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("profile", [
+    '{"kind": "exponential", "rate": 1e400}',
+    '{"kind": "polynomial", "power": 1e400}',
+    '{"kind": "exponential", "rate": 1.0, "l1": 1e400}',
+    '{"kind": "table", "values": [0.1, 1e400, 0.1]}',
+])
+def test_infinite_profile_parameter_exits_2(tmp_path, capsys, profile):
+    cfg = write_raw_config(tmp_path / "cfg.json", profile)
+    assert_config_error(tmp_path, capsys, ["kernel", "--config", str(cfg)])
+
+
+def wiener_config(path, **fields):
+    obj = {"symbol": "3+u+u^{-1}", "grid": 256, "out_radius": 20}
+    obj.update(fields)
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize("weight", [{"b": 2.0}, "heavy", {"a": "x"}])
+def test_wiener_bad_weight_exits_2(tmp_path, capsys, weight):
+    cfg = wiener_config(tmp_path / "w.json", weight=weight)
+    assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("seq", [
+    {"radius": 1, "entries": []},
+    {"c": 1, "radius": 1, "entries": [{"index": [0], "re": 1.0}]},
+    {"c": 1, "radius": 1, "entries": [{"index": [3], "re": 1.0, "im": 0.0}]},
+    {"c": 0, "radius": 1, "entries": []},
+    "2+u",
+])
+def test_wiener_malformed_seq_exits_2(tmp_path, capsys, seq):
+    cfg = tmp_path / "w.json"
+    cfg.write_text(json.dumps({"seq": seq, "grid": 64, "out_radius": 5}))
+    assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("grid", [0, -4, 100, 16])  # 16 is too short for R' = 20
+def test_wiener_bad_grid_exits_2(tmp_path, capsys, grid):
+    cfg = wiener_config(tmp_path / "w.json", grid=grid)
+    assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])
+
+
+def test_wiener_negative_out_radius_exits_2(tmp_path, capsys):
+    cfg = wiener_config(tmp_path / "w.json", out_radius=-1)
+    assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])

@@ -493,3 +493,36 @@ def test_verify_report_rejects_unreadable(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert verify_report(bad)
+
+
+def test_verify_report_rederives_wiener_partial_sums_csv(tmp_path):
+    run_wiener({"symbol": "2+u", "grid": 128, "out_radius": 10, "weight": {"s": 1.0}},
+               out_dir=tmp_path)
+    assert verify_report(tmp_path / "report.json") == []
+    csv_path = tmp_path / "partial_sums.csv"
+    lines = csv_path.read_text().splitlines()
+    r, total, inc = lines[3].split(",")
+    lines[3] = ",".join([r, total, repr(float(inc) * 2.0)])
+    csv_path.write_text("\n".join(lines) + "\n")
+    assert verify_report(tmp_path / "report.json") == ["partial_sums.csv:4: increment mismatch"]
+
+    inverse = json.loads((tmp_path / "inverse.json").read_text())
+    inverse["entries"][0]["re"] += 1.0
+    (tmp_path / "inverse.json").write_text(json.dumps(inverse))
+    assert any("partial_sum mismatch" in p for p in verify_report(tmp_path / "report.json"))
+
+
+def test_verify_report_rederives_wiener_partial_sums_json(tmp_path):
+    run_wiener({"symbol": "3+u+u^{-1}", "grid": 128, "out_radius": 8, "weight": {"s": 1.0}},
+               out_dir=tmp_path, fmt="json")
+    path = tmp_path / "report.json"
+    original = path.read_text()
+    assert verify_report(path) == []
+    problems = tamper(path, lambda r: r["partial_sums"][2].__setitem__(1, 0.25))
+    assert problems == ["embedded partial sum 2: partial_sum mismatch"]
+    path.write_text(original)
+    problems = tamper(path, lambda r: r.update(weighted_total=1.0))
+    assert problems == ["weighted_total does not match the partial sums"]
+    path.write_text(original)
+    problems = tamper(path, lambda r: r["inverse"]["entries"][0].update(im=0.5))
+    assert problems and all("mismatch" in p or "match" in p for p in problems)

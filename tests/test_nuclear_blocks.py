@@ -316,23 +316,8 @@ def test_dense_block_json_round_trip():
     assert back.dim == 4
 
 
-def test_dense_block_binary_round_trip():
-    rng = np.random.default_rng(67)
-    m = rand_complex(rng, 3, 3)
-    blob = DenseBlock(m).to_bytes()
-    assert blob[:4] == b"DBLK"
-    assert len(blob) == 8 + 16 * 9
-    back = DenseBlock.from_bytes(blob)
-    np.testing.assert_array_equal(back.entries, m)
-
-
 def test_dense_block_rejects_bad_input():
     with pytest.raises(ValueError):
         DenseBlock(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         DenseBlock(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        DenseBlock.from_bytes(b"NOPE" + b"\x00" * 20)
-    good = DenseBlock(np.eye(2)).to_bytes()
-    with pytest.raises(ValueError):
-        DenseBlock.from_bytes(good[:-1])

@@ -39,6 +39,10 @@ def test_streams_are_reproducible_and_distinct():
     first = Xoshiro256StarStar(7, stream=0).next_u64()
     assert c.next_u64() != first
     assert d.next_u64() != first
+    # the documented stream domain: a pair names its stream only through
+    # the splitmix64 counter seed + stream * G mod 2^64
+    e = Xoshiro256StarStar(7 + 0x9E3779B97F4A7C15, stream=0)
+    assert e.next_u64() == Xoshiro256StarStar(7, stream=1).next_u64()
 
 
 def test_uniform_range_and_moments():

@@ -11,7 +11,6 @@ from decayalg.seq_algebra import (
     convolve,
     delta,
     invertibility_test,
-    symbol_grid_to_csv,
     symbol_on_grid,
     weighted_norm,
     wiener_inverse,
@@ -270,16 +269,3 @@ def test_json_round_trip():
     back = FiniteSeq.from_json(a.to_json())
     assert back.c == a.c and back.radius == a.radius
     assert np.array_equal(back.data, a.data)
-
-
-def test_symbol_csv_export(tmp_path):
-    a = 2.0 * delta(1) + basis(1)
-    sym = symbol_on_grid(a, 8)
-    path = tmp_path / "symbol.csv"
-    symbol_grid_to_csv(sym, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "theta_1,re,im"
-    assert len(lines) == 9
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == pytest.approx(3.0)  # symbol at u=1 is 2+1

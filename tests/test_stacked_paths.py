@@ -1,0 +1,283 @@
+"""The stacked operator paths against block-by-block references.
+
+Every operation on a CDOperator or a Kernel works on the stored block
+stack a pass at a time.  The references below walk the blocks one at a
+time in sorted key order, as a dict-of-blocks implementation does; the
+stacked paths must agree with them bit for bit (compared as uint64
+views, so signed zeros count), and with dense matrix products up to
+rounding.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from decayalg.blocking_kernel import (
+    GridFunction,
+    apply_kernel,
+    assemble_kernel,
+    attach_svd_factorizations,
+)
+from decayalg.cd_operator import (
+    BlockVector,
+    CDOperator,
+    apply,
+    compose,
+    densify,
+    fit_envelope,
+    invert_one_plus,
+)
+from decayalg.lattice import flat_offset, window_indices, window_size, wrap_index
+from decayalg.nuclear_blocks import operator_norm, svd_factorization, trace_norm
+from decayalg.weights import Weight
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(bits(got), bits(want))
+
+
+# ------------------------------------------------------------ references
+
+
+def ref_source(op, k, m):
+    src = tuple(ki - mi for ki, mi in zip(k, m))
+    if op.boundary == "circulant":
+        return wrap_index(src, op.window_radius)
+    if max(abs(x) for x in src) > op.window_radius:
+        return None
+    return src
+
+
+def ref_apply(op, x):
+    out = np.zeros_like(x.values)
+    for (k, m) in sorted(op.blocks, key=lambda km: (km[1], km[0])):
+        src = ref_source(op, k, m)
+        if src is not None:
+            out[flat_offset(k, op.window_radius)] += (
+                op.blocks[(k, m)] @ x.values[flat_offset(src, op.window_radius)]
+            )
+    return out
+
+
+def ref_densify(op):
+    n, d = op.n_cells, op.local_dim
+    dense = np.zeros((n * d, n * d), dtype=np.complex128)
+    for (k, m) in sorted(op.blocks):
+        j = ref_source(op, k, m)
+        if j is not None:
+            rk = flat_offset(k, op.window_radius)
+            rj = flat_offset(j, op.window_radius)
+            dense[rk * d:(rk + 1) * d, rj * d:(rj + 1) * d] += op.blocks[(k, m)]
+    return dense
+
+
+def ref_compose(a, b):
+    by_cell = {}
+    for (j, m2), blk in b.blocks.items():
+        by_cell.setdefault(j, []).append((m2, blk))
+    out = {}
+    for (k, m1), blk_a in sorted(a.blocks.items(), key=lambda kv: kv[0]):
+        j = ref_source(a, k, m1)
+        if j is None:
+            continue
+        for m2, blk_b in by_cell.get(j, ()):
+            key = (k, tuple(x + y for x, y in zip(m1, m2)))
+            prod = blk_a @ blk_b
+            if key in out:
+                out[key] += prod
+            else:
+                out[key] = prod
+    return out
+
+
+_NORMS = {
+    "nuclear": trace_norm,
+    "operator_1": lambda b: operator_norm(b, 1),
+    "operator_2": lambda b: operator_norm(b, 2),
+    "operator_inf": lambda b: operator_norm(b, np.inf),
+}
+
+
+def ref_fit_envelope(op, kind):
+    vals = np.zeros((2 * op.band_radius + 1,) * op.c)
+    for (k, m), blk in op.blocks.items():
+        idx = tuple(x + op.band_radius for x in m)
+        vals[idx] = max(vals[idx], _NORMS[kind](blk))
+    return vals
+
+
+def ref_assemble_kernel(op, q, facts):
+    h_pow = q ** (-op.c)
+    blocks = {}
+    for (k, m) in sorted(op.blocks):
+        src = ref_source(op, k, m)
+        if src is None:
+            continue
+        contrib = facts[(k, m)].assemble() / h_pow
+        if (k, src) in blocks:
+            blocks[(k, src)] += contrib
+        else:
+            blocks[(k, src)] = contrib
+    return blocks
+
+
+def ref_apply_kernel(kernel, f):
+    h_pow = kernel.q ** (-kernel.c)
+    out = np.zeros_like(f.values)
+    for (k, l) in sorted(kernel.blocks):
+        rk = flat_offset(k, kernel.window_radius)
+        rl = flat_offset(l, kernel.window_radius)
+        out[rk] += (kernel.blocks[(k, l)] @ f.values[rl]) * h_pow
+    return out
+
+
+def ref_reblock(corr, c, radius, d):
+    blocks = {}
+    for k in window_indices(radius, c):
+        rk = flat_offset(k, radius)
+        for j in window_indices(radius, c):
+            rj = flat_offset(j, radius)
+            m = wrap_index(tuple(ki - ji for ki, ji in zip(k, j)), radius)
+            blocks[(k, m)] = corr[rk * d:(rk + 1) * d, rj * d:(rj + 1) * d]
+    return blocks
+
+
+# ------------------------------------------------------------ operators
+
+
+def rand_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_op(rng, c, N, W, d, boundary, density):
+    blocks = {}
+    for k in window_indices(N, c):
+        for m in window_indices(W, c):
+            if rng.random() < density:
+                blocks[(k, m)] = rand_complex(rng, d, d)
+    return CDOperator(c, N, W, d, boundary, blocks)
+
+
+def low_rank_op(rng, c, N, W, q, boundary, density):
+    """Blocks of every rank 0..d, so SVD factorizations vary in length."""
+    d = q ** c
+    blocks = {}
+    for k in window_indices(N, c):
+        for m in window_indices(W, c):
+            if rng.random() < density:
+                blk = np.zeros((d, d), dtype=np.complex128)
+                r = int(rng.integers(0, d + 1))
+                blk[:r, :r] = rand_complex(rng, r, r)
+                blocks[(k, m)] = blk
+    return attach_svd_factorizations(CDOperator(c, N, W, d, boundary, blocks))
+
+
+# windows up to radius 3 (c=1) or 2 (c=2), bands up to two wider than the
+# window, so circulant offsets wrap onto shared source cells
+geometry = st.integers(1, 2).flatmap(lambda c: st.tuples(
+    st.just(c),
+    st.integers(0, 3 if c == 1 else 2),
+    st.integers(0, 2),
+    st.sampled_from(["circulant", "dirichlet"]),
+    st.sampled_from([0.4, 1.0]),
+    st.integers(0, 2**32 - 1),
+))
+
+
+def build(geom, d):
+    c, N, extra, boundary, density, seed = geom
+    rng = np.random.default_rng(seed)
+    W = N + extra if extra else N // 2
+    return rng, random_op(rng, c, N, W, d, boundary, density)
+
+
+@settings(max_examples=40, deadline=None)
+@given(geom=geometry, d=st.integers(1, 4))
+def test_apply_and_densify_equal_block_by_block(geom, d):
+    rng, op = build(geom, d)
+    x = BlockVector(op.c, op.window_radius, rand_complex(rng, op.n_cells, d))
+    assert_bitwise(apply(op, x).values, ref_apply(op, x))
+    dense = ref_densify(op)
+    assert_bitwise(densify(op), dense)
+    np.testing.assert_allclose(apply(op, x).flat(), dense @ x.flat(), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(geom=geometry, d=st.integers(1, 4))
+def test_fit_envelope_equals_block_by_block(geom, d):
+    _, op = build(geom, d)
+    for kind in _NORMS:
+        assert_bitwise(fit_envelope(op, kind).values, ref_fit_envelope(op, kind))
+
+
+@settings(max_examples=30, deadline=None)
+@given(geom=geometry, d=st.integers(1, 3), extra_b=st.integers(0, 2))
+def test_compose_equals_block_by_block_and_dense_product(geom, d, extra_b):
+    rng, a = build(geom, d)
+    c, N, _, boundary, density, _ = geom
+    b = random_op(rng, c, N, extra_b, d, boundary, density)
+    ab = compose(a, b)
+    want = ref_compose(a, b)
+    assert sorted(ab.blocks) == list(ab.blocks) == sorted(want)
+    for key, blk in want.items():
+        assert_bitwise(ab.blocks[key], blk)
+    np.testing.assert_allclose(densify(ab), ref_densify(a) @ ref_densify(b), atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(geom=geometry, q=st.integers(1, 2))
+def test_kernel_paths_equal_block_by_block(geom, q):
+    c, N, extra, boundary, density, seed = geom
+    rng = np.random.default_rng(seed)
+    W = N + extra if extra else N // 2
+    op = low_rank_op(rng, c, N, W, q, boundary, density)
+    # the reference factorizations drop zero singular values; the stored
+    # terms keep them as zero terms, which add exactly nothing
+    facts = {key: svd_factorization(blk) for key, blk in op.blocks.items()}
+    kern = assemble_kernel(op, q)
+    want = ref_assemble_kernel(op, q, facts)
+    assert set(kern.blocks) == set(want)
+    for key, blk in want.items():
+        assert_bitwise(kern.blocks[key], blk)
+
+    f = GridFunction(c, N, q, rand_complex(rng, op.n_cells, q ** c))
+    got = apply_kernel(kern, f).values
+    assert_bitwise(got, ref_apply_kernel(kern, f))
+    # the kernel with its quadrature weight is the operator's dense form
+    np.testing.assert_allclose(got.reshape(-1), ref_densify(op) @ f.values.reshape(-1),
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("c,N,d", [(1, 3, 2), (2, 1, 2), (1, 0, 3)])
+def test_invert_reblocking_equals_block_by_block(c, N, d):
+    rng = np.random.default_rng(7 + c + N + d)
+    op = random_op(rng, c, N, min(N, 1), d, "circulant", 1.0)
+    op = CDOperator(c, N, op.band_radius, d, "circulant",
+                    {key: 0.05 * blk for key, blk in op.blocks.items()})
+    res = invert_one_plus(op, Weight())
+    n = op.n_cells * d
+    corr = np.linalg.inv(np.eye(n) + densify(op)) - np.eye(n)
+    want = ref_reblock(corr, c, N, d)
+    assert list(res.t1.blocks) == list(want)
+    for key, blk in want.items():
+        assert_bitwise(res.t1.blocks[key], blk)
+    assert_bitwise(res.envelope.values, ref_fit_envelope(res.t1, "nuclear"))
+
+
+def test_store_is_read_only_and_validated_in_bulk():
+    blk = np.eye(2, dtype=complex)
+    op = CDOperator(1, 2, 1, 2, "circulant", {(0, 1): blk, ((1,), (0,)): 2 * blk})
+    assert list(op.blocks) == [((0,), (1,)), ((1,), (0,))]  # ints normalized for c=1
+    assert op.keys.shape == (2, 2, 1) and op.stack.shape == (2, 2, 2)
+    with pytest.raises(TypeError):
+        op.blocks[((0,), (0,))] = blk
+    with pytest.raises(ValueError):
+        op.blocks[((0,), (1,))][0, 0] = 5.0
+    with pytest.raises(ValueError):
+        CDOperator(1, 2, 1, 2, "circulant", {(0, 0): blk, (1, 0): np.eye(3)})
+    assert window_size(2, 1) == op.n_cells
