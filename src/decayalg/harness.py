@@ -236,7 +236,7 @@ def envelope_values(cfg: ExperimentConfig) -> np.ndarray:
     return vals.reshape(shape)
 
 
-# words per chunk of blocks drawn at once: bounds the temporaries of a trial
+# words per chunk of blocks processed at once: bounds the temporaries of a trial
 _CHUNK_WORDS = 1 << 14
 
 
@@ -251,8 +251,9 @@ def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
     function of (seed, trial).
     Each block with beta_m > 0 takes 1 + 4 d block_rank words of the
     stream: r, then the entries of X and of Y row by row, one complex
-    normal (a full Box-Muller pair) each.  Blocks are drawn in chunks,
-    with one batched product and one batched SVD per chunk.
+    normal (a full Box-Muller pair) each.  The trial's words are drawn
+    at once; blocks are then processed in chunks, with one batched
+    product and one batched SVD per chunk.
     """
     rng = Xoshiro256StarStar(cfg.seed, stream=trial)
     d, rank = cfg.local_dim, cfg.block_rank
@@ -270,13 +271,12 @@ def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
     y = np.empty_like(a)
     tn = np.empty(n)
     stride = 1 + 4 * d * rank
+    words = rng.u64_array(n * stride).reshape(n, stride)
     per_chunk = max(1, _CHUNK_WORDS // stride)
     for start in range(0, n, per_chunk):
         part = slice(start, min(n, start + per_chunk))
-        count = part.stop - start
-        words = rng.u64_array(count * stride).reshape(count, stride)
-        r = 0.5 + 0.5 * uniforms(words[:, 0])  # as uniform_in(0.5, 1.0)
-        z = box_muller(words[:, 1:]).view(np.complex128)
+        r = 0.5 + 0.5 * uniforms(words[part, 0])  # as uniform_in(0.5, 1.0)
+        z = box_muller(words[part, 1:]).view(np.complex128)
         xs = z[:, :d * rank].reshape(-1, d, rank)
         ys = z[:, d * rank:].reshape(-1, rank, d)
         g = xs @ ys
@@ -731,37 +731,57 @@ def run_gen(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
 # ---------------------------------------------------------------- verify
 
 
+def _table_cell(cell, kind, text: bool):
+    """One envelope-table cell as `kind` (int for an index, float for a value).
+
+    A CSV cell (text) is parsed; an embedded cell must already be a JSON
+    number (an int for an index, never a bool).  Anything else raises
+    ValueError.
+    """
+    if text:
+        return kind(cell)
+    if isinstance(cell, bool) or not isinstance(cell, int if kind is int else (int, float)):
+        raise ValueError(f"{cell!r} is not a JSON {kind.__name__}")
+    return kind(cell)
+
+
 def _envelope_table(rec: dict, out_dir: Path, c: int) -> tuple:
     """(rows, problems) of a record's envelope table, from its CSV or embedded rows.
 
     Rows are (label, m, beta, weight, weighted_beta, cumsum); a label names
-    the row in messages.  Problems are structural: missing file, bad shape.
+    the row in messages.  Problems are structural: missing file, bad
+    header, a row of the wrong length or with a cell that is not a number.
     """
     if rec.get("envelope_csv") is None:
         embedded = rec.get("envelope_rows")
-        if embedded is None:
+        if not isinstance(embedded, list):
             return [], [f"trial {rec.get('trial')}: no envelope table"]
-        return [
-            (f"trial {rec.get('trial')}: embedded row {i}", tuple(row[:c]), *row[c:])
-            for i, row in enumerate(embedded)
-        ], []
-    path = out_dir / rec["envelope_csv"]
-    if not path.exists():
-        return [], [f"missing envelope CSV {path.name}"]
-    lines = path.read_text().splitlines()
-    want_header = ",".join(
-        [f"m_{i + 1}" for i in range(c)] + ["beta", "weight", "weighted_beta", "cumsum"]
-    )
-    if not lines or lines[0] != want_header:
-        return [], [f"{path.name}: bad header"]
+        labelled = [(f"trial {rec.get('trial')}: embedded row {i}", row)
+                    for i, row in enumerate(embedded)]
+        text = False
+    else:
+        path = out_dir / rec["envelope_csv"]
+        if not path.exists():
+            return [], [f"missing envelope CSV {path.name}"]
+        lines = path.read_text().splitlines()
+        want_header = ",".join(
+            [f"m_{i + 1}" for i in range(c)] + ["beta", "weight", "weighted_beta", "cumsum"]
+        )
+        if not lines or lines[0] != want_header:
+            return [], [f"{path.name}: bad header"]
+        labelled = [(f"{path.name}:{ln}", line.split(","))
+                    for ln, line in enumerate(lines[1:], start=2)]
+        text = True
     rows, problems = [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != c + 4:
-            problems.append(f"{path.name}:{ln}: wrong column count")
+    for label, cells in labelled:
+        if not isinstance(cells, list) or len(cells) != c + 4:
+            problems.append(f"{label}: wrong column count")
             continue
-        m = tuple(int(x) for x in parts[:c])
-        rows.append((f"{path.name}:{ln}", m, *(float(x) for x in parts[c:])))
+        try:
+            m = tuple(_table_cell(x, int, text) for x in cells[:c])
+            rows.append((label, m, *(_table_cell(x, float, text) for x in cells[c:])))
+        except ValueError as exc:
+            problems.append(f"{label}: bad cell: {exc}")
     return rows, problems
 
 

@@ -35,12 +35,20 @@ Bulk draws.  `next_u64`, `normal` and `complex_normal` are the spec and
 the test oracle; `u64_array`, `normals` and `complex_normals` return
 exactly the same bits, many at a time, and leave the generator in the
 same state.  The xoshiro256** update is linear over GF(2), so n steps
-are cut into K lanes of L steps each (L a power of two near sqrt(n)):
-lane j starts at A^(jL) s.  The jump matrix A^L is built on first use
-for each L, by stepping the 256 unit states L times, and cached as 64
-nibble tables (32 KiB), so one jump is 64 lookups XORed together.  All
-lanes then step together in numpy uint64 arithmetic, and the scrambler
-is applied to the whole block at once.  Box-Muller keeps the scalar formulas:
+are cut into K lanes of L steps each, L the power of two nearest
+sqrt(n/8) (this balances the ~10 numpy calls of each step against the
+per-lane jump cost): lane j starts at A^(jL) s.  The lane starts come
+from vectorised jumps by the doubling matrices A^L, A^2L, A^4L, ...:
+lanes [d, 2d) are lanes [0, d) jumped together by A^(dL), so K lanes
+take ceil(log2 K) jumps; past 256 lanes, blocks of 128 lanes jump by
+A^(128L).  Each matrix is kept as the images of the 256 unit states
+(8 KiB), built on first use (A^L by stepping the unit states L times,
+each later one by squaring the one before) and cached per (L, level).
+A jump expands the images into 64 nibble tables, so the image of a
+state is 64 table rows XORed together.  All lanes then step together in
+numpy uint64 arithmetic, and the scrambler is applied to the whole block
+at once.  A trial's operator draws its words with one call.  Box-Muller
+keeps the scalar formulas:
 uniforms, 1 - u, sqrt and the products are correctly rounded in numpy
 and so agree bit for bit, but log, cos and sin go through `math` (libm)
 because numpy's own versions differ from libm in the last bit on some
@@ -73,52 +81,76 @@ def splitmix64(x: int) -> tuple:
 
 
 _UNIT = 2.0 ** -53
-_NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)
-_NIBBLE_ROWS = np.arange(64)
-_JUMPS: dict = {}  # lane length L -> nibble tables of the jump matrix A^L
+_NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)[:, None]
+_NIBBLE_BASE = 16 * np.arange(64)
+_LEVELS = 8  # doubling levels cached per lane length; later lanes jump in blocks of 128
+_JUMPS: dict = {}  # (lane, level) -> unit images of A^(lane * 2^level)
 
 
-def _step_lanes(s: np.ndarray, steps: int, s1_out=None) -> None:
-    """Step the lanes s (shape (4, K)) in place; s1_out[i] gets s1 before step i."""
+def _step_lanes(s: np.ndarray, rows) -> None:
+    """Step the lanes s (shape (4, K)) in place, once per row; row i gets s1 after step i.
+
+    A row may be s[1] itself, for steps whose words are not kept.
+    """
     s0, s1, s2, s3 = s
     t = np.empty_like(s0)
-    for i in range(steps):
-        if s1_out is not None:
-            s1_out[i] = s1
+    for row in rows:
         np.left_shift(s1, np.uint64(17), out=t)
         s2 ^= s0
         s3 ^= s1
-        s1 ^= s2
+        s1 = np.bitwise_xor(s1, s2, out=row)
         s0 ^= s3
         s2 ^= t
         np.left_shift(s3, np.uint64(45), out=t)
         s3 >>= np.uint64(19)
         s3 |= t
+    s[1] = s1
 
 
-def _jump_tables(lane: int) -> np.ndarray:
-    """A^lane as 64 nibble tables: [b, v] is the image of the state whose nibble b is v.
+def _jump(images: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The GF(2) map sending unit state i to images[i] (shape (256, 4)), applied
+    to every column of states (shape (4, M)).
 
-    State bit i is bit i % 64 of word i // 64, so nibble b holds bits 4b..4b+3.
+    State bit i is bit i % 64 of word i // 64, so nibble b holds bits
+    4b..4b+3.  Row 16 b + v of the nibble tables is the image of the state
+    whose nibble b is v, and a state's image is the XOR of 64 table rows.
     """
-    tables = _JUMPS.get(lane)
-    if tables is None:
-        i = np.arange(256)
-        units = np.zeros((4, 256), dtype=np.uint64)
-        units[i // 64, i] = np.uint64(1) << (i % 64).astype(np.uint64)
-        _step_lanes(units, lane)  # column i is A^lane e_i
-        images = units.T.reshape(64, 4, 4)
-        tables = np.zeros((64, 16, 4), dtype=np.uint64)
-        for k in range(4):
-            tables[:, 1 << k:2 << k] = tables[:, :1 << k] ^ images[:, k, None]
-        # concurrent first builds compute the same tables
-        tables = _JUMPS.setdefault(lane, tables)
-    return tables
+    images = images.reshape(64, 4, 4)
+    tables = np.zeros((64, 16, 4), dtype=np.uint64)
+    for k in range(4):
+        tables[:, 1 << k:2 << k] = tables[:, :1 << k] ^ images[:, k, None]
+    nibbles = (states[:, None, :] >> _NIBBLE_SHIFTS) & np.uint64(0xF)
+    rows = nibbles.reshape(64, -1).astype(np.intp) + _NIBBLE_BASE[:, None]
+    return np.bitwise_xor.reduce(np.take(tables.reshape(1024, 4), rows, axis=0), axis=0).T
 
 
-def _jump(tables: np.ndarray, state: np.ndarray) -> np.ndarray:
-    nibbles = ((state[:, None] >> _NIBBLE_SHIFTS) & np.uint64(0xF)).astype(np.intp)
-    return np.bitwise_xor.reduce(tables[_NIBBLE_ROWS, nibbles.ravel()], axis=0)
+def _jump_images(lane: int, level: int) -> np.ndarray:
+    """The unit images of A^(lane * 2^level), built on first use and then shared.
+
+    Level 0 steps the 256 unit states `lane` times; level i + 1 applies
+    level i to its own images, squaring it.  Each matrix is published
+    whole under its key, so threads that build one at the same time all
+    use the first copy stored.
+    """
+    images = _JUMPS.get((lane, level))
+    if images is None:
+        if level == 0:
+            i = np.arange(256)
+            units = np.zeros((4, 256), dtype=np.uint64)
+            units[i // 64, i] = np.uint64(1) << (i % 64).astype(np.uint64)
+            _step_lanes(units, [units[1]] * lane)  # column i is A^lane e_i
+        else:
+            half = _jump_images(lane, level - 1)
+            units = _jump(half, half.T)
+        images = _JUMPS.setdefault((lane, level), np.ascontiguousarray(units.T))
+    return images
+
+
+def _lanes(n: int) -> tuple:
+    """(L, K) for a draw of n >= 1 words: K lanes of L steps, L the power
+    of two nearest sqrt(n/8)."""
+    lane = 1 << max(0, round(math.log2(n / 8) / 2))
+    return lane, -(-n // lane)
 
 
 def uniforms(words: np.ndarray) -> np.ndarray:
@@ -126,8 +158,8 @@ def uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * _UNIT
 
 
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
+def _libm(fn, values: list, shape) -> np.ndarray:
+    return np.fromiter(map(fn, values), dtype=float, count=len(values)).reshape(shape)
 
 
 def box_muller(words: np.ndarray) -> np.ndarray:
@@ -137,11 +169,12 @@ def box_muller(words: np.ndarray) -> np.ndarray:
     r sin(theta) in the same two places of the float64 result.
     """
     u1 = 1.0 - uniforms(words[..., 0::2])
-    theta = 2.0 * math.pi * uniforms(words[..., 1::2])
-    r = np.sqrt(-2.0 * _libm(math.log, u1))
+    shape = u1.shape
+    r = np.sqrt(-2.0 * _libm(math.log, u1.ravel().tolist(), shape))
+    theta = (2.0 * math.pi * uniforms(words[..., 1::2])).ravel().tolist()
     out = np.empty(words.shape, dtype=float)
-    out[..., 0::2] = r * _libm(math.cos, theta)
-    out[..., 1::2] = r * _libm(math.sin, theta)
+    out[..., 0::2] = r * _libm(math.cos, theta, shape)
+    out[..., 1::2] = r * _libm(math.sin, theta, shape)
     return out
 
 
@@ -199,21 +232,31 @@ class Xoshiro256StarStar:
         n = int(n)
         if n <= 0:
             return np.empty(0, dtype=np.uint64)
-        lane = 1 << round(math.log2(n) / 2)  # the power of two nearest sqrt(n)
-        lanes = -(-n // lane)
+        lane, lanes = _lanes(n)
         s = np.empty((4, lanes), dtype=np.uint64)
         s[:, 0] = self._s
-        if lanes > 1:
-            tables = _jump_tables(lane)
-            for j in range(1, lanes):
-                s[:, j] = _jump(tables, s[:, j - 1])
-        trace = np.empty((lane, lanes), dtype=np.uint64)
+        done = 1
+        while done < lanes:  # lanes [done, done + count) are A^(span L) of the span before
+            level = min(done.bit_length(), _LEVELS) - 1
+            span = 1 << level
+            count = min(span, lanes - done)
+            s[:, done:done + count] = _jump(_jump_images(lane, level),
+                                            s[:, done - span:done - span + count])
+            done += count
+        trace = np.empty((lane + 1, lanes), dtype=np.uint64)  # row i: s1 after i steps
+        trace[0] = s[1]
         last = n - (lanes - 1) * lane  # steps the last lane contributes
-        _step_lanes(s, last, trace)
+        _step_lanes(s, trace[1:last + 1])
         self._s = s[:, -1].tolist()
-        _step_lanes(s, lane - last, trace[last:])
-        x = trace.T.reshape(-1)[:n] * np.uint64(5)
-        return ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
+        _step_lanes(s, trace[last + 1:lane])
+        x = trace[:lane].T.copy().reshape(-1)
+        t = trace.reshape(-1)[:x.size]  # the trace's memory, reused
+        x *= np.uint64(5)
+        np.left_shift(x, np.uint64(7), out=t)
+        x >>= np.uint64(57)
+        x |= t
+        x *= np.uint64(9)
+        return x[:n]
 
     def normals(self, n: int) -> np.ndarray:
         """The next n normals as float64, the same as n calls to normal()."""

@@ -140,6 +140,46 @@ def test_verify_report_missing_file_exits_4(tmp_path, capsys):
     assert "cannot load" in capsys.readouterr().err
 
 
+def invert_report(tmp_path, fmt):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert main(["invert", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
+    return out / "report.json"
+
+
+def assert_verify_problem(capsys, report, message):
+    capsys.readouterr()
+    assert main(["verify-report", str(report)]) == 4
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_verify_report_non_numeric_csv_cell_exits_4(tmp_path, capsys):
+    report = invert_report(tmp_path, "csv")
+    csv_path = report.parent / "envelope_trial_000.csv"
+    lines = csv_path.read_text().splitlines()
+    lines[1] = ",".join(["x"] + lines[1].split(",")[1:])  # the m_1 cell
+    csv_path.write_text("\n".join(lines) + "\n")
+    assert_verify_problem(capsys, report, "envelope_trial_000.csv:2: bad cell")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows: rows[0].__setitem__(0, "x"), "bad cell"),
+    (lambda rows: rows[0].__setitem__(0, 1.5), "bad cell"),  # an index must be an int
+    (lambda rows: rows[0].__setitem__(1, True), "bad cell"),
+    (lambda rows: rows[0].__setitem__(3, None), "bad cell"),
+    (lambda rows: rows[0].__setitem__(4, "0.5"), "bad cell"),
+    (lambda rows: rows[0].pop(), "wrong column count"),
+    (lambda rows: rows.__setitem__(0, "x"), "wrong column count"),
+])
+def test_verify_report_malformed_embedded_row_exits_4(tmp_path, capsys, edit, message):
+    report = invert_report(tmp_path, "json")
+    obj = json.loads(report.read_text())
+    edit(obj["records"][1]["envelope_rows"])
+    report.write_text(json.dumps(obj))
+    assert_verify_problem(capsys, report, f"trial 1: embedded row 0: {message}")
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["invert"])  # --config is required

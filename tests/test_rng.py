@@ -1,11 +1,14 @@
 """Known-answer and behavioral tests for the deterministic generator."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from decayalg import rng
 from decayalg.rng import Xoshiro256StarStar, box_muller, splitmix64
 
 
@@ -94,6 +97,94 @@ def test_u64_array_equals_scalar_words(n):
     assert words.dtype == np.uint64
     assert words.tolist() == [scalar.next_u64() for _ in range(n)]
     assert bulk._s == scalar._s
+
+
+# A draw of n words runs K lanes of L steps (L the power of two nearest
+# sqrt(n/8)).  Lanes [d, 2d) jump from lanes [0, d) up to 256 lanes and in
+# blocks of 128 beyond, so K = 2^k and 2^k + 1 are the edges; for each K
+# the smallest n leaves one word in the last lane and the largest fills it.
+# 139,425 and 19,305 words are one trial of the two benchmark workloads.
+
+
+def sizes_with_lane_counts(counts, limit=30000):
+    found = {}
+    for n in range(1, limit):
+        k = rng._lanes(n)[1]
+        if k in counts:
+            lo, hi = found.get(k, (n, n))
+            found[k] = (min(lo, n), max(hi, n))
+    assert set(found) == set(counts)
+    return sorted({n for pair in found.values() for n in pair})
+
+
+LANE_EDGE_SIZES = sizes_with_lane_counts({2, 3, 4, 5, 8, 9, 64, 65, 128, 129,
+                                          256, 257, 384, 385})
+
+
+@pytest.mark.parametrize("n", LANE_EDGE_SIZES + [19305, 139425])
+def test_u64_array_at_lane_count_edges_and_workload_sizes(n):
+    bulk = Xoshiro256StarStar(29, stream=n)
+    scalar = Xoshiro256StarStar(29, stream=n)
+    assert bulk.u64_array(n).tolist() == [scalar.next_u64() for _ in range(n)]
+    assert bulk._s == scalar._s
+
+
+def stepped_unit_images(steps):
+    """{k: images of the 256 unit states after k scalar steps} for k in steps."""
+    gens = []
+    for i in range(256):
+        gen = Xoshiro256StarStar(0)
+        gen._s = [0, 0, 0, 0]
+        gen._s[i // 64] = 1 << (i % 64)
+        gens.append(gen)
+    images = {}
+    for k in range(1, max(steps) + 1):
+        for gen in gens:
+            gen.next_u64()
+        if k in steps:
+            images[k] = np.array([gen._s for gen in gens], dtype=np.uint64)
+    return images
+
+
+@pytest.mark.parametrize("lane", [1, 2])
+def test_doubling_tables_are_stepped_powers(monkeypatch, lane):
+    # level i of lane L is A^(2^i L), here against the unit states stepped one by one
+    monkeypatch.setattr(rng, "_JUMPS", {})
+    levels = range(rng._LEVELS)
+    want = stepped_unit_images({lane << level for level in levels})
+    for level in levels:
+        assert np.array_equal(rng._jump_images(lane, level), want[lane << level])
+
+
+def test_first_draws_from_many_threads_on_an_empty_cache(monkeypatch):
+    # more threads than cores, switching often, all building the same matrices
+    monkeypatch.setattr(rng, "_JUMPS", {})
+    n, workers = 19305, 4
+    barrier = threading.Barrier(workers)
+    words = [None] * workers
+
+    def draw(k):
+        gen = Xoshiro256StarStar(5, stream=k)
+        barrier.wait(timeout=60)
+        words[k] = gen.u64_array(n)
+
+    threads = [threading.Thread(target=draw, args=(k,)) for k in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k in range(workers):
+        scalar = Xoshiro256StarStar(5, stream=k)
+        assert words[k].tolist() == [scalar.next_u64() for _ in range(n)]
+    # one matrix per level, and no level past the cap
+    lane = rng._lanes(n)[0]
+    assert set(rng._JUMPS) == {(lane, level) for level in range(rng._LEVELS)}
 
 
 @settings(max_examples=25, deadline=None)
