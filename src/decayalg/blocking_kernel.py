@@ -10,8 +10,8 @@ the cell payload carries the quadrature L_p norm
 and both sides here literally share one accumulation routine, so the
 equality is bitwise, not just up to rounding.
 
-A banded block operator whose blocks carry nuclear factorizations
-sum_i y_i (x) a_i turns into a sampled integral kernel: the block
+A banded block operator that carries nuclear factor terms (`op.factors`,
+block = sum_i y_i (x) a_i) turns into a sampled integral kernel: the block
 feeding cell k from cell l is b_{k,k-l} / h^c, assembled from the
 rank-one terms, and applying the kernel with the h^c quadrature weight
 reproduces the block operator exactly.
@@ -30,12 +30,12 @@ from .cd_operator import (
     BlockStore,
     BlockVector,
     CDOperator,
-    MissingFactorization,
     ShapeMismatch,
     lp_accumulate,
     route,
     split_passes,
     sum_groups,
+    write_csv,
 )
 from .lattice import flat_offsets, window_array, window_indices, window_size
 
@@ -126,6 +126,10 @@ class Kernel(BlockStore):
         self._store(keys, stack, (q ** c, q ** c), (window_radius,) * 2, ("cell", "cell"))
 
 
+class MissingFactorization(ValueError):
+    """A kernel was requested from an operator without factor terms."""
+
+
 def attach_svd_factorizations(op: CDOperator) -> CDOperator:
     """Set op.factors to the minimal (SVD) decompositions of its blocks.
 
@@ -140,8 +144,8 @@ def attach_svd_factorizations(op: CDOperator) -> CDOperator:
 def assemble_kernel(op: CDOperator, q: int) -> Kernel:
     """Build the sampled kernel of a block operator with q^c = d.
 
-    Every block must carry a nuclear factorization; the kernel block is
-    its rank-one assembly divided by the cell quadrature weight h^c.
+    The operator must carry its factor terms (`op.factors`); the kernel
+    block is their rank-one assembly divided by the cell quadrature weight h^c.
     Offsets that wrap onto the same source cell accumulate, mirroring
     the circulant apply, in ascending order of the offset.
     """
@@ -150,7 +154,7 @@ def assemble_kernel(op: CDOperator, q: int) -> Kernel:
             f"local dim {op.local_dim} does not match q^c = {q ** op.c}"
         )
     if op.factors is None:
-        raise MissingFactorization("operator carries no factorizations")
+        raise MissingFactorization("operator carries no factor terms")
     h_pow = q ** (-op.c)
     cells, sources = route(op)
     live = np.flatnonzero(sources >= 0)
@@ -207,7 +211,7 @@ def read_grid_function(path) -> GridFunction:
         try:
             header = json.loads(first.decode("ascii"))
             c, n, q = int(header["c"]), int(header["N"]), int(header["q"])
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"bad grid-function header: {exc}") from exc
         payload = fh.read()
     n_cells = window_size(n, c)
@@ -221,14 +225,7 @@ def read_grid_function(path) -> GridFunction:
 
 
 def kernel_block_to_csv(kernel: Kernel, k, l, path) -> None:
-    """Write one kernel block as rows i,j,re,im (raster indices)."""
-    key = (tuple(k), tuple(l))
-    if key not in kernel.blocks:
-        raise KeyError(f"kernel has no block at {key}")
-    blk = kernel.blocks[key]
-    with open(path, "w", newline="") as fh:
-        fh.write("i,j,re,im\n")
-        for i in range(blk.shape[0]):
-            for j in range(blk.shape[1]):
-                z = complex(blk[i, j])
-                fh.write(f"{i},{j},{z.real!r},{z.imag!r}\n")
+    """Write one kernel block as rows i,j,re,im (raster indices); KeyError if absent."""
+    blk = kernel.blocks[(tuple(k), tuple(l))].tolist()
+    write_csv(path, ["i", "j", "re", "im"],
+              ([i, j, z.real, z.imag] for i, row in enumerate(blk) for j, z in enumerate(row)))

@@ -20,9 +20,10 @@ points of order 2N+1 carry exactly the spectrum of the dense form.
 Stored form.  An operator keeps its blocks as one (n_blocks, d, d)
 complex128 `stack` and an (n_blocks, 2, c) int64 `keys` table whose row
 i holds the cell k and the offset m of block i; optional nuclear
-factor terms are two more stacks (`factors`).  All three are validated
-in bulk once, at construction, and are read-only afterwards.  `blocks`
-is a read-only {(k, m): block} view whose values are rows of the stack.
+factor terms are two more stacks, `factors`, the one form in which an
+operator carries them.  All are validated in bulk once, at
+construction, and are read-only afterwards.  `blocks` is a read-only
+{(k, m): block} view whose values are rows of the stack.
 `route` is the one place a block is routed to its source cell; apply,
 densify, compose and the kernel assembly all go through it, and then do
 a fixed number of numpy calls per pass over the stack, where a pass
@@ -32,8 +33,6 @@ in the same order as a block-by-block walk over sorted keys.
 
 from __future__ import annotations
 
-import csv
-import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
@@ -48,7 +47,7 @@ from .lattice import (
     window_indices,
     window_size,
 )
-from .nuclear_blocks import DenseBlock, NuclearFactorization, operator_norm
+from .nuclear_blocks import operator_norm
 from .seq_algebra import TorusPoint
 from .weights import Weight
 
@@ -67,7 +66,6 @@ __all__ = [
     "densify",
     "shift_decomposition",
     "laurent_symbol",
-    "laurent_invertibility_test",
     "invert_one_plus",
     "decay_slope",
 ]
@@ -85,10 +83,6 @@ class NotShiftInvariant(ValueError):
 
 class NumericallySingular(ArithmeticError):
     """The dense system is too ill-conditioned to invert reliably."""
-
-
-class MissingFactorization(ValueError):
-    """A kernel was requested from blocks without nuclear factorizations."""
 
 
 def _block_norms(stack: np.ndarray, kind: str) -> np.ndarray:
@@ -161,14 +155,13 @@ def lp_accumulate(values: np.ndarray, p, cell_weight: float = 1.0) -> float:
 
 
 class _RowMap(Mapping):
-    """Read-only {(index, index): value} view of a block store, in row order."""
+    """Read-only {(index, index): block} view of a block store, in row order."""
 
-    def __init__(self, owner: "BlockStore", value):
+    def __init__(self, owner: "BlockStore"):
         self._owner = owner
-        self._value = value
 
     def __getitem__(self, key):
-        return self._value(self._owner.row(key))
+        return self._owner.stack[self._owner.row(key)]
 
     def __iter__(self):
         keys = self._owner.keys
@@ -248,7 +241,7 @@ class BlockStore:
     @property
     def blocks(self) -> Mapping:
         """Read-only {(index, index): block} view; the blocks are rows of `stack`."""
-        return _RowMap(self, self.stack.__getitem__)
+        return _RowMap(self)
 
     @property
     def n_blocks(self) -> int:
@@ -262,7 +255,8 @@ class CDOperator(BlockStore):
     `from_arrays`.  `factors`, when set, is a pair (a, y) of
     (n_blocks, rank, d) stacks with block i = sum_j outer(y[i, j], a[i, j]);
     a block of lower rank is padded with zero terms, which add exactly
-    nothing.  `factorizations` views them per block.
+    nothing.  They are the only form in which an operator carries factor
+    terms.
     """
 
     def __init__(self, c: int, window_radius: int, band_radius: int,
@@ -308,32 +302,6 @@ class CDOperator(BlockStore):
         self._factors = factors
 
     @property
-    def factorizations(self) -> Optional[Mapping]:
-        """Read-only {(k, m): NuclearFactorization} view of `factors`, or None."""
-        if self.factors is None:
-            return None
-        a, y = self.factors
-        return _RowMap(self, lambda i: NuclearFactorization(self.local_dim, list(zip(a[i], y[i]))))
-
-    @factorizations.setter
-    def factorizations(self, facts: Optional[Mapping]) -> None:
-        """Stack a {(k, m): NuclearFactorization} dict; every block needs one."""
-        if facts is None:
-            self.factors = None
-            return
-        try:
-            per_block = [facts[key] for key in self.blocks]
-        except KeyError as exc:
-            raise MissingFactorization(f"block at {exc.args[0]} has no factorization") from None
-        rank = max((len(f.terms) for f in per_block), default=0)
-        a = np.zeros((self.n_blocks, rank, self.local_dim), dtype=np.complex128)
-        y = np.zeros_like(a)
-        for i, fact in enumerate(per_block):
-            for j, (a_term, y_term) in enumerate(fact.terms):
-                a[i, j], y[i, j] = a_term, y_term
-        self.factors = (a, y)
-
-    @property
     def n_cells(self) -> int:
         return window_size(self.window_radius, self.c)
 
@@ -342,26 +310,18 @@ class CDOperator(BlockStore):
                         local_dim: int, boundary: str,
                         offset_blocks: dict) -> "CDOperator":
         """Fill every cell with the same per-offset block."""
-        blocks = {}
-        for m, blk in offset_blocks.items():
-            m = as_index(m, c)
-            for k in window_indices(window_radius, c):
-                blocks[(k, m)] = np.asarray(blk, dtype=np.complex128)
-        return cls(c, window_radius, band_radius, local_dim, boundary, blocks)
-
-    def band_offsets(self) -> list:
-        return [tuple(m) for m in np.unique(self.keys[:, 1], axis=0).tolist()]
+        cells = window_indices(window_radius, c)
+        return cls(c, window_radius, band_radius, local_dim, boundary,
+                   {(k, m): blk for m, blk in offset_blocks.items() for k in cells})
 
     # ---- serialization ------------------------------------------------
 
     def to_json(self) -> dict:
-        items = []
-        for (k, m) in sorted(self.blocks):
-            items.append({
-                "k": list(k),
-                "m": list(m),
-                "block": DenseBlock(self.blocks[(k, m)]).to_json(),
-            })
+        """Blocks in sorted (k, m) order, each as {"d", "re", "im"}."""
+        items = [{"k": k, "m": m, "block": {"d": self.local_dim, "re": blk.real.tolist(),
+                                             "im": blk.imag.tolist()}}
+                 for (k, m), blk in sorted(zip(self.keys.tolist(), self.stack),
+                                           key=lambda row: row[0])]
         return {
             "c": self.c,
             "N": self.window_radius,
@@ -373,11 +333,18 @@ class CDOperator(BlockStore):
 
     @classmethod
     def from_json(cls, obj: dict) -> "CDOperator":
+        """The operator of `to_json`; ValueError for a misshapen or non-finite block."""
         blocks = {}
         for item in obj["blocks"]:
             k = tuple(int(x) for x in item["k"])
             m = tuple(int(x) for x in item["m"])
-            blocks[(k, m)] = DenseBlock.from_json(item["block"]).entries
+            blk = item["block"]
+            re, im = (np.asarray(blk[part], dtype=float) for part in ("re", "im"))
+            if re.shape != im.shape or re.shape != (blk["d"], blk["d"]):
+                raise ValueError("inconsistent block dimensions in JSON")
+            if not (np.isfinite(re).all() and np.isfinite(im).all()):
+                raise ValueError("block entries must be finite")
+            blocks[(k, m)] = re + 1j * im
         return cls(
             c=int(obj["c"]),
             window_radius=int(obj["N"]),
@@ -532,19 +499,24 @@ def shift_decomposition(op: CDOperator) -> list:
     return out
 
 
-def _offset_block_if_invariant(op: CDOperator, m: tuple) -> np.ndarray:
-    """The common block of offset m, or NotShiftInvariant."""
-    zero = np.zeros((op.local_dim, op.local_dim), dtype=np.complex128)
-    blocks = op.blocks
-    ref = None
-    for k in window_indices(op.window_radius, op.c):
-        blk = blocks.get((k, m))
-        cur = zero if blk is None else blk
-        if ref is None:
-            ref = cur
-        elif not np.array_equal(ref, cur):
-            raise NotShiftInvariant(f"blocks of offset {m} vary with the cell")
-    return ref if ref is not None else zero
+def _offset_blocks(op: CDOperator) -> tuple:
+    """(offsets, blocks): each stored offset, ascending, with its common block.
+
+    Each offset's rows are scattered to their cells, an absent cell
+    counting as a zero block; NotShiftInvariant if some cell's block
+    differs from the first cell's.
+    """
+    offsets, group = np.unique(flat_offsets(op.keys[:, 1], op.band_radius),
+                               return_inverse=True)
+    d = op.local_dim
+    grid = np.zeros((len(offsets), op.n_cells, d, d), dtype=np.complex128)
+    grid[group, flat_offsets(op.keys[:, 0], op.window_radius)] = op.stack
+    varies = np.flatnonzero(~(grid == grid[:, :1]).all(axis=(1, 2, 3)))
+    offsets = window_array(op.band_radius, op.c)[offsets]
+    if varies.size:
+        raise NotShiftInvariant(
+            f"blocks of offset {tuple(offsets[varies[0]].tolist())} vary with the cell")
+    return offsets, grid[:, 0]
 
 
 def laurent_symbol(op: CDOperator, u: TorusPoint) -> np.ndarray:
@@ -552,42 +524,9 @@ def laurent_symbol(op: CDOperator, u: TorusPoint) -> np.ndarray:
     if len(u.phases) != op.c:
         raise ShapeMismatch("torus point rank does not match operator rank")
     acc = np.zeros((op.local_dim, op.local_dim), dtype=np.complex128)
-    for m in op.band_offsets():
-        acc += _offset_block_if_invariant(op, m) * u.power(m)
+    for m, blk in zip(*_offset_blocks(op)):
+        acc += blk * u.power(m)
     return acc
-
-
-@dataclass
-class LaurentReport:
-    """Grid check of the matrix symbol's invertibility."""
-
-    invertible: bool
-    min_singular_value: float
-    argmin: TorusPoint
-    margin: float
-    grid: int
-
-
-def laurent_invertibility_test(op: CDOperator, grid: int,
-                               margin: float = 0.0) -> LaurentReport:
-    """Minimum singular value of the symbol over the uniform grid."""
-    if grid < 1:
-        raise ValueError("grid must have at least one point per axis")
-    best = np.inf
-    best_u = None
-    for j in itertools.product(range(grid), repeat=op.c):
-        u = TorusPoint.from_grid(j, grid)
-        s = np.linalg.svd(laurent_symbol(op, u), compute_uv=False)
-        smin = float(s[-1]) if s.size else 0.0
-        if smin < best:
-            best, best_u = smin, u
-    return LaurentReport(
-        invertible=bool(best > margin),
-        min_singular_value=best,
-        argmin=best_u,
-        margin=margin,
-        grid=grid,
-    )
 
 
 # ------------------------------------------------------------ envelopes
@@ -666,17 +605,24 @@ class EnvelopeReport:
     def final_increment(self) -> float:
         return self.rows[-1][3] if self.rows else 0.0
 
+    def table(self) -> list:
+        """The rows flattened to the columns of envelope_header."""
+        return [[*m, *values] for m, *values in self.rows]
+
     def to_csv(self, path) -> None:
-        header = [f"m_{i + 1}" for i in range(self.c)]
-        header += ["beta", "weight", "weighted_beta", "cumsum"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for m, beta, g, weighted, running in self.rows:
-                writer.writerow(
-                    [str(x) for x in m]
-                    + [repr(beta), repr(g), repr(weighted), repr(running)]
-                )
+        write_csv(path, envelope_header(self.c), self.table())
+
+
+def envelope_header(c: int) -> list:
+    """Columns of an envelope table: the offset m_1..m_c, then its values."""
+    return [f"m_{i + 1}" for i in range(c)] + ["beta", "weight", "weighted_beta", "cumsum"]
+
+
+def write_csv(path, header: list, rows) -> None:
+    """A CSV table: the header, then each row's values by repr (shortest round trip)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def decay_slope(env: Envelope, floor: float = 1e-14) -> float:

@@ -26,6 +26,7 @@ from .blocking_kernel import (
     assemble_kernel,
     block,
     kernel_block_to_csv,
+    read_grid_function,
     unblock,
     write_grid_function,
 )
@@ -36,8 +37,10 @@ from .cd_operator import (
     apply,
     decay_slope,
     densify,
+    envelope_header,
     fit_envelope,
     invert_one_plus,
+    write_csv,
 )
 from .lattice import window_array, window_indices, window_size
 from .rng import Xoshiro256StarStar, box_muller, uniforms
@@ -89,6 +92,15 @@ def _require_positive(prof: dict, key: str) -> None:
         raise ConfigError(f"{prof['kind']} profile needs a finite {key} > 0")
 
 
+# config JSON name -> ExperimentConfig field; the defaults live on the dataclass
+_CONFIG_FIELDS = {
+    "seed": "seed", "c": "c", "N": "window_radius", "W": "band_radius",
+    "d": "local_dim", "q": "q", "weight": "weight", "envelope_profile": "envelope_profile",
+    "block_rank": "block_rank", "trials": "trials", "boundary": "boundary",
+    "output_dir": "output_dir",
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one experiment needs, serializable and validated."""
@@ -108,14 +120,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         try:
-            self.seed = int(self.seed)
-            self.c = int(self.c)
-            self.window_radius = int(self.window_radius)
-            self.band_radius = int(self.band_radius)
-            self.local_dim = int(self.local_dim)
-            self.q = int(self.q)
-            self.block_rank = int(self.block_rank)
-            self.trials = int(self.trials)
+            for name in ("seed", "c", "window_radius", "band_radius", "local_dim", "q",
+                         "block_rank", "trials"):
+                setattr(self, name, int(getattr(self, name)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"non-integer field: {exc}") from exc
         if self.seed < 0:
@@ -161,22 +168,10 @@ class ExperimentConfig:
             _require_positive(prof, "l1")
 
     def to_json(self) -> dict:
-        out = {
-            "format_version": FORMAT_VERSION,
-            "seed": self.seed,
-            "c": self.c,
-            "N": self.window_radius,
-            "W": self.band_radius,
-            "d": self.local_dim,
-            "q": self.q,
-            "weight": self.weight.to_json(),
-            "envelope_profile": self.envelope_profile,
-            "block_rank": self.block_rank,
-            "trials": self.trials,
-            "boundary": self.boundary,
-        }
-        if self.output_dir is not None:
-            out["output_dir"] = self.output_dir
+        out = {key: getattr(self, name) for key, name in _CONFIG_FIELDS.items()}
+        out.update(format_version=FORMAT_VERSION, weight=self.weight.to_json())
+        if self.output_dir is None:
+            del out["output_dir"]
         return out
 
     @classmethod
@@ -186,32 +181,15 @@ class ExperimentConfig:
         version = obj.get("format_version", FORMAT_VERSION)
         if version != FORMAT_VERSION:
             raise ConfigError(f"unsupported format_version {version}")
-        unknown = set(obj) - {
-            "format_version", "seed", "c", "N", "W", "d", "q", "weight",
-            "envelope_profile", "block_rank", "trials", "boundary", "output_dir",
-        }
+        unknown = set(obj) - set(_CONFIG_FIELDS) - {"format_version"}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "seed" not in obj:
             raise ConfigError("config needs a seed")
-        try:
-            weight = Weight.from_json(obj["weight"]) if "weight" in obj else Weight()
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad weight: {exc}") from exc
-        return cls(
-            seed=obj["seed"],
-            c=obj.get("c", 1),
-            window_radius=obj.get("N", 4),
-            band_radius=obj.get("W", 1),
-            local_dim=obj.get("d", 2),
-            q=obj.get("q", 2),
-            weight=weight,
-            envelope_profile=obj.get("envelope_profile", {"kind": "exponential", "rate": 1.0}),
-            block_rank=obj.get("block_rank", 1),
-            trials=obj.get("trials", 1),
-            boundary=obj.get("boundary", "circulant"),
-            output_dir=obj.get("output_dir"),
-        )
+        fields = {name: obj[key] for key, name in _CONFIG_FIELDS.items() if key in obj}
+        if "weight" in obj:
+            fields["weight"] = _parsed("weight", lambda: Weight.from_json(obj["weight"]))
+        return cls(**fields)
 
 
 def envelope_values(cfg: ExperimentConfig) -> np.ndarray:
@@ -227,11 +205,8 @@ def envelope_values(cfg: ExperimentConfig) -> np.ndarray:
         vals = np.array([(1.0 + sum(abs(x) for x in m)) ** -power for m in offsets])
     else:
         vals = np.array([float(v) for v in prof["values"]])
-    if "l1" in prof:
-        total = vals.sum()
-        if total <= 0:
-            raise ConfigError("cannot rescale an all-zero envelope to an l1 target")
-        vals = vals * (float(prof["l1"]) / total)
+    if "l1" in prof:  # validation rejects an all-zero profile with an l1 target
+        vals = vals * (float(prof["l1"]) / vals.sum())
     shape = (2 * cfg.band_radius + 1,) * cfg.c
     return vals.reshape(shape)
 
@@ -346,6 +321,28 @@ def _resolve_out_dir(cfg_output_dir, out_dir) -> Path:
     return path
 
 
+def _run_trials(kind: str, cfg: ExperimentConfig, out_dir, one_trial, emit) -> dict:
+    """The trial loop of every runner: map the trials, emit each record, write the report.
+
+    one_trial(trial) returns a record whose "_" keys carry objects for
+    emit(trial, rec, out_path); emit pops them, writes the runner's
+    sidecars and returns the record as reported.  Records are emitted in
+    trial order, whatever the worker count.
+    """
+    out_path = _resolve_out_dir(cfg.output_dir, out_dir)
+    records = [emit(trial, dict(rec), out_path)
+               for trial, rec in enumerate(_map_trials(one_trial, cfg.trials))]
+    report = {
+        "format_version": FORMAT_VERSION,
+        "kind": kind,
+        "config": cfg.to_json(),
+        "records": records,
+        "aggregates": _aggregates(kind, records),
+    }
+    _write_report(report, out_path)
+    return report
+
+
 # ------------------------------------------------------ inverse closedness
 
 
@@ -355,7 +352,6 @@ def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None,
     if cfg.boundary != "circulant":
         raise ConfigError("invert needs the circulant boundary: inversion is "
                           "defined on the circulant window")
-    out_path = _resolve_out_dir(cfg.output_dir, out_dir)
     beta = envelope_values(cfg)
 
     def one_trial(trial: int) -> dict:
@@ -394,33 +390,19 @@ def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None,
             "_envelope_report": report,
         }
 
-    raw = _map_trials(one_trial, cfg.trials)
-
-    records = []
-    for trial, rec in enumerate(raw):
-        rec = dict(rec)
+    def emit(trial: int, rec: dict, out_path: Path) -> dict:
         report = rec.pop("_envelope_report", None)
-        if report is not None:
-            if fmt == "csv":
-                name = f"envelope_trial_{trial:03d}.csv"
-                report.to_csv(out_path / name)
-                rec["envelope_csv"] = name
-            else:
-                rec["envelope_rows"] = [
-                    list(m) + [beta_v, g, weighted, running]
-                    for m, beta_v, g, weighted, running in report.rows
-                ]
-        records.append(rec)
+        if report is None:
+            return rec
+        if fmt == "csv":
+            name = f"envelope_trial_{trial:03d}.csv"
+            report.to_csv(out_path / name)
+            rec["envelope_csv"] = name
+        else:
+            rec["envelope_rows"] = report.table()
+        return rec
 
-    report = {
-        "format_version": FORMAT_VERSION,
-        "kind": "inverse_closedness",
-        "config": cfg.to_json(),
-        "records": records,
-        "aggregates": _aggregates("inverse_closedness", records),
-    }
-    _write_report(report, out_path)
-    return report
+    return _run_trials("inverse_closedness", cfg, out_dir, one_trial, emit)
 
 
 # ----------------------------------------------------------------- wiener
@@ -549,6 +531,9 @@ def _wiener_inputs(cfg: dict) -> tuple:
     return seq, grid, out_radius, weight, margin
 
 
+_PARTIAL_SUMS_HEADER = ["radius", "partial_sum", "increment"]
+
+
 def _wiener_partial_sums(inverse: FiniteSeq, weight: Weight, out_radius: int) -> list:
     """(radius, partial_sum, increment) rows: weighted |coefficient| mass, shell by shell.
 
@@ -609,10 +594,7 @@ def run_wiener(cfg: dict, out_dir=None, fmt: str = "csv") -> dict:
         (out_path / "inverse.json").write_text(
             json.dumps(inverse_json, sort_keys=True, indent=2) + "\n"
         )
-        with open(out_path / "partial_sums.csv", "w", newline="") as fh:
-            fh.write("radius,partial_sum,increment\n")
-            for r, total, inc in partial:
-                fh.write(f"{r},{total!r},{inc!r}\n")
+        write_csv(out_path / "partial_sums.csv", _PARTIAL_SUMS_HEADER, partial)
         report["inverse_json"] = "inverse.json"
         report["partial_sums_csv"] = "partial_sums.csv"
     else:
@@ -632,7 +614,6 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
             f"kernel experiments need d = q^c (got d={cfg.local_dim}, "
             f"q^c={cfg.q ** cfg.c})"
         )
-    out_path = _resolve_out_dir(cfg.output_dir, out_dir)
 
     def one_trial(trial: int) -> dict:
         op = generate_operator(cfg, trial)
@@ -662,12 +643,8 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
             "_grid": f,
         }
 
-    raw = _map_trials(one_trial, cfg.trials)
-    records = []
-    for trial, rec in enumerate(raw):
-        rec = dict(rec)
-        kern = rec.pop("_kernel")
-        grid = rec.pop("_grid")
+    def emit(trial: int, rec: dict, out_path: Path) -> dict:
+        kern, grid = rec.pop("_kernel"), rec.pop("_grid")
         if trial == 0 and fmt == "csv":
             center = ((0,) * cfg.c, (0,) * cfg.c)
             if center in kern.blocks:
@@ -677,17 +654,9 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
             gname = "input_trial_000.grid"
             write_grid_function(grid, out_path / gname)
             rec["grid_file"] = gname
-        records.append(rec)
+        return rec
 
-    report = {
-        "format_version": FORMAT_VERSION,
-        "kind": "kernel",
-        "config": cfg.to_json(),
-        "records": records,
-        "aggregates": _aggregates("kernel", records),
-    }
-    _write_report(report, out_path)
-    return report
+    return _run_trials("kernel", cfg, out_dir, one_trial, emit)
 
 
 # -------------------------------------------------------------------- gen
@@ -695,7 +664,6 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
 
 def run_gen(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
     """Write the trial operators themselves (JSON) plus a manifest."""
-    out_path = _resolve_out_dir(cfg.output_dir, out_dir)
 
     def one_trial(trial: int) -> dict:
         op = generate_operator(cfg, trial)
@@ -706,33 +674,22 @@ def run_gen(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
             "_op": op,
         }
 
-    raw = _map_trials(one_trial, cfg.trials)
-    records = []
-    for trial, rec in enumerate(raw):
-        rec = dict(rec)
-        op = rec.pop("_op")
+    def emit(trial: int, rec: dict, out_path: Path) -> dict:
         name = f"operator_trial_{trial:03d}.json"
         (out_path / name).write_text(
-            json.dumps(op.to_json(), sort_keys=True, indent=2) + "\n"
+            json.dumps(rec.pop("_op").to_json(), sort_keys=True, indent=2) + "\n"
         )
         rec["operator_json"] = name
-        records.append(rec)
-    report = {
-        "format_version": FORMAT_VERSION,
-        "kind": "gen",
-        "config": cfg.to_json(),
-        "records": records,
-        "aggregates": _aggregates("gen", records),
-    }
-    _write_report(report, out_path)
-    return report
+        return rec
+
+    return _run_trials("gen", cfg, out_dir, one_trial, emit)
 
 
 # ---------------------------------------------------------------- verify
 
 
 def _table_cell(cell, kind, text: bool):
-    """One envelope-table cell as `kind` (int for an index, float for a value).
+    """One table cell as `kind` (int for an index, float for a value).
 
     A CSV cell (text) is parsed; an embedded cell must already be a JSON
     number (an int for an index, never a bool).  Anything else raises
@@ -745,41 +702,48 @@ def _table_cell(cell, kind, text: bool):
     return kind(cell)
 
 
-def _envelope_table(rec: dict, out_dir: Path, c: int) -> tuple:
-    """(rows, problems) of a record's envelope table, from its CSV or embedded rows.
+def _named_file(out_dir: Path, name) -> Optional[Path]:
+    """The file a report names in its directory; None for a non-string name or no file."""
+    path = out_dir / name if isinstance(name, str) else None
+    return path if path is not None and path.is_file() else None
 
-    Rows are (label, m, beta, weight, weighted_beta, cumsum); a label names
-    the row in messages.  Problems are structural: missing file, bad
-    header, a row of the wrong length or with a cell that is not a number.
+
+def _read_table(out_dir: Path, csv_name, embedded, header: list, k: int,
+                absent: str, row: str) -> tuple:
+    """(rows, problems) of a report table: the CSV `csv_name`, or else the embedded rows.
+
+    Its columns are `header`: k integer ones, then floats, every cell read
+    through _table_cell.  Rows are (label, ints, *floats); a label names
+    the row in messages ("{row} {i}" for an embedded row).  Problems are
+    structural: `absent` (no table), a missing or unreadable CSV, a bad
+    header, a row of the wrong length or with a cell that is no number.
     """
-    if rec.get("envelope_csv") is None:
-        embedded = rec.get("envelope_rows")
+    if csv_name is None:
         if not isinstance(embedded, list):
-            return [], [f"trial {rec.get('trial')}: no envelope table"]
-        labelled = [(f"trial {rec.get('trial')}: embedded row {i}", row)
-                    for i, row in enumerate(embedded)]
+            return [], [absent]
+        labelled = [(f"{row} {i}", cells) for i, cells in enumerate(embedded)]
         text = False
     else:
-        path = out_dir / rec["envelope_csv"]
-        if not path.exists():
-            return [], [f"missing envelope CSV {path.name}"]
-        lines = path.read_text().splitlines()
-        want_header = ",".join(
-            [f"m_{i + 1}" for i in range(c)] + ["beta", "weight", "weighted_beta", "cumsum"]
-        )
-        if not lines or lines[0] != want_header:
-            return [], [f"{path.name}: bad header"]
-        labelled = [(f"{path.name}:{ln}", line.split(","))
+        path = _named_file(out_dir, csv_name)
+        if path is None:
+            return [], [f"missing CSV {csv_name}"]
+        try:
+            lines = path.read_text().splitlines()
+        except (OSError, ValueError) as exc:
+            return [], [f"{csv_name}: unreadable: {exc}"]
+        if not lines or lines[0] != ",".join(header):
+            return [], [f"{csv_name}: bad header"]
+        labelled = [(f"{csv_name}:{ln}", line.split(","))
                     for ln, line in enumerate(lines[1:], start=2)]
         text = True
     rows, problems = [], []
     for label, cells in labelled:
-        if not isinstance(cells, list) or len(cells) != c + 4:
+        if not isinstance(cells, list) or len(cells) != len(header):
             problems.append(f"{label}: wrong column count")
             continue
         try:
-            m = tuple(_table_cell(x, int, text) for x in cells[:c])
-            rows.append((label, m, *(_table_cell(x, float, text) for x in cells[c:])))
+            ints = tuple(_table_cell(x, int, text) for x in cells[:k])
+            rows.append((label, ints, *(_table_cell(x, float, text) for x in cells[k:])))
         except ValueError as exc:
             problems.append(f"{label}: bad cell: {exc}")
     return rows, problems
@@ -806,35 +770,6 @@ def _verify_envelope_rows(rows: list, rec: dict, weight: Weight) -> list:
     return problems
 
 
-def _wiener_rows(report: dict, out_dir: Path) -> tuple:
-    """(rows, problems) of a wiener report's partial sums, from its CSV or embedded rows.
-
-    Rows are (label, [radius, partial_sum, increment]).
-    """
-    if report.get("partial_sums_csv") is None:
-        embedded = report.get("partial_sums")
-        if not isinstance(embedded, list):
-            return [], ["wiener report has no partial sums"]
-        rows = [(f"embedded partial sum {i}", row) for i, row in enumerate(embedded)]
-    else:
-        csv_path = out_dir / report["partial_sums_csv"]
-        if not csv_path.exists():
-            return [], [f"missing partial sums CSV {csv_path.name}"]
-        lines = csv_path.read_text().splitlines()
-        if not lines or lines[0] != "radius,partial_sum,increment":
-            return [], [f"{csv_path.name}: bad header"]
-        rows = []
-        for ln, line in enumerate(lines[1:], start=2):
-            try:
-                r, total, inc = line.split(",")
-                rows.append((f"{csv_path.name}:{ln}", [int(r), float(total), float(inc)]))
-            except ValueError:
-                rows.append((f"{csv_path.name}:{ln}", None))
-    bad = [f"{label}: malformed row" for label, row in rows
-           if not (isinstance(row, list) and len(row) == 3)]
-    return rows, bad
-
-
 def _verify_wiener_partial_sums(report: dict, out_dir: Path) -> list:
     """Re-derive the partial sums from the stored inverse and the weight."""
     try:
@@ -849,19 +784,46 @@ def _verify_wiener_partial_sums(report: dict, out_dir: Path) -> list:
         last_total, last_increment = want[-1][1:]
     except (OSError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         return [f"wiener inverse not reconstructible: {exc!r}"]
-    rows, problems = _wiener_rows(report, out_dir)
+    rows, problems = _read_table(
+        out_dir, report.get("partial_sums_csv"), report.get("partial_sums"),
+        _PARTIAL_SUMS_HEADER, 1, "wiener report has no partial sums", "embedded partial sum")
     if problems:
         return problems
     if len(rows) != len(want):
         problems.append(f"{len(rows)} partial sum rows, want {len(want)}")
-    for (label, got), expected in zip(rows, want):
-        for name, g, w in zip(("radius", "partial_sum", "increment"), got, expected):
+    for (label, (radius,), total, inc), expected in zip(rows, want):
+        for name, g, w in zip(("radius", "partial_sum", "increment"),
+                              (radius, total, inc), expected):
             if g != w:
                 problems.append(f"{label}: {name} mismatch")
     if report.get("weighted_total") != last_total:
         problems.append("weighted_total does not match the partial sums")
     if report.get("final_increment") != last_increment:
         problems.append("final_increment does not match the partial sums")
+    return problems
+
+
+def _verify_kernel_files(records: list, cfg: dict, out_dir: Path) -> list:
+    """Every file a kernel record names exists; the grid file reads back at (c, N, q)."""
+    try:
+        want = (int(cfg["c"]), int(cfg["N"]), int(cfg["q"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        return [f"config not reconstructible: {exc!r}"]
+    problems = []
+    for r in records:
+        for key in ("kernel_block_csv", "grid_file"):
+            if key in r and _named_file(out_dir, r[key]) is None:
+                problems.append(f"trial {r.get('trial')}: missing {key} {r[key]!r}")
+        path = _named_file(out_dir, r.get("grid_file"))
+        if path is None:
+            continue
+        try:
+            f = read_grid_function(path)
+        except ValueError as exc:
+            problems.append(f"{path.name}: not a grid function: {exc}")
+            continue
+        if (f.c, f.window_radius, f.q) != want:
+            problems.append(f"{path.name}: grid does not match the config's (c, N, q)")
     return problems
 
 
@@ -872,16 +834,26 @@ def verify_report(path) -> list:
         report = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
         return [f"cannot load report: {exc}"]
-    problems = []
+    if not isinstance(report, dict):
+        return ["report is not a JSON object"]
     if report.get("format_version") != FORMAT_VERSION:
-        problems.append(f"unsupported format_version {report.get('format_version')}")
-        return problems
+        return [f"unsupported format_version {report.get('format_version')}"]
     kind = report.get("kind")
     records = report.get("records", [])
     aggregates = report.get("aggregates", {})
+    cfg = report.get("config")
+    if not (isinstance(records, list) and all(isinstance(r, dict) for r in records)):
+        return ["records is not a list of objects"]
+    if not isinstance(aggregates, dict) or not isinstance(cfg, dict):
+        return ["aggregates or config is not an object"]
 
+    problems = []
     if "records" in report:
-        for key, value in _aggregates(kind, records).items():
+        try:
+            derived = _aggregates(kind, records)
+        except (AttributeError, KeyError, TypeError) as exc:
+            return [f"aggregates not derivable from the records: {exc!r}"]
+        for key, value in derived.items():
             if aggregates.get(key) != value:
                 problems.append(f"aggregate {key} does not match records")
     ok = [r for r in records if "error" not in r]
@@ -891,13 +863,17 @@ def verify_report(path) -> list:
             if not r.get("envelope_dominates", False):
                 problems.append(f"trial {r.get('trial')}: envelope domination violated")
         try:
-            weight = Weight.from_json(report["config"]["weight"])
-            c = int(report["config"]["c"])
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"config not reconstructible: {exc}")
+            weight = Weight.from_json(cfg["weight"])
+            c = int(cfg["c"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            problems.append(f"config not reconstructible: {exc!r}")
             return problems
+        header = envelope_header(c)
         for r in ok:
-            rows, table_problems = _envelope_table(r, path.parent, c)
+            trial = r.get("trial")
+            rows, table_problems = _read_table(
+                path.parent, r.get("envelope_csv"), r.get("envelope_rows"), header, c,
+                f"trial {trial}: no envelope table", f"trial {trial}: embedded row")
             problems.extend(table_problems or _verify_envelope_rows(rows, r, weight))
     elif kind == "wiener":
         if "error" not in report:
@@ -906,9 +882,10 @@ def verify_report(path) -> list:
             problems.extend(_verify_wiener_partial_sums(report, path.parent))
     elif kind == "gen":
         for r in records:
-            name = r.get("operator_json")
-            if name is None or not (path.parent / name).exists():
+            if _named_file(path.parent, r.get("operator_json")) is None:
                 problems.append(f"trial {r.get('trial')}: operator file missing")
-    elif kind != "kernel":  # a kernel report's derivable content is its aggregates
+    elif kind == "kernel":
+        problems.extend(_verify_kernel_files(records, cfg, path.parent))
+    else:
         problems.append(f"unknown report kind {kind!r}")
     return problems

@@ -29,7 +29,6 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
-    "DenseBlock",
     "NuclearFactorization",
     "HomotopyPath",
     "HomotopyResult",
@@ -39,7 +38,6 @@ __all__ = [
     "PathHitsSpectrum",
     "trace_norm",
     "operator_norm",
-    "nuclear_upper_bound",
     "svd_factorization",
     "neumann_inverse",
     "build_path",
@@ -64,47 +62,10 @@ class PathHitsSpectrum(ArithmeticError):
 
 
 def _as_matrix(a) -> np.ndarray:
-    if isinstance(a, DenseBlock):
-        return a.entries
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-@dataclass
-class DenseBlock:
-    """A validated square complex matrix with stable JSON serialization."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(np.float64))):
-            raise ValueError("block entries must be finite")
-        self.entries = m
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    # JSON: {"d": ..., "re": [[...]], "im": [[...]]}
-    def to_json(self) -> dict:
-        return {
-            "d": self.dim,
-            "re": self.entries.real.tolist(),
-            "im": self.entries.imag.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DenseBlock":
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-        if re.shape != im.shape or re.shape != (obj["d"], obj["d"]):
-            raise ValueError("inconsistent block dimensions in JSON")
-        return cls(re + 1j * im)
 
 
 def trace_norm(a) -> float:
@@ -123,25 +84,6 @@ def operator_norm(a, p) -> float:
     if p in (np.inf, float("inf"), "inf"):
         return float(np.abs(m).sum(axis=1).max(initial=0.0))
     raise ValueError(f"unsupported exponent {p!r}")
-
-
-def nuclear_upper_bound(a, p) -> float:
-    """Cost of the column decomposition A = sum_j e_j* (x) (A e_j).
-
-    Each coordinate functional e_j* has dual norm 1, so the cost is
-    sum_j ||A e_j||_p — an upper bound for the nuclear norm that is
-    available in any p-geometry (where the exact infimum is not).
-    """
-    m = _as_matrix(a)
-    if p == 1:
-        col = np.abs(m).sum(axis=0)
-    elif p == 2:
-        col = np.sqrt((np.abs(m) ** 2).sum(axis=0))
-    elif p in (np.inf, float("inf"), "inf"):
-        col = np.abs(m).max(axis=0, initial=0.0)
-    else:
-        raise ValueError(f"unsupported exponent {p!r}")
-    return float(col.sum())
 
 
 @dataclass

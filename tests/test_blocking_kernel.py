@@ -23,7 +23,6 @@ from decayalg.cd_operator import (
     apply,
 )
 from decayalg.lattice import window_indices, window_size
-from decayalg.nuclear_blocks import NuclearFactorization
 
 
 def rand_complex(rng, *shape):
@@ -120,14 +119,12 @@ def test_kernel_two_dimensional():
 
 
 def test_kernel_block_values_rank_one():
-    # a single rank-one factorization: the kernel block is outer(y, a)/h^c
+    # a single rank-one factor term: the kernel block is outer(y, a)/h^c
     a = np.array([1.0, 2.0], dtype=complex)
     y = np.array([0.5, -1.0], dtype=complex)
     blk = np.outer(y, a)
     op = CDOperator(1, 1, 0, 2, "circulant", blocks={((0,), (0,)): blk})
-    op.factorizations = {
-        ((0,), (0,)): NuclearFactorization(dim=2, terms=[(a, y)])
-    }
+    op.factors = (a[None, None], y[None, None])
     kern = assemble_kernel(op, q=2)
     np.testing.assert_allclose(
         kern.blocks[((0,), (0,))], np.outer(y, a) * 2.0, atol=1e-15
@@ -137,15 +134,13 @@ def test_kernel_block_values_rank_one():
 def test_kernel_requires_factorizations():
     rng = np.random.default_rng(89)
     op = random_factored_op(rng, 1, 1, 2, 1)
-    op.factorizations = None
+    op.factors = None
     with pytest.raises(MissingFactorization):
         assemble_kernel(op, 2)
-    # every block needs a factorization: an operator cannot hold a partial set
-    op2 = random_factored_op(rng, 1, 1, 2, 1)
-    partial = dict(op2.factorizations)
-    del partial[next(iter(op2.blocks))]
-    with pytest.raises(MissingFactorization):
-        op2.factorizations = partial
+    # every block needs its terms: an operator cannot hold stacks for a subset
+    a, y = random_factored_op(rng, 1, 1, 2, 1).factors
+    with pytest.raises(ShapeMismatch):
+        op.factors = (a[1:], y[1:])
 
 
 def test_kernel_requires_matching_q():

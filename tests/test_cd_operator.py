@@ -19,7 +19,6 @@ from decayalg.cd_operator import (
     densify,
     fit_envelope,
     invert_one_plus,
-    laurent_invertibility_test,
     laurent_symbol,
     lp_accumulate,
     shift_decomposition,
@@ -195,26 +194,6 @@ def test_circulant_spectrum_equals_symbol_spectrum():
     assert match_multisets(list(dense_eigs), sym_eigs, 1e-9) <= 1e-9
 
 
-def test_laurent_invertibility_report():
-    # scalar blocks: symbol 2 + u has minimal modulus 1 at theta = pi
-    op = CDOperator.shift_invariant(
-        1, 3, 1, 1, "circulant",
-        {(0,): np.array([[2.0]]), (1,): np.array([[1.0]])},
-    )
-    rep = laurent_invertibility_test(op, grid=2, margin=0.5)
-    assert rep.invertible
-    assert rep.min_singular_value == pytest.approx(1.0, abs=1e-12)
-    assert rep.argmin.phases[0] == pytest.approx(np.pi)
-    # 1 + u vanishes at theta = pi
-    op2 = CDOperator.shift_invariant(
-        1, 3, 1, 1, "circulant",
-        {(0,): np.array([[1.0]]), (1,): np.array([[1.0]])},
-    )
-    rep2 = laurent_invertibility_test(op2, grid=2, margin=1e-12)
-    assert not rep2.invertible
-    assert rep2.min_singular_value == pytest.approx(0.0, abs=1e-12)
-
-
 # -------------------------------------------------------------- envelopes
 
 
@@ -353,6 +332,22 @@ def test_cd_operator_json_round_trip():
     assert keys == sorted(keys)
 
 
+def test_cd_operator_from_json_rejects_bad_blocks():
+    # operator files come from outside the program: shapes and entries are checked
+    op = CDOperator(1, 1, 0, 2, "circulant", blocks={((0,), (0,)): np.eye(2)})
+    for edit in (
+        lambda blk: blk.update(re=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),  # not square
+        lambda blk: blk.update(im=[[0.0, 0.0]]),                         # re/im differ
+        lambda blk: blk.update(d=3),                                     # wrong d
+        lambda blk: blk["re"][0].__setitem__(0, float("nan")),
+        lambda blk: blk["im"][1].__setitem__(1, float("inf")),
+    ):
+        obj = json.loads(json.dumps(op.to_json()))
+        edit(obj["blocks"][0]["block"])
+        with pytest.raises(ValueError):
+            CDOperator.from_json(obj)
+
+
 def test_cd_operator_validation():
     with pytest.raises(ValueError):
         CDOperator(1, 2, 1, 2, "reflecting", blocks={})
@@ -481,10 +476,10 @@ def test_laurent_example_diagonal_plus_shift():
         1, 4, 1, 2, "circulant",
         {(0,): np.diag([2.0, 3.0]), (1,): np.eye(2)},
     )
-    report = laurent_invertibility_test(op, 256)
-    assert report.invertible
-    assert report.min_singular_value == pytest.approx(1.0, abs=1e-12)
-    assert report.argmin.phases == pytest.approx((np.pi,))
+    smin = [np.linalg.svd(laurent_symbol(op, TorusPoint.from_grid((j,), 256)),
+                          compute_uv=False)[-1] for j in range(256)]
+    assert min(smin) == pytest.approx(1.0, abs=1e-12)
+    assert TorusPoint.from_grid((int(np.argmin(smin)),), 256).phases == pytest.approx((np.pi,))
 
 
 def test_fit_envelope_ones_block_example():

@@ -242,6 +242,12 @@ def test_wiener_bad_weight_exits_2(tmp_path, capsys, weight):
     assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])
 
 
+@pytest.mark.parametrize("weight", [{"b": 2.0}, "heavy", None])
+def test_invert_bad_weight_exits_2(tmp_path, capsys, weight):
+    cfg = write_config(tmp_path / "cfg.json", weight=weight)
+    assert_config_error(tmp_path, capsys, ["invert", "--config", str(cfg)])
+
+
 @pytest.mark.parametrize("seq", [
     {"radius": 1, "entries": []},
     {"c": 1, "radius": 1, "entries": [{"index": [0], "re": 1.0}]},
@@ -264,3 +270,26 @@ def test_wiener_bad_grid_exits_2(tmp_path, capsys, grid):
 def test_wiener_negative_out_radius_exits_2(tmp_path, capsys):
     cfg = wiener_config(tmp_path / "w.json", out_radius=-1)
     assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("command, edit", [
+    ("invert", lambda r: r.update(records=["x"])),
+    ("invert", lambda r: r.update(records={"0": {"trial": 0}})),
+    ("invert", lambda r: r.update(aggregates=[])),
+    ("invert", lambda r: r["config"].update(weight="w")),
+    ("invert", lambda r: r["records"][0].update(residual="x")),
+    ("gen", lambda r: r["records"][0].update(operator_json=5)),
+    ("invert", lambda r: [r]),  # a top-level array
+], ids=["string-records", "dict-records", "list-aggregates", "string-weight",
+        "string-residual", "integer-operator-json", "array-report"])
+def test_verify_report_wrongly_shaped_report_exits_4(tmp_path, capsys, command, edit):
+    cfg = write_config(tmp_path / "cfg.json")
+    path = tmp_path / "out" / "report.json"
+    assert main([command, "--config", str(cfg), "--out", str(path.parent)]) == 0
+    report = json.loads(path.read_text())
+    edited = edit(report)
+    path.write_text(json.dumps(report if edited is None else edited))
+    capsys.readouterr()
+    assert main(["verify-report", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.strip() and "Traceback" not in err

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from decayalg.blocking_kernel import GridFunction, write_grid_function
 from decayalg.cd_operator import densify, fit_envelope
 from decayalg.harness import (
     ConfigError,
@@ -128,10 +129,10 @@ def test_generate_operator_respects_envelope():
 def test_generate_operator_factorizations_assemble():
     cfg = small_config(block_rank=1)
     op = generate_operator(cfg, 2)
-    for key, blk in op.blocks.items():
-        fact = op.factorizations[key]
-        assert len(fact.terms) == 1
-        np.testing.assert_allclose(fact.assemble(), blk, rtol=1e-12, atol=1e-14)
+    a, y = op.factors
+    assert a.shape == y.shape == (op.n_blocks, 1, cfg.local_dim)
+    for i, blk in enumerate(op.stack):
+        np.testing.assert_allclose(np.outer(y[i, 0], a[i, 0]), blk, rtol=1e-12, atol=1e-14)
 
 
 def reference_operator(cfg, trial):
@@ -183,11 +184,11 @@ def test_generate_operator_equals_block_by_block_reference(case, seed, trial):
     op = generate_operator(cfg, trial)
     blocks, terms = reference_operator(cfg, trial)
     assert list(op.blocks) == list(blocks)
-    for key, want in blocks.items():
+    a, y = op.factors
+    for i, (key, want) in enumerate(blocks.items()):
         assert op.blocks[key].tobytes() == want.tobytes()
-        got_terms = op.factorizations[key].terms
-        assert len(got_terms) == len(terms[key])
-        for (u, v), (u_ref, v_ref) in zip(got_terms, terms[key]):
+        assert a.shape[1] == len(terms[key])
+        for (u, v), (u_ref, v_ref) in zip(zip(a[i], y[i]), terms[key]):
             assert u.tobytes() == u_ref.tobytes()
             assert v.tobytes() == v_ref.tobytes()
 
@@ -248,17 +249,19 @@ def test_run_inverse_closedness_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_run_inverse_closedness_parallel_matches_serial(tmp_path, monkeypatch):
+@pytest.mark.parametrize("runner", [run_inverse_closedness, run_kernel, run_gen],
+                         ids=["invert", "kernel", "gen"])
+def test_run_inverse_closedness_parallel_matches_serial(runner, tmp_path, monkeypatch):
     cfg = small_config(trials=4)
-    monkeypatch.delenv("DECAYALG_THREADS", raising=False)
-    serial = run_inverse_closedness(cfg, out_dir=tmp_path / "serial")
-    monkeypatch.setenv("DECAYALG_THREADS", "4")
-    assert worker_count() == 4
-    parallel = run_inverse_closedness(cfg, out_dir=tmp_path / "par")
-    assert serial["records"] == parallel["records"]
-    assert (tmp_path / "serial" / "report.json").read_bytes() == (
-        tmp_path / "par" / "report.json"
-    ).read_bytes()
+    outputs = {}
+    for threads in ("1", "4"):
+        monkeypatch.setenv("DECAYALG_THREADS", threads)
+        assert worker_count() == int(threads)
+        out = tmp_path / threads
+        outputs[threads] = (runner(cfg, out_dir=out)["records"],
+                            {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs["1"][1]) > 1
+    assert outputs["1"] == outputs["4"]
 
 
 def test_worker_count_validation(monkeypatch):
@@ -447,6 +450,8 @@ def test_verify_report_catches_csv_tampering(tmp_path):
     lines[1] = ",".join(parts)
     csv_path.write_text("\n".join(lines) + "\n")
     assert any("cumsum" in p for p in verify_report(tmp_path / "report.json"))
+    csv_path.write_bytes(b"\xff\xfe")  # not UTF-8
+    assert any("unreadable" in p for p in verify_report(tmp_path / "report.json"))
     csv_path.unlink()
     assert any("missing" in p for p in verify_report(tmp_path / "report.json"))
 
@@ -485,6 +490,26 @@ def test_verify_report_checks_final_increment_against_embedded_rows(tmp_path):
     problems = tamper(tmp_path / "report.json",
                       lambda r: r["records"][0].update(final_increment=0.5))
     assert problems == ["trial 0: final_increment does not match its envelope table"]
+
+
+def test_verify_report_finds_a_missing_kernel_sidecar(tmp_path):
+    run_kernel(small_config(), out_dir=tmp_path)
+    (tmp_path / "kernel_block_trial_000.csv").unlink()
+    assert verify_report(tmp_path / "report.json") == [
+        "trial 0: missing kernel_block_csv 'kernel_block_trial_000.csv'"]
+
+
+def test_verify_report_reads_the_kernel_grid_file_back(tmp_path):
+    run_kernel(small_config(), out_dir=tmp_path)
+    grid = tmp_path / "input_trial_000.grid"
+    grid.write_text("junk")
+    problems = verify_report(tmp_path / "report.json")
+    assert len(problems) == 1
+    assert problems[0].startswith("input_trial_000.grid: not a grid function")
+    # a well-formed grid function of another window
+    write_grid_function(GridFunction(1, 2, 2, np.zeros((5, 2))), grid)
+    assert verify_report(tmp_path / "report.json") == [
+        "input_trial_000.grid: grid does not match the config's (c, N, q)"]
 
 
 def test_verify_report_rejects_unreadable(tmp_path):

@@ -1,12 +1,9 @@
 """Tests for trace norms, factorizations, and the continuation inverse."""
 
-import json
-
 import numpy as np
 import pytest
 
 from decayalg.nuclear_blocks import (
-    DenseBlock,
     Diverged,
     HomotopyPath,
     NotContractive,
@@ -15,7 +12,6 @@ from decayalg.nuclear_blocks import (
     build_path,
     homotopy_inverse,
     neumann_inverse,
-    nuclear_upper_bound,
     operator_norm,
     svd_factorization,
     trace_norm,
@@ -102,21 +98,6 @@ def test_ideal_property():
         tn_ab = trace_norm(a @ b)
         assert tn_ab <= trace_norm(a) * operator_norm(b, 2) * (1 + 1e-10)
         assert tn_ab <= operator_norm(a, 2) * trace_norm(b) * (1 + 1e-10)
-
-
-def test_nuclear_upper_bound():
-    eye = np.eye(3)
-    assert nuclear_upper_bound(eye, 1) == pytest.approx(3.0)
-    assert nuclear_upper_bound(eye, 2) == pytest.approx(3.0)
-    assert nuclear_upper_bound(eye, np.inf) == pytest.approx(3.0)
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        d = int(rng.integers(1, 8))
-        a = rand_complex(rng, d, d)
-        # in l2 geometry the column decomposition can never beat the SVD
-        assert nuclear_upper_bound(a, 2) >= trace_norm(a) - 1e-10
-    with pytest.raises(ValueError):
-        nuclear_upper_bound(eye, 0)
 
 
 # ------------------------------------------------------- factorizations
@@ -301,23 +282,3 @@ def test_build_path_zero_block():
 def test_build_path_rejects_zero_target():
     with pytest.raises(ValueError):
         build_path(np.eye(2), None, 0.0)
-
-
-# -------------------------------------------------------- serialization
-
-
-def test_dense_block_json_round_trip():
-    rng = np.random.default_rng(61)
-    m = rand_complex(rng, 4, 4)
-    blk = DenseBlock(m)
-    obj = json.loads(json.dumps(blk.to_json()))
-    back = DenseBlock.from_json(obj)
-    np.testing.assert_allclose(back.entries, m, atol=0)
-    assert back.dim == 4
-
-
-def test_dense_block_rejects_bad_input():
-    with pytest.raises(ValueError):
-        DenseBlock(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        DenseBlock(np.array([[np.nan, 0.0], [0.0, 1.0]]))

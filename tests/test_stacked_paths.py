@@ -21,14 +21,17 @@ from decayalg.blocking_kernel import (
 from decayalg.cd_operator import (
     BlockVector,
     CDOperator,
+    NotShiftInvariant,
     apply,
     compose,
     densify,
     fit_envelope,
     invert_one_plus,
+    laurent_symbol,
 )
 from decayalg.lattice import flat_offset, window_indices, window_size, wrap_index
 from decayalg.nuclear_blocks import operator_norm, svd_factorization, trace_norm
+from decayalg.seq_algebra import TorusPoint
 from decayalg.weights import Weight
 
 
@@ -134,6 +137,18 @@ def ref_apply_kernel(kernel, f):
         rl = flat_offset(l, kernel.window_radius)
         out[rk] += (kernel.blocks[(k, l)] @ f.values[rl]) * h_pow
     return out
+
+
+def ref_laurent_symbol(op, u):
+    """Offsets ascending; each offset's block looked up cell by cell, absent = zero."""
+    zero = np.zeros((op.local_dim, op.local_dim), dtype=np.complex128)
+    acc = zero.copy()
+    for m in sorted({m for _, m in op.blocks}):
+        cells = [op.blocks.get((k, m), zero) for k in window_indices(op.window_radius, op.c)]
+        if not all(np.array_equal(cells[0], blk) for blk in cells):
+            raise NotShiftInvariant(m)
+        acc += cells[0] * u.power(m)
+    return acc
 
 
 def ref_reblock(corr, c, radius, d):
@@ -251,6 +266,36 @@ def test_kernel_paths_equal_block_by_block(geom, q):
     # the kernel with its quadrature weight is the operator's dense form
     np.testing.assert_allclose(got.reshape(-1), ref_densify(op) @ f.values.reshape(-1),
                                atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(geom=geometry, d=st.integers(1, 3), theta=st.floats(0.0, 6.3),
+       change=st.sampled_from(["none", "drop-zero", "drop", "perturb"]))
+def test_laurent_symbol_equals_cell_by_cell(geom, d, theta, change):
+    rng, op = build(geom, d)
+    c, N = op.c, op.window_radius
+    offset_blocks = {m: rand_complex(rng, d, d) for _, m in op.blocks}
+    if offset_blocks and change == "drop-zero":
+        offset_blocks[next(iter(offset_blocks))] *= 0.0
+    op = CDOperator.shift_invariant(c, N, op.band_radius, d, op.boundary, offset_blocks)
+    blocks = dict(op.blocks)
+    if change == "drop-zero":  # absent cells of an offset equal its stored zero blocks
+        blocks = {k: b for k, b in blocks.items() if b.any() or rng.random() < 0.5}
+    elif blocks and change != "none":
+        key = list(blocks)[int(rng.integers(len(blocks)))]
+        if change == "perturb":
+            blocks[key] = blocks[key] + 1e-300
+        else:
+            del blocks[key]
+    op = CDOperator(c, N, op.band_radius, d, op.boundary, blocks)
+    u = TorusPoint((theta,) * c)
+    try:
+        want = ref_laurent_symbol(op, u)
+    except NotShiftInvariant:
+        with pytest.raises(NotShiftInvariant):
+            laurent_symbol(op, u)
+    else:
+        assert_bitwise(laurent_symbol(op, u), want)
 
 
 @pytest.mark.parametrize("c,N,d", [(1, 3, 2), (2, 1, 2), (1, 0, 3)])
