@@ -35,7 +35,6 @@ from .cd_operator import (
     route,
     split_passes,
     sum_groups,
-    write_csv,
 )
 from .lattice import flat_offsets, window_array, window_indices, window_size
 
@@ -50,7 +49,6 @@ __all__ = [
     "attach_svd_factorizations",
     "write_grid_function",
     "read_grid_function",
-    "kernel_block_to_csv",
 ]
 
 
@@ -223,9 +221,3 @@ def read_grid_function(path) -> GridFunction:
     vals = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
     return GridFunction(c, n, q, vals.reshape(n_cells, q ** c))
 
-
-def kernel_block_to_csv(kernel: Kernel, k, l, path) -> None:
-    """Write one kernel block as rows i,j,re,im (raster indices); KeyError if absent."""
-    blk = kernel.blocks[(tuple(k), tuple(l))].tolist()
-    write_csv(path, ["i", "j", "re", "im"],
-              ([i, j, z.real, z.imag] for i, row in enumerate(blk) for j, z in enumerate(row)))

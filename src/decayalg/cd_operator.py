@@ -17,6 +17,10 @@ operators; their symbol sum_m b_m e^{i m.theta} is a matrix function on
 the torus and, with the circulant boundary, its values at the grid
 points of order 2N+1 carry exactly the spectrum of the dense form.
 
+The module only computes: an envelope comes back as an `Envelope` of
+numbers, and the weighted envelope tables of a report are built and
+written by the harness.
+
 Stored form.  An operator keeps its blocks as one (n_blocks, d, d)
 complex128 `stack` and an (n_blocks, 2, c) int64 `keys` table whose row
 i holds the cell k and the offset m of block i; optional nuclear
@@ -49,13 +53,11 @@ from .lattice import (
 )
 from .nuclear_blocks import operator_norm
 from .seq_algebra import TorusPoint
-from .weights import Weight
 
 __all__ = [
     "CDOperator",
     "BlockVector",
     "Envelope",
-    "EnvelopeReport",
     "InversionResult",
     "ShapeMismatch",
     "NotShiftInvariant",
@@ -568,63 +570,6 @@ def fit_envelope(op: CDOperator, norm_kind: str = "nuclear") -> Envelope:
     return Envelope(op.c, op.band_radius, vals, norm_kind)
 
 
-def _report_order(c: int, radius: int) -> list:
-    # radius shells first, lexicographic within a shell
-    return sorted(window_indices(radius, c),
-                  key=lambda m: (max(abs(x) for x in m), m))
-
-
-@dataclass
-class EnvelopeReport:
-    """Envelope rows paired with weight values and their running sum."""
-
-    c: int
-    radius: int
-    norm_kind: str
-    rows: list  # (m, beta, weight, weighted, cumsum)
-
-    @classmethod
-    def build(cls, env: Envelope, weight: Weight) -> "EnvelopeReport":
-        order = _report_order(env.c, env.radius)
-        coords = np.array(order, dtype=float).reshape(len(order), env.c)
-        gvals = weight.eval_many(coords)
-        rows = []
-        running = 0.0
-        for m, g in zip(order, gvals):
-            beta = env.beta(m)
-            weighted = float(g) * beta
-            running += weighted
-            rows.append((m, beta, float(g), weighted, running))
-        return cls(env.c, env.radius, env.norm_kind, rows)
-
-    @property
-    def total(self) -> float:
-        return self.rows[-1][4] if self.rows else 0.0
-
-    @property
-    def final_increment(self) -> float:
-        return self.rows[-1][3] if self.rows else 0.0
-
-    def table(self) -> list:
-        """The rows flattened to the columns of envelope_header."""
-        return [[*m, *values] for m, *values in self.rows]
-
-    def to_csv(self, path) -> None:
-        write_csv(path, envelope_header(self.c), self.table())
-
-
-def envelope_header(c: int) -> list:
-    """Columns of an envelope table: the offset m_1..m_c, then its values."""
-    return [f"m_{i + 1}" for i in range(c)] + ["beta", "weight", "weighted_beta", "cumsum"]
-
-
-def write_csv(path, header: list, rows) -> None:
-    """A CSV table: the header, then each row's values by repr (shortest round trip)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
-
-
 def decay_slope(env: Envelope, floor: float = 1e-14) -> float:
     """Least-squares slope of ln(beta_m) against |m|_inf, above the floor."""
     xs, ys = [], []
@@ -650,17 +595,15 @@ class InversionResult:
     residual: float
     condition: float
     envelope: Envelope  # nuclear envelope of t1
-    envelope_report: EnvelopeReport
 
 
-def invert_one_plus(op: CDOperator, weight: Weight,
-                    cond_limit: float = 1e12) -> InversionResult:
+def invert_one_plus(op: CDOperator, cond_limit: float = 1e12) -> InversionResult:
     """Invert 1 + T on the circulant window and re-expand the correction.
 
     The dense system is solved by LU factorization with partial pivoting
     (refusing condition numbers above cond_limit); the correction
     (1+T)^{-1} - 1 is re-blocked over the full band W = N, and its fitted
-    nuclear envelope and weighted envelope report are attached.
+    nuclear envelope is attached.
     """
     if op.boundary != "circulant":
         raise ValueError("inversion is defined on the circulant window")
@@ -684,8 +627,5 @@ def invert_one_plus(op: CDOperator, weight: Weight,
         op.c, radius, radius, d, "circulant", np.stack((k, m), axis=1),
         corr.reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n * n, d, d),
     )
-    envelope = fit_envelope(t1, "nuclear")
-    return InversionResult(
-        t1=t1, residual=float(residual), condition=condition, envelope=envelope,
-        envelope_report=EnvelopeReport.build(envelope, weight),
-    )
+    return InversionResult(t1=t1, residual=float(residual), condition=condition,
+                           envelope=fit_envelope(t1, "nuclear"))

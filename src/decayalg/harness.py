@@ -3,8 +3,8 @@
 Experiments are fully deterministic: every (seed, trial) pair opens its
 own xoshiro256** stream, trials may run in parallel (capped by the
 DECAYALG_THREADS environment variable) but are merged in trial order,
-and all emitted JSON/CSV is byte-stable — sorted keys, repr'd floats,
-no timestamps.
+and all emitted JSON/CSV, written and read back only here, is byte-stable
+— sorted keys, repr'd floats, no timestamps.
 """
 
 from __future__ import annotations
@@ -25,22 +25,19 @@ from .blocking_kernel import (
     apply_kernel,
     assemble_kernel,
     block,
-    kernel_block_to_csv,
     read_grid_function,
     unblock,
     write_grid_function,
 )
 from .cd_operator import (
     CDOperator,
-    EnvelopeReport,
+    Envelope,
     NumericallySingular,
     apply,
     decay_slope,
     densify,
-    envelope_header,
     fit_envelope,
     invert_one_plus,
-    write_csv,
 )
 from .lattice import window_array, window_indices, window_size
 from .rng import Xoshiro256StarStar, box_muller, uniforms
@@ -86,10 +83,11 @@ def _parsed(what: str, parse):
         raise ConfigError(f"bad {what}: {exc!r}") from exc
 
 
-def _require_positive(prof: dict, key: str) -> None:
+def _positive(prof: dict, key: str) -> float:
     value = _parsed(key, lambda: float(prof.get(key, 0)))
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{prof['kind']} profile needs a finite {key} > 0")
+    return value
 
 
 # config JSON name -> ExperimentConfig field; the defaults live on the dataclass
@@ -123,7 +121,7 @@ class ExperimentConfig:
             for name in ("seed", "c", "window_radius", "band_radius", "local_dim", "q",
                          "block_rank", "trials"):
                 setattr(self, name, int(getattr(self, name)))
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"non-integer field: {exc}") from exc
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
@@ -141,31 +139,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown boundary {self.boundary!r}")
         if not isinstance(self.weight, Weight):
             raise ConfigError("weight must be a Weight")
-        self._validate_profile()
-
-    def _validate_profile(self):
-        prof = self.envelope_profile
-        if not isinstance(prof, dict) or "kind" not in prof:
-            raise ConfigError("envelope_profile needs a 'kind' field")
-        kind = prof["kind"]
-        if kind not in _PROFILE_KINDS:
-            raise ConfigError(f"envelope kind must be one of {_PROFILE_KINDS}")
-        if kind == "exponential":
-            _require_positive(prof, "rate")
-        elif kind == "polynomial":
-            _require_positive(prof, "power")
-        else:
-            values = prof.get("values")
-            want = window_size(self.band_radius, self.c)
-            if not isinstance(values, (list, tuple)) or len(values) != want:
-                raise ConfigError(f"table profile needs exactly {want} values")
-            floats = [_parsed("table value", lambda: float(v)) for v in values]
-            if not all(math.isfinite(v) and v >= 0 for v in floats):
-                raise ConfigError("table values must be finite and nonnegative")
-            if "l1" in prof and not any(floats):
-                raise ConfigError("cannot rescale an all-zero envelope to an l1 target")
-        if "l1" in prof:
-            _require_positive(prof, "l1")
+        envelope_values(self)  # validates the profile
 
     def to_json(self) -> dict:
         out = {key: getattr(self, name) for key, name in _CONFIG_FIELDS.items()}
@@ -193,20 +167,28 @@ class ExperimentConfig:
 
 
 def envelope_values(cfg: ExperimentConfig) -> np.ndarray:
-    """The target envelope beta_m over the band, from the profile."""
-    offsets = list(window_indices(cfg.band_radius, cfg.c))
+    """The target envelope beta_m over the band, from the profile; ConfigError if malformed."""
     prof = cfg.envelope_profile
+    if not isinstance(prof, dict) or prof.get("kind") not in _PROFILE_KINDS:
+        raise ConfigError(f"envelope_profile needs a 'kind' among {_PROFILE_KINDS}")
     kind = prof["kind"]
-    if kind == "exponential":
-        rate = float(prof["rate"])
-        vals = np.array([np.exp(-rate * sum(abs(x) for x in m)) for m in offsets])
-    elif kind == "polynomial":
-        power = float(prof["power"])
-        vals = np.array([(1.0 + sum(abs(x) for x in m)) ** -power for m in offsets])
-    else:
-        vals = np.array([float(v) for v in prof["values"]])
-    if "l1" in prof:  # validation rejects an all-zero profile with an l1 target
-        vals = vals * (float(prof["l1"]) / vals.sum())
+    if kind == "table":
+        values, want = prof.get("values"), window_size(cfg.band_radius, cfg.c)
+        if not isinstance(values, (list, tuple)) or len(values) != want:
+            raise ConfigError(f"table profile needs exactly {want} values")
+        vals = np.array([_parsed("table value", lambda: float(v)) for v in values])
+        if not (np.isfinite(vals).all() and (vals >= 0).all()):
+            raise ConfigError("table values must be finite and nonnegative")
+    else:  # a scalar exp or power per offset: vectorised, some differ in the last bit
+        p = _positive(prof, "rate" if kind == "exponential" else "power")
+        sizes = [sum(abs(x) for x in m) for m in window_indices(cfg.band_radius, cfg.c)]
+        vals = np.array([np.exp(-p * n) for n in sizes] if kind == "exponential"
+                        else [(1.0 + n) ** -p for n in sizes])
+    if "l1" in prof:
+        l1 = _positive(prof, "l1")
+        if not vals.any():
+            raise ConfigError("cannot rescale an all-zero envelope to an l1 target")
+        vals = vals * (l1 / vals.sum())
     shape = (2 * cfg.band_radius + 1,) * cfg.c
     return vals.reshape(shape)
 
@@ -293,10 +275,47 @@ def _json_float(x) -> Optional[float]:
     return x if np.isfinite(x) else None
 
 
-def _write_report(report: dict, out_dir: Path) -> Path:
-    path = out_dir / "report.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return path
+# ----------------------------------------------------------------- tables
+
+
+def _write_json(path: Path, obj) -> None:
+    """A JSON file: sorted keys, two-space indent, one trailing newline."""
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
+    """A CSV table: the header, then each row's values by repr (shortest round trip)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _envelope_header(c: int) -> list:
+    """Columns of an envelope table: the offset m_1..m_c, then its values."""
+    return [f"m_{i + 1}" for i in range(c)] + ["beta", "weight", "weighted_beta", "cumsum"]
+
+
+def _envelope_table(env: Envelope, weight: Weight) -> list:
+    """Rows [*m, beta_m, g(m), g(m) beta_m, running sum]: radius shells, lexicographic within.
+
+    The runner writes these rows and verify_report re-derives them.
+    """
+    order = sorted(window_indices(env.radius, env.c),
+                   key=lambda m: (max(abs(x) for x in m), m))
+    gvals = weight.eval_many(np.array(order, dtype=float).reshape(len(order), env.c))
+    rows = []
+    running = 0.0
+    for m, g in zip(order, gvals):
+        beta = env.beta(m)
+        weighted = float(g) * beta
+        running += weighted
+        rows.append([*m, beta, float(g), weighted, running])
+    return rows
+
+
+def _totals(total, increment) -> dict:
+    """A record's weighted_total and final_increment, read off its table's last row."""
+    return {"weighted_total": _json_float(total), "final_increment": _json_float(increment)}
 
 
 def _aggregates(kind: str, records: list) -> dict:
@@ -339,7 +358,7 @@ def _run_trials(kind: str, cfg: ExperimentConfig, out_dir, one_trial, emit) -> d
         "records": records,
         "aggregates": _aggregates(kind, records),
     }
-    _write_report(report, out_path)
+    _write_json(out_path / "report.json", report)
     return report
 
 
@@ -371,35 +390,33 @@ def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None,
                              f"(envelope l1 {env_l1:.3f}, spectral radius {radius:.3f})",
                 }
         try:
-            res = invert_one_plus(op, cfg.weight)
+            res = invert_one_plus(op)
         except NumericallySingular as exc:
             return {"trial": trial, "error": str(exc)}
-        slope = decay_slope(res.envelope)
-        report = res.envelope_report
+        table = _envelope_table(res.envelope, cfg.weight)
         return {
             "trial": trial,
             "residual": _json_float(res.residual),
             "condition": _json_float(res.condition),
-            "slope": _json_float(slope),
-            "weighted_total": _json_float(report.total),
-            "final_increment": _json_float(report.final_increment),
+            "slope": _json_float(decay_slope(res.envelope)),
+            **_totals(table[-1][-1], table[-1][-2]),
             "envelope_l1": _json_float(env_l1),
             "invertibility_check": check,
             # the fitted beta_m is the max over cells, so this bounds every block
             "envelope_dominates": bool((fitted.values <= beta * (1.0 + 1e-12) + 1e-15).all()),
-            "_envelope_report": report,
+            "_envelope_table": table,
         }
 
     def emit(trial: int, rec: dict, out_path: Path) -> dict:
-        report = rec.pop("_envelope_report", None)
-        if report is None:
+        table = rec.pop("_envelope_table", None)
+        if table is None:
             return rec
         if fmt == "csv":
             name = f"envelope_trial_{trial:03d}.csv"
-            report.to_csv(out_path / name)
+            _write_csv(out_path / name, _envelope_header(cfg.c), table)
             rec["envelope_csv"] = name
         else:
-            rec["envelope_rows"] = report.table()
+            rec["envelope_rows"] = table
         return rec
 
     return _run_trials("inverse_closedness", cfg, out_dir, one_trial, emit)
@@ -550,7 +567,7 @@ def _wiener_partial_sums(inverse: FiniteSeq, weight: Weight, out_radius: int) ->
             coords = np.array([pos], dtype=float)
             increment += float(weight.eval_many(coords)[0]) * abs(val)
         running += increment
-        partial.append((r, running, increment))
+        partial.append([r, running, increment])
     return partial
 
 
@@ -577,7 +594,7 @@ def run_wiener(cfg: dict, out_dir=None, fmt: str = "csv") -> dict:
         result = wiener_inverse(seq, grid, out_radius)
     except SymbolVanishes as exc:
         report["error"] = f"symbol_vanishes: {exc}"
-        _write_report(report, out_path)
+        _write_json(out_path / "report.json", report)
         return report
 
     closed = _geometric_closed_form_error(seq, result.inverse)
@@ -586,21 +603,18 @@ def run_wiener(cfg: dict, out_dir=None, fmt: str = "csv") -> dict:
     report["residual"] = _json_float(result.residual)
     if closed is not None:
         report["closed_form_max_err"] = _json_float(closed)
-    report["weighted_total"] = _json_float(partial[-1][1])
-    report["final_increment"] = _json_float(partial[-1][2])
+    report.update(_totals(partial[-1][1], partial[-1][2]))
 
     inverse_json = result.inverse.to_json()
     if fmt == "csv":
-        (out_path / "inverse.json").write_text(
-            json.dumps(inverse_json, sort_keys=True, indent=2) + "\n"
-        )
-        write_csv(out_path / "partial_sums.csv", _PARTIAL_SUMS_HEADER, partial)
+        _write_json(out_path / "inverse.json", inverse_json)
+        _write_csv(out_path / "partial_sums.csv", _PARTIAL_SUMS_HEADER, partial)
         report["inverse_json"] = "inverse.json"
         report["partial_sums_csv"] = "partial_sums.csv"
     else:
         report["inverse"] = inverse_json
-        report["partial_sums"] = [[r, total, inc] for r, total, inc in partial]
-    _write_report(report, out_path)
+        report["partial_sums"] = partial
+    _write_json(out_path / "report.json", report)
     return report
 
 
@@ -647,9 +661,10 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
         kern, grid = rec.pop("_kernel"), rec.pop("_grid")
         if trial == 0 and fmt == "csv":
             center = ((0,) * cfg.c, (0,) * cfg.c)
-            if center in kern.blocks:
-                name = "kernel_block_trial_000.csv"
-                kernel_block_to_csv(kern, center[0], center[1], out_path / name)
+            if center in kern.blocks:  # a zero centre offset assembles no block
+                name, blk = "kernel_block_trial_000.csv", kern.blocks[center].tolist()
+                _write_csv(out_path / name, ["i", "j", "re", "im"], ([i, j, z.real, z.imag]
+                           for i, row in enumerate(blk) for j, z in enumerate(row)))
                 rec["kernel_block_csv"] = name
             gname = "input_trial_000.grid"
             write_grid_function(grid, out_path / gname)
@@ -662,23 +677,21 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
 # -------------------------------------------------------------------- gen
 
 
+def _operator_fields(op: CDOperator) -> dict:
+    """A gen record's fields of its operator; run_gen writes them, verify_report re-derives them."""
+    return {"n_blocks": op.n_blocks, "envelope_l1": _json_float(fit_envelope(op, "nuclear").l1())}
+
+
 def run_gen(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
     """Write the trial operators themselves (JSON) plus a manifest."""
 
     def one_trial(trial: int) -> dict:
         op = generate_operator(cfg, trial)
-        return {
-            "trial": trial,
-            "n_blocks": len(op.blocks),
-            "envelope_l1": _json_float(fit_envelope(op, "nuclear").l1()),
-            "_op": op,
-        }
+        return {"trial": trial, **_operator_fields(op), "_op": op}
 
     def emit(trial: int, rec: dict, out_path: Path) -> dict:
         name = f"operator_trial_{trial:03d}.json"
-        (out_path / name).write_text(
-            json.dumps(rec.pop("_op").to_json(), sort_keys=True, indent=2) + "\n"
-        )
+        _write_json(out_path / name, rec.pop("_op").to_json())
         rec["operator_json"] = name
         return rec
 
@@ -749,66 +762,59 @@ def _read_table(out_dir: Path, csv_name, embedded, header: list, k: int,
     return rows, problems
 
 
-def _verify_envelope_rows(rows: list, rec: dict, weight: Weight) -> list:
-    """Re-derive an envelope table's columns; its last row must match the record."""
+def _compare_rows(rows: list, want: list, header: list) -> list:
+    """A problem for every cell of the read rows that differs from the re-derived ones."""
+    return [f"{label}: {name} mismatch"
+            for (label, ints, *floats), expected in zip(rows, want)
+            for name, got, w in zip(header, (*ints, *floats), expected)
+            if got != w]
+
+
+def _verify_envelope_table(rows: list, rec: dict, cfg: ExperimentConfig) -> list:
+    """Rebuild T1's envelope on |m| <= N from the (m, beta) columns; re-derive table and totals."""
+    trial, c, radius = rec.get("trial"), cfg.c, cfg.window_radius
+    if len(rows) != window_size(radius, c):
+        return [f"trial {trial}: {len(rows)} envelope rows, want {window_size(radius, c)}"]
+    values = np.zeros((2 * radius + 1,) * c)
     problems = []
-    running = 0.0
-    for label, m, beta, g, weighted, cumsum in rows:
-        if g != float(weight.eval_many(np.array([m], dtype=float))[0]):
-            problems.append(f"{label}: weight column mismatch")
-        if weighted != g * beta:
-            problems.append(f"{label}: weighted_beta mismatch")
-        running += weighted
-        if cumsum != running:
-            problems.append(f"{label}: cumsum mismatch")
-    last_weighted, last_cumsum = rows[-1][4:] if rows else (0.0, 0.0)
-    trial = rec.get("trial")
-    if rec.get("weighted_total") != last_cumsum:
-        problems.append(f"trial {trial}: weighted_total does not match its envelope table")
-    if rec.get("final_increment") != last_weighted:
-        problems.append(f"trial {trial}: final_increment does not match its envelope table")
-    return problems
+    for label, m, beta, *_ in rows:
+        if max(abs(x) for x in m) > radius:  # a negative index would wrap silently
+            problems.append(f"{label}: offset {m} outside the band |m| <= {radius}")
+        elif beta < 0:
+            problems.append(f"{label}: negative beta")
+        else:
+            values[tuple(x + radius for x in m)] = beta
+    if problems:
+        return problems
+    want = _envelope_table(Envelope(c, radius, values), cfg.weight)
+    return _compare_rows(rows, want, _envelope_header(c)) + [
+        f"trial {trial}: {key} does not match its envelope table"
+        for key, value in _totals(want[-1][-1], want[-1][-2]).items() if rec.get(key) != value]
 
 
 def _verify_wiener_partial_sums(report: dict, out_dir: Path) -> list:
     """Re-derive the partial sums from the stored inverse and the weight."""
     try:
-        cfg = report["config"]
-        weight = Weight.from_json(cfg["weight"])
-        out_radius = int(cfg["out_radius"])
+        _, _, out_radius, weight, _ = _wiener_inputs(report["config"])
         if report.get("inverse_json") is not None:
             inverse = json.loads((out_dir / report["inverse_json"]).read_text())
         else:
             inverse = report["inverse"]
         want = _wiener_partial_sums(FiniteSeq.from_json(inverse), weight, out_radius)
-        last_total, last_increment = want[-1][1:]
     except (OSError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         return [f"wiener inverse not reconstructible: {exc!r}"]
     rows, problems = _read_table(
         out_dir, report.get("partial_sums_csv"), report.get("partial_sums"),
         _PARTIAL_SUMS_HEADER, 1, "wiener report has no partial sums", "embedded partial sum")
-    if problems:
-        return problems
-    if len(rows) != len(want):
-        problems.append(f"{len(rows)} partial sum rows, want {len(want)}")
-    for (label, (radius,), total, inc), expected in zip(rows, want):
-        for name, g, w in zip(("radius", "partial_sum", "increment"),
-                              (radius, total, inc), expected):
-            if g != w:
-                problems.append(f"{label}: {name} mismatch")
-    if report.get("weighted_total") != last_total:
-        problems.append("weighted_total does not match the partial sums")
-    if report.get("final_increment") != last_increment:
-        problems.append("final_increment does not match the partial sums")
-    return problems
+    if not problems and len(rows) != len(want):
+        problems = [f"{len(rows)} partial sum rows, want {len(want)}"]
+    return problems or _compare_rows(rows, want, _PARTIAL_SUMS_HEADER) + [
+        f"{key} does not match the partial sums"
+        for key, value in _totals(want[-1][1], want[-1][2]).items() if report.get(key) != value]
 
 
-def _verify_kernel_files(records: list, cfg: dict, out_dir: Path) -> list:
+def _verify_kernel_files(records: list, cfg: ExperimentConfig, out_dir: Path) -> list:
     """Every file a kernel record names exists; the grid file reads back at (c, N, q)."""
-    try:
-        want = (int(cfg["c"]), int(cfg["N"]), int(cfg["q"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        return [f"config not reconstructible: {exc!r}"]
     problems = []
     for r in records:
         for key in ("kernel_block_csv", "grid_file"):
@@ -822,8 +828,32 @@ def _verify_kernel_files(records: list, cfg: dict, out_dir: Path) -> list:
         except ValueError as exc:
             problems.append(f"{path.name}: not a grid function: {exc}")
             continue
-        if (f.c, f.window_radius, f.q) != want:
+        if (f.c, f.window_radius, f.q) != (cfg.c, cfg.window_radius, cfg.q):
             problems.append(f"{path.name}: grid does not match the config's (c, N, q)")
+    return problems
+
+
+def _verify_gen_files(records: list, cfg: ExperimentConfig, out_dir: Path) -> list:
+    """Every operator file reads back at the config's geometry and gives its record's fields."""
+    want = (cfg.c, cfg.window_radius, cfg.band_radius, cfg.local_dim, cfg.boundary)
+    problems = []
+    for r in records:
+        trial = r.get("trial")
+        path = _named_file(out_dir, r.get("operator_json"))
+        if path is None:
+            problems.append(f"trial {trial}: operator file missing")
+            continue
+        try:
+            op = CDOperator.from_json(json.loads(path.read_text()))
+        except (OSError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            problems.append(f"{path.name}: not an operator: {exc!r}")
+            continue
+        if (op.c, op.window_radius, op.band_radius, op.local_dim, op.boundary) != want:
+            problems.append(f"{path.name}: operator does not match the config's "
+                            "(c, N, W, d, boundary)")
+            continue
+        problems.extend(f"trial {trial}: {key} does not match its operator file"
+                        for key, value in _operator_fields(op).items() if r.get(key) != value)
     return problems
 
 
@@ -856,36 +886,30 @@ def verify_report(path) -> list:
         for key, value in derived.items():
             if aggregates.get(key) != value:
                 problems.append(f"aggregate {key} does not match records")
-    ok = [r for r in records if "error" not in r]
-
-    if kind == "inverse_closedness":
-        for r in ok:
-            if not r.get("envelope_dominates", False):
-                problems.append(f"trial {r.get('trial')}: envelope domination violated")
-        try:
-            weight = Weight.from_json(cfg["weight"])
-            c = int(cfg["c"])
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            problems.append(f"config not reconstructible: {exc!r}")
-            return problems
-        header = envelope_header(c)
-        for r in ok:
-            trial = r.get("trial")
-            rows, table_problems = _read_table(
-                path.parent, r.get("envelope_csv"), r.get("envelope_rows"), header, c,
-                f"trial {trial}: no envelope table", f"trial {trial}: embedded row")
-            problems.extend(table_problems or _verify_envelope_rows(rows, r, weight))
-    elif kind == "wiener":
+    if kind == "wiener":
         if "error" not in report:
             if report.get("residual") is None:
                 problems.append("wiener report has neither residual nor error")
             problems.extend(_verify_wiener_partial_sums(report, path.parent))
+        return problems
+    if kind not in ("inverse_closedness", "kernel", "gen"):
+        return problems + [f"unknown report kind {kind!r}"]
+    try:  # the parser of the command line, so the checks below see a valid config
+        cfg = ExperimentConfig.from_json(cfg)
+    except ConfigError as exc:
+        return problems + [f"config not reconstructible: {exc}"]
+    if kind == "inverse_closedness":
+        header = _envelope_header(cfg.c)
+        for r in (r for r in records if "error" not in r):
+            trial = r.get("trial")
+            if not r.get("envelope_dominates", False):
+                problems.append(f"trial {trial}: envelope domination violated")
+            rows, table_problems = _read_table(
+                path.parent, r.get("envelope_csv"), r.get("envelope_rows"), header, cfg.c,
+                f"trial {trial}: no envelope table", f"trial {trial}: embedded row")
+            problems.extend(table_problems or _verify_envelope_table(rows, r, cfg))
     elif kind == "gen":
-        for r in records:
-            if _named_file(path.parent, r.get("operator_json")) is None:
-                problems.append(f"trial {r.get('trial')}: operator file missing")
-    elif kind == "kernel":
-        problems.extend(_verify_kernel_files(records, cfg, path.parent))
+        problems.extend(_verify_gen_files(records, cfg, path.parent))
     else:
-        problems.append(f"unknown report kind {kind!r}")
+        problems.extend(_verify_kernel_files(records, cfg, path.parent))
     return problems

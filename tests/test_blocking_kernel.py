@@ -11,7 +11,6 @@ from decayalg.blocking_kernel import (
     assemble_kernel,
     attach_svd_factorizations,
     block,
-    kernel_block_to_csv,
     read_grid_function,
     unblock,
     write_grid_function,
@@ -22,6 +21,7 @@ from decayalg.cd_operator import (
     ShapeMismatch,
     apply,
 )
+from decayalg.harness import ExperimentConfig, generate_operator, run_kernel, verify_report
 from decayalg.lattice import window_indices, window_size
 
 
@@ -196,15 +196,25 @@ def test_grid_function_file_rejects_corruption(tmp_path):
 
 
 def test_kernel_block_csv(tmp_path):
-    blk = np.array([[1.0 + 2.0j, 0.0], [0.5, -1.0j]])
-    kern = Kernel(1, 1, 2, {((0,), (1,)): blk})
-    path = tmp_path / "block.csv"
-    kernel_block_to_csv(kern, (0,), (1,), path)
-    lines = path.read_text().splitlines()
+    # the kernel run writes trial 0's centre block as rows i,j,re,im (raster indices)
+    cfg = ExperimentConfig(seed=5, window_radius=2, local_dim=2, q=2, block_rank=2)
+    report = run_kernel(cfg, out_dir=tmp_path)
+    assert report["records"][0]["kernel_block_csv"] == "kernel_block_trial_000.csv"
+    lines = (tmp_path / "kernel_block_trial_000.csv").read_text().splitlines()
     assert lines[0] == "i,j,re,im"
     assert len(lines) == 5
-    i, j, re, im = lines[1].split(",")
-    assert (int(i), int(j)) == (0, 0)
-    assert complex(float(re), float(im)) == 1.0 + 2.0j
-    with pytest.raises(KeyError):
-        kernel_block_to_csv(kern, (0,), (0,), path)
+    blk = assemble_kernel(generate_operator(cfg, 0), cfg.q).blocks[((0,), (0,))]
+    cells = [line.split(",") for line in lines[1:]]
+    assert [(int(i), int(j)) for i, j, _, _ in cells] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for i, j, re, im in cells:
+        assert complex(float(re), float(im)) == blk[int(i), int(j)]
+
+
+def test_kernel_run_with_a_zero_centre_writes_no_block_csv(tmp_path):
+    # no block sits at offset 0, so the centre kernel block does not exist
+    profile = {"kind": "table", "values": [0.2, 0.0, 0.2]}
+    cfg = ExperimentConfig(seed=5, window_radius=2, local_dim=2, q=2, envelope_profile=profile)
+    report = run_kernel(cfg, out_dir=tmp_path)
+    assert not (tmp_path / "kernel_block_trial_000.csv").exists()
+    assert "kernel_block_csv" not in report["records"][0]
+    assert verify_report(tmp_path / "report.json") == []

@@ -9,7 +9,6 @@ from decayalg.cd_operator import (
     BlockVector,
     CDOperator,
     Envelope,
-    EnvelopeReport,
     NotShiftInvariant,
     NumericallySingular,
     ShapeMismatch,
@@ -23,6 +22,7 @@ from decayalg.cd_operator import (
     lp_accumulate,
     shift_decomposition,
 )
+from decayalg.harness import _envelope_header, _envelope_table, _write_csv
 from decayalg.lattice import window_indices, window_size
 from decayalg.nuclear_blocks import trace_norm
 from decayalg.seq_algebra import TorusPoint
@@ -228,22 +228,22 @@ def test_envelope_validation():
 def test_envelope_report_order_and_cumsum():
     # rows walk outward shell by shell, lexicographic inside a shell
     env = Envelope(2, 1, np.ones((3, 3)))
-    rep = EnvelopeReport.build(env, Weight())
-    ms = [row[0] for row in rep.rows]
+    rows = _envelope_table(env, Weight())
+    ms = [tuple(row[:2]) for row in rows]
     assert ms[0] == (0, 0)
     assert set(ms[1:]) == set(window_indices(1, 2)) - {(0, 0)}
     assert ms[1] == (-1, -1)
-    cums = [row[4] for row in rep.rows]
+    cums = [row[-1] for row in rows]
     assert cums == sorted(cums)
-    assert rep.total == pytest.approx(9.0)
-    assert rep.final_increment == pytest.approx(1.0)
+    assert rows[-1][-1] == pytest.approx(9.0)
+    assert rows[-1][-2] == pytest.approx(1.0)
 
 
 def test_envelope_report_csv(tmp_path):
     env = Envelope(1, 1, np.array([0.25, 1.0, 0.5]))
-    rep = EnvelopeReport.build(env, Weight(s=1.0))
+    rows = _envelope_table(env, Weight(s=1.0))
     path = tmp_path / "env.csv"
-    rep.to_csv(path)
+    _write_csv(path, _envelope_header(1), rows)
     lines = path.read_text().splitlines()
     assert lines[0] == "m_1,beta,weight,weighted_beta,cumsum"
     assert len(lines) == 4
@@ -254,7 +254,7 @@ def test_envelope_report_csv(tmp_path):
     last = lines[3].split(",")
     assert last[0] == "1"
     assert float(last[3]) == pytest.approx(1.0)
-    assert float(last[4]) == pytest.approx(rep.total)
+    assert float(last[4]) == pytest.approx(rows[-1][-1])
 
 
 def test_decay_slope_exponential():
@@ -275,7 +275,7 @@ def test_invert_one_plus_matches_dense_inverse():
     # scale down so 1 + T is comfortably invertible
     op = CDOperator(op.c, op.window_radius, op.band_radius, op.local_dim,
                     op.boundary, {km: 0.1 * blk for km, blk in op.blocks.items()})
-    res = invert_one_plus(op, Weight(s=1.0))
+    res = invert_one_plus(op)
     n = op.n_cells * d
     dense = densify(op)
     want = np.linalg.inv(np.eye(n) + dense) - np.eye(n)
@@ -283,10 +283,11 @@ def test_invert_one_plus_matches_dense_inverse():
     assert res.residual <= 1e-12
     assert res.condition >= 1.0
     assert res.t1.band_radius == N
-    assert res.envelope_report.total > 0
-    # the report's betas really dominate the re-blocked correction
+    table = _envelope_table(res.envelope, Weight(s=1.0))
+    assert table[-1][-1] > 0
+    # the table's betas really dominate the re-blocked correction
     for (k, m), blk in res.t1.blocks.items():
-        assert trace_norm(blk) <= res.envelope_report.rows[0][4] + res.envelope_report.total
+        assert trace_norm(blk) <= table[0][-1] + table[-1][-1]
 
 
 def test_invert_one_plus_rejects_singular_and_dirichlet():
@@ -294,21 +295,21 @@ def test_invert_one_plus_rejects_singular_and_dirichlet():
         1, 2, 0, 2, "circulant", {(0,): -np.eye(2, dtype=complex)}
     )
     with pytest.raises(NumericallySingular):
-        invert_one_plus(op, Weight())
+        invert_one_plus(op)
     rng = np.random.default_rng(43)
     diri = random_op(rng, 1, 2, 1, 2, "dirichlet")
     with pytest.raises(ValueError):
-        invert_one_plus(diri, Weight())
+        invert_one_plus(diri)
 
 
 def test_invert_one_plus_residual_identity():
-    # T = 0: the correction is zero and the report is all zeros
+    # T = 0: the correction is zero and the envelope table is all zeros
     op = CDOperator(1, 2, 0, 2, "circulant", blocks={})
-    res = invert_one_plus(op, Weight())
+    res = invert_one_plus(op)
     assert res.residual == 0.0
     assert res.condition == pytest.approx(1.0)
     np.testing.assert_array_equal(densify(res.t1), np.zeros((10, 10)))
-    assert res.envelope_report.total == 0.0
+    assert _envelope_table(res.envelope, Weight())[-1][-1] == 0.0
 
 
 # ---------------------------------------------------------- serialization
@@ -439,7 +440,7 @@ def test_inverse_is_two_sided_identity():
         scale = 0.5 / fit_envelope(op, "nuclear").l1()
         op = CDOperator(op.c, op.window_radius, op.band_radius, op.local_dim,
                         op.boundary, {km: blk * scale for km, blk in op.blocks.items()})
-        t1 = invert_one_plus(op, Weight()).t1
+        t1 = invert_one_plus(op).t1
         x = random_vector(rng, 1, 4, 2)
         for first, second in ((t1, op), (op, t1)):
             y = x.values + apply(first, x).values
@@ -459,7 +460,7 @@ def test_scalar_shift_inverse_is_geometric():
     L = 2 * N + 1
     op = CDOperator.shift_invariant(1, N, 1, 1, "circulant",
                                     {(1,): [[alpha]]})
-    t1 = invert_one_plus(op, Weight()).t1
+    t1 = invert_one_plus(op).t1
     env = fit_envelope(t1, "nuclear")
     wrap = 1.0 / (1.0 - (-alpha) ** L)
     for m in range(-N, N + 1):

@@ -163,6 +163,23 @@ def test_verify_report_non_numeric_csv_cell_exits_4(tmp_path, capsys):
     assert_verify_problem(capsys, report, "envelope_trial_000.csv:2: bad cell")
 
 
+def test_verify_report_offset_outside_the_band_exits_4(tmp_path, capsys):
+    report = invert_report(tmp_path, "csv")
+    csv_path = report.parent / "envelope_trial_000.csv"
+    lines = csv_path.read_text().splitlines()
+    lines[2] = ",".join(["-7"] + lines[2].split(",")[1:])  # -7 + N would wrap as an index
+    csv_path.write_text("\n".join(lines) + "\n")
+    assert_verify_problem(capsys, report, "envelope_trial_000.csv:3: offset (-7,) outside the band")
+
+
+def test_verify_report_junk_operator_file_exits_4(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+    (out / "operator_trial_000.json").write_text("junk")
+    assert_verify_problem(capsys, out / "report.json", "operator_trial_000.json: not an operator")
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda rows: rows[0].__setitem__(0, "x"), "bad cell"),
     (lambda rows: rows[0].__setitem__(0, 1.5), "bad cell"),  # an index must be an int
@@ -227,6 +244,12 @@ def test_non_numeric_profile_parameter_exits_2(tmp_path, capsys, profile):
 def test_infinite_profile_parameter_exits_2(tmp_path, capsys, profile):
     cfg = write_raw_config(tmp_path / "cfg.json", profile)
     assert_config_error(tmp_path, capsys, ["kernel", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("field", ["seed", "c", "N", "trials"])
+def test_infinite_integer_field_exits_2(tmp_path, capsys, field):
+    cfg = write_config(tmp_path / "cfg.json", **{field: float("inf")})
+    assert_config_error(tmp_path, capsys, ["invert", "--config", str(cfg)])
 
 
 def wiener_config(path, **fields):

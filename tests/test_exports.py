@@ -1,7 +1,12 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves and every imported name is used or exported.
 
+A deletion can then leave neither a stale export nor a stale import.
+"""
+
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +24,31 @@ def test_every_exported_name_exists(name):
     assert len(exported) == len(set(exported))
     assert [n for n in exported if not hasattr(module, n)] == []
 
+
+
+def imported_but_unused(source: str) -> list:
+    """Names a module imports (past __future__) that it never reads and does not export."""
+    tree = ast.parse(source)
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in read | exported]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used_or_exported(name):
+    module = importlib.import_module(name)
+    assert imported_but_unused(Path(module.__file__).read_text()) == []
+
+
+def test_imported_but_unused_sees_a_stale_import():
+    source = "from .a import Kept, Stale\nimport numpy as np\n__all__ = ['Kept']\nnp.zeros(1)\n"
+    assert imported_but_unused(source) == ["Stale"]

@@ -336,7 +336,7 @@ def test_run_inverse_closedness_rejects_dirichlet(tmp_path):
 def test_run_inverse_closedness_slope_from_fitted_envelope(tmp_path):
     cfg = small_config(trials=1)
     report = run_inverse_closedness(cfg, out_dir=tmp_path)
-    res = invert_one_plus(generate_operator(cfg, 0), cfg.weight)
+    res = invert_one_plus(generate_operator(cfg, 0))
     assert np.array_equal(res.envelope.values, fit_envelope(res.t1, "nuclear").values)
     assert report["records"][0]["slope"] == decay_slope(res.envelope)
 
@@ -490,6 +490,86 @@ def test_verify_report_checks_final_increment_against_embedded_rows(tmp_path):
     problems = tamper(tmp_path / "report.json",
                       lambda r: r["records"][0].update(final_increment=0.5))
     assert problems == ["trial 0: final_increment does not match its envelope table"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_report_rederives_the_offsets_of_an_envelope_table(tmp_path, fmt):
+    # the row of m = 1 claims m = -1: the weight (1+|m|) is symmetric, so only
+    # re-deriving the table from its (m, beta) columns sees it
+    run_inverse_closedness(small_config(trials=1), out_dir=tmp_path, fmt=fmt)
+    path = tmp_path / "report.json"
+    if fmt == "csv":
+        csv_path = tmp_path / "envelope_trial_000.csv"
+        lines = csv_path.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("1,"))
+        lines[row] = "-1" + lines[row][1:]
+        csv_path.write_text("\n".join(lines) + "\n")
+        label = f"envelope_trial_000.csv:{row + 1}"
+        problems = verify_report(path)
+    else:
+        rows = json.loads(path.read_text())["records"][0]["envelope_rows"]
+        row = next(i for i, cells in enumerate(rows) if cells[0] == 1)
+        problems = tamper(path, lambda r: r["records"][0]["envelope_rows"][row].__setitem__(0, -1))
+        label = f"trial 0: embedded row {row}"
+    assert f"{label}: m_1 mismatch" in problems
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (0, 9, "offset (9,) outside the band |m| <= 3"),
+    (0, -5, "offset (-5,) outside the band |m| <= 3"),  # would wrap as an index
+    (1, -0.5, "negative beta"),
+])
+def test_verify_report_lists_an_impossible_envelope_row(tmp_path, column, value, message):
+    run_inverse_closedness(small_config(trials=1), out_dir=tmp_path, fmt="json")
+    problems = tamper(tmp_path / "report.json",
+                      lambda r: r["records"][0]["envelope_rows"][2].__setitem__(column, value))
+    assert problems == [f"trial 0: embedded row 2: {message}"]
+
+
+def test_verify_report_counts_the_envelope_rows(tmp_path):
+    run_inverse_closedness(small_config(trials=1), out_dir=tmp_path, fmt="json")
+    problems = tamper(tmp_path / "report.json", lambda r: r["records"][0]["envelope_rows"].pop())
+    assert problems == ["trial 0: 6 envelope rows, want 7"]
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"c": 2, "window_radius": 2},
+    {"boundary": "dirichlet", "band_radius": 2,
+     "envelope_profile": {"kind": "polynomial", "power": 2.0}},
+])
+def test_verify_report_rederives_gen_records_bitwise(tmp_path, overrides):
+    run_gen(small_config(**overrides), out_dir=tmp_path)
+    assert verify_report(tmp_path / "report.json") == []
+
+
+def test_verify_report_reads_the_operator_files_back(tmp_path):
+    run_gen(small_config(trials=2), out_dir=tmp_path)
+    path = tmp_path / "report.json"
+    original = path.read_text()
+    problems = tamper(path, lambda r: r["records"][1].update(n_blocks=r["records"][1]["n_blocks"] - 1))
+    assert problems == ["trial 1: n_blocks does not match its operator file"]
+    path.write_text(original)
+    problems = tamper(path, lambda r: r["records"][0].update(envelope_l1=0.25))
+    assert problems == ["trial 0: envelope_l1 does not match its operator file"]
+    path.write_text(original)
+    (tmp_path / "operator_trial_000.json").write_text("junk")
+    problems = verify_report(path)
+    assert len(problems) == 1
+    assert problems[0].startswith("operator_trial_000.json: not an operator")
+    # a well-formed operator of another window
+    other = generate_operator(small_config(window_radius=2), 0)
+    (tmp_path / "operator_trial_000.json").write_text(json.dumps(other.to_json()))
+    assert verify_report(path) == [
+        "operator_trial_000.json: operator does not match the config's (c, N, W, d, boundary)"]
+
+
+@pytest.mark.parametrize("runner", [run_inverse_closedness, run_kernel, run_gen])
+def test_verify_report_parses_the_config_like_the_command_line(tmp_path, runner):
+    runner(small_config(), out_dir=tmp_path)
+    problems = tamper(tmp_path / "report.json", lambda r: r["config"].update(N=float("inf")))
+    assert len(problems) == 1
+    assert problems[0].startswith("config not reconstructible: non-integer field")
 
 
 def test_verify_report_finds_a_missing_kernel_sidecar(tmp_path):

@@ -32,7 +32,6 @@ from decayalg.cd_operator import (
 from decayalg.lattice import flat_offset, window_indices, window_size, wrap_index
 from decayalg.nuclear_blocks import operator_norm, svd_factorization, trace_norm
 from decayalg.seq_algebra import TorusPoint
-from decayalg.weights import Weight
 
 
 def bits(a):
@@ -304,7 +303,7 @@ def test_invert_reblocking_equals_block_by_block(c, N, d):
     op = random_op(rng, c, N, min(N, 1), d, "circulant", 1.0)
     op = CDOperator(c, N, op.band_radius, d, "circulant",
                     {key: 0.05 * blk for key, blk in op.blocks.items()})
-    res = invert_one_plus(op, Weight())
+    res = invert_one_plus(op)
     n = op.n_cells * d
     corr = np.linalg.inv(np.eye(n) + densify(op)) - np.eye(n)
     want = ref_reblock(corr, c, N, d)
