@@ -50,9 +50,10 @@ numpy uint64 arithmetic, and the scrambler is applied to the whole block
 at once.  A trial's operator draws its words with one call.  Box-Muller
 keeps the scalar formulas:
 uniforms, 1 - u, sqrt and the products are correctly rounded in numpy
-and so agree bit for bit, but log, cos and sin go through `math` (libm)
-because numpy's own versions differ from libm in the last bit on some
-inputs.
+and so agree bit for bit.  numpy's float64 cos and sin call the C
+library once per element and give `math.cos`/`math.sin`'s bits (a test
+guards this); its SIMD log differs from libm in the last bit on some
+inputs, so log goes through `math.log`.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def splitmix64(x: int) -> tuple:
 
 _UNIT = 2.0 ** -53
 _NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)[:, None]
-_NIBBLE_BASE = 16 * np.arange(64)
+_NIBBLE_BASE = np.arange(64)
 _LEVELS = 8  # doubling levels cached per lane length; later lanes jump in blocks of 128
 _JUMPS: dict = {}  # (lane, level) -> unit images of A^(lane * 2^level)
 
@@ -112,15 +113,16 @@ def _jump(images: np.ndarray, states: np.ndarray) -> np.ndarray:
     to every column of states (shape (4, M)).
 
     State bit i is bit i % 64 of word i // 64, so nibble b holds bits
-    4b..4b+3.  Row 16 b + v of the nibble tables is the image of the state
+    4b..4b+3.  Row 64 v + b of the nibble tables is the image of the state
     whose nibble b is v, and a state's image is the XOR of 64 table rows.
+    The tables are built as 16 slabs of 64 rows, one XOR per doubling.
     """
     images = images.reshape(64, 4, 4)
-    tables = np.zeros((64, 16, 4), dtype=np.uint64)
+    tables = np.zeros((16, 64, 4), dtype=np.uint64)
     for k in range(4):
-        tables[:, 1 << k:2 << k] = tables[:, :1 << k] ^ images[:, k, None]
+        np.bitwise_xor(tables[:1 << k], images[:, k], out=tables[1 << k:2 << k])
     nibbles = (states[:, None, :] >> _NIBBLE_SHIFTS) & np.uint64(0xF)
-    rows = nibbles.reshape(64, -1).astype(np.intp) + _NIBBLE_BASE[:, None]
+    rows = nibbles.reshape(64, -1).astype(np.intp) * 64 + _NIBBLE_BASE[:, None]
     return np.bitwise_xor.reduce(np.take(tables.reshape(1024, 4), rows, axis=0), axis=0).T
 
 
@@ -158,10 +160,6 @@ def uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * _UNIT
 
 
-def _libm(fn, values: list, shape) -> np.ndarray:
-    return np.fromiter(map(fn, values), dtype=float, count=len(values)).reshape(shape)
-
-
 def box_muller(words: np.ndarray) -> np.ndarray:
     """Normals from consecutive word pairs, as `normal()` draws a fresh pair.
 
@@ -169,12 +167,12 @@ def box_muller(words: np.ndarray) -> np.ndarray:
     r sin(theta) in the same two places of the float64 result.
     """
     u1 = 1.0 - uniforms(words[..., 0::2])
-    shape = u1.shape
-    r = np.sqrt(-2.0 * _libm(math.log, u1.ravel().tolist(), shape))
-    theta = (2.0 * math.pi * uniforms(words[..., 1::2])).ravel().tolist()
+    logs = np.fromiter(map(math.log, u1.ravel().tolist()), dtype=float, count=u1.size)
+    r = np.sqrt(-2.0 * logs.reshape(u1.shape))
+    theta = 2.0 * math.pi * uniforms(words[..., 1::2])
     out = np.empty(words.shape, dtype=float)
-    out[..., 0::2] = r * _libm(math.cos, theta, shape)
-    out[..., 1::2] = r * _libm(math.sin, theta, shape)
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
     return out
 
 

@@ -180,6 +180,14 @@ def test_verify_report_junk_operator_file_exits_4(tmp_path, capsys):
     assert_verify_problem(capsys, out / "report.json", "operator_trial_000.json: not an operator")
 
 
+def test_verify_report_version_1_report_exits_4(tmp_path, capsys):
+    report = invert_report(tmp_path, "csv")
+    obj = json.loads(report.read_text())
+    obj["format_version"] = 1  # trace norms of rank <= 2 blocks changed in version 2
+    report.write_text(json.dumps(obj))
+    assert_verify_problem(capsys, report, "unsupported format_version 1")
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda rows: rows[0].__setitem__(0, "x"), "bad cell"),
     (lambda rows: rows[0].__setitem__(0, 1.5), "bad cell"),  # an index must be an int

@@ -2,8 +2,10 @@
 
 `tests/golden/sha256.json` maps each case below to {file name: sha256}
 of everything its CLI command writes.  The digests were taken from the
-code before the generation path was vectorized; a change that alters
-any byte must explain why in CHANGES.md and show value-level agreement.
+code before the generation path was vectorized and re-pinned once, for
+format version 2 (closed-form trace norms of rank <= 2 generated blocks,
+different in the last bits); a change that alters any byte must explain
+why in CHANGES.md and show value-level agreement.
 Never regenerate the digests just to make this test pass.
 """
 

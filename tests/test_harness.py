@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from decayalg.blocking_kernel import GridFunction, write_grid_function
 from decayalg.cd_operator import densify, fit_envelope
 from decayalg.harness import (
+    FORMAT_VERSION,
     ConfigError,
     ExperimentConfig,
+    _trace_norms,
     envelope_values,
     generate_operator,
     parse_symbol,
@@ -54,7 +56,7 @@ def test_config_round_trip():
     obj = json.loads(json.dumps(cfg.to_json()))
     back = ExperimentConfig.from_json(obj)
     assert back == cfg
-    assert obj["format_version"] == 1
+    assert obj["format_version"] == FORMAT_VERSION
 
 
 @pytest.mark.parametrize("patch", [
@@ -135,8 +137,30 @@ def test_generate_operator_factorizations_assemble():
         np.testing.assert_allclose(np.outer(y[i, 0], a[i, 0]), blk, rtol=1e-12, atol=1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 8), rank=st.integers(1, 2), seed=st.integers(0, 2**32),
+       parallel=st.booleans(), scales=st.tuples(st.floats(-3, 3), st.floats(-3, 3)))
+def test_trace_norms_closed_form_matches_svd(d, rank, seed, parallel, scales):
+    rank = min(rank, d)
+    gen = np.random.default_rng(seed)
+    xs = gen.standard_normal((16, d, rank)) + 1j * gen.standard_normal((16, d, rank))
+    ys = gen.standard_normal((16, rank, d)) + 1j * gen.standard_normal((16, rank, d))
+    if parallel and rank == 2:  # nearly rank one: ad - bc would cancel to noise
+        xs[:, :, 1] = (0.3 - 0.7j) * xs[:, :, 0] + 1e-8 * xs[:, :, 1]
+        ys[:, 1] = (1.1 + 0.2j) * ys[:, 0] + 1e-8 * ys[:, 1]
+    xs *= 10.0 ** scales[0]
+    ys *= 10.0 ** scales[1]
+    g = xs @ ys
+    want = np.linalg.svd(g, compute_uv=False).sum(axis=-1)
+    np.testing.assert_allclose(_trace_norms(g, xs, ys), want, rtol=4e-15, atol=0)
+
+
 def reference_operator(cfg, trial):
-    """Block-by-block generation from the scalar draws: the spec of the bulk path."""
+    """Block-by-block generation from the scalar draws: the spec of the bulk path.
+
+    The trace norm comes from `_trace_norms` on a one-block stack, which
+    `test_trace_norms_closed_form_matches_svd` checks against LAPACK.
+    """
     rng = Xoshiro256StarStar(cfg.seed, stream=trial)
     beta = envelope_values(cfg)
     d, rank = cfg.local_dim, cfg.block_rank
@@ -158,7 +182,7 @@ def reference_operator(cfg, trial):
             x = draw(d, rank)
             y = draw(rank, d)
             g = x @ y
-            scale = target * r_km / trace_norm(g)
+            scale = target * r_km / _trace_norms(g[None], x[None], y[None])[0]
             blocks[(k, m)] = g * scale
             terms[(k, m)] = [(scale * y[i, :], x[:, i].copy()) for i in range(rank)]
     return blocks, terms

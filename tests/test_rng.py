@@ -236,3 +236,11 @@ def test_box_muller_matches_a_fresh_pair():
     out = box_muller(words)
     scalar = Xoshiro256StarStar(3)
     assert np.array_equal(bits(out.ravel()), bits([scalar.normal() for _ in range(8)]))
+
+
+def test_numpy_trig_equals_libm_on_stream_angles():
+    # box_muller takes cos and sin from numpy; they must give libm's bits
+    theta = 2.0 * math.pi * rng.uniforms(Xoshiro256StarStar(41, stream=2).u64_array(1 << 17))
+    values = theta.tolist()
+    assert np.array_equal(bits(np.cos(theta)), bits([math.cos(t) for t in values]))
+    assert np.array_equal(bits(np.sin(theta)), bits([math.sin(t) for t in values]))
