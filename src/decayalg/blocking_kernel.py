@@ -33,7 +33,6 @@ from .cd_operator import (
     ShapeMismatch,
     lp_accumulate,
     route,
-    split_passes,
     sum_groups,
 )
 from .lattice import flat_offsets, window_array, window_indices, window_size
@@ -154,16 +153,15 @@ def assemble_kernel(op: CDOperator, q: int) -> Kernel:
     if op.factors is None:
         raise MissingFactorization("operator carries no factor terms")
     h_pow = q ** (-op.c)
-    cells, sources = route(op)
-    live = np.flatnonzero(sources >= 0)
-    a, y = op.factors[0][live], op.factors[1][live]
-    assembled = np.zeros((len(live), op.local_dim, op.local_dim), dtype=np.complex128)
+    rows, cells, sources = route(op)
+    a, y = op.factors[0][rows], op.factors[1][rows]
+    assembled = np.zeros((len(rows), op.local_dim, op.local_dim), dtype=np.complex128)
     for j in range(a.shape[1]):
         assembled += y[:, j, :, None] * a[:, j, None, :]
     n = op.n_cells
-    codes, group = np.unique(cells[live] * n + sources[live], return_inverse=True)
+    codes, group = np.unique(cells * n + sources, return_inverse=True)
     stack = sum_groups(assembled / h_pow, group,
-                       flat_offsets(op.keys[live, 1], op.band_radius))
+                       flat_offsets(op.keys[rows, 1], op.band_radius))
     window = window_array(op.window_radius, op.c)
     keys = np.stack((window[codes // n], window[codes % n]), axis=1)
     return Kernel.from_arrays(op.c, op.window_radius, q, keys, stack)
@@ -179,10 +177,10 @@ def apply_kernel(kernel: Kernel, f: GridFunction) -> GridFunction:
     h_pow = kernel.q ** (-kernel.c)
     rows_k = flat_offsets(kernel.keys[:, 0], kernel.window_radius)
     rows_l = flat_offsets(kernel.keys[:, 1], kernel.window_radius)
+    rows = np.lexsort((rows_l, rows_k))
+    prod = (kernel.stack[rows] @ f.values[rows_l[rows], :, None])[..., 0]
     out = np.zeros_like(f.values)
-    for rows in split_passes(rows_k, rows_l):
-        prod = (kernel.stack[rows] @ f.values[rows_l[rows], :, None])[..., 0]
-        out[rows_k[rows]] += prod * h_pow
+    np.add.at(out, rows_k[rows], prod * h_pow)
     return GridFunction(f.c, f.window_radius, f.q, out)
 
 

@@ -29,10 +29,11 @@ operator carries them.  All are validated in bulk once, at
 construction, and are read-only afterwards.  `blocks` is a read-only
 {(k, m): block} view whose values are rows of the stack.
 `route` is the one place a block is routed to its source cell; apply,
-densify, compose and the kernel assembly all go through it, and then do
-a fixed number of numpy calls per pass over the stack, where a pass
-holds at most one block per target, so additions into one target happen
-in the same order as a block-by-block walk over sorted keys.
+densify, compose and the kernel assembly all go through it, and each
+adds its terms with one np.add.at over terms sorted by target and then
+by the order of a block-by-block walk over sorted keys.  The results
+rely on add.at being unbuffered: it adds repeated indices one at a time,
+in index order, so every target sums its terms in that walk's order.
 """
 
 from __future__ import annotations
@@ -361,34 +362,21 @@ class CDOperator(BlockStore):
 
 
 def route(op: CDOperator) -> tuple:
-    """(cells, sources): flat window rows of each block's cell k and source k - m.
+    """(rows, cells, sources) of the blocks that land in the window, in (cell, offset) order.
 
-    The circulant boundary wraps the source into the window; the
-    dirichlet boundary drops a source outside it, marked -1.
+    cells and sources are the flat window rows of each block's cell k and
+    source k - m.  The circulant boundary wraps the source into the
+    window; the dirichlet boundary drops a block whose source is outside.
     """
     radius = op.window_radius
     k, m = op.keys[:, 0], op.keys[:, 1]
     src = k - m
     if op.boundary == "circulant":
         src = (src + radius) % (2 * radius + 1) - radius
-    sources = flat_offsets(src, radius)
-    sources[np.abs(src).max(axis=1, initial=0) > radius] = -1
-    return flat_offsets(k, radius), sources
-
-
-def split_passes(group: np.ndarray, order: np.ndarray) -> list:
-    """Positions split into passes: pass p holds the p-th member of every group.
-
-    Members of a group are ranked by ascending `order`, so no group
-    appears twice in a pass and running the passes in turn visits each
-    group's members in that order.
-    """
-    ranked = np.lexsort((order, group))
-    g = group[ranked]
-    starts = np.flatnonzero(np.diff(g, prepend=-1))
-    rank = np.arange(len(g)) - np.repeat(starts, np.diff(np.append(starts, len(g))))
-    by_pass = ranked[np.argsort(rank, kind="stable")]
-    return np.split(by_pass, np.cumsum(np.bincount(rank))[:-1])
+    cells = flat_offsets(k, radius)
+    rows = np.lexsort((flat_offsets(m, op.band_radius), cells))
+    rows = rows[np.abs(src[rows]).max(axis=1, initial=0) <= radius]
+    return rows, cells[rows], flat_offsets(src[rows], radius)
 
 
 def sum_groups(values: np.ndarray, group: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -398,41 +386,26 @@ def sum_groups(values: np.ndarray, group: np.ndarray, order: np.ndarray) -> np.n
     assigned, not added to zero, as a dict that stores a key's first
     product and adds the rest would do.
     """
+    ranked = np.lexsort((order, group))
+    g = group[ranked]
+    first = np.diff(g, prepend=-1) != 0
     out = np.empty((group.max(initial=-1) + 1,) + values.shape[1:], dtype=values.dtype)
-    for p, rows in enumerate(split_passes(group, order)):
-        if p == 0:
-            out[group[rows]] = values[rows]
-        else:
-            out[group[rows]] += values[rows]
+    out[g[first]] = values[ranked[first]]
+    np.add.at(out, g[~first], values[ranked[~first]])
     return out
 
 
-def _offset_passes(op: CDOperator):
-    """(rows, cells, sources) per pass over the blocks that route somewhere.
-
-    Pass p holds the p-th offset (ascending) of every cell, so adding the
-    passes in turn repeats, for each cell, the additions of a walk over
-    the blocks in sorted (m, k) order.
-    """
-    cells, sources = route(op)
-    live = np.flatnonzero(sources >= 0)
-    offsets = flat_offsets(op.keys[live, 1], op.band_radius)
-    for rows in split_passes(cells[live], offsets):
-        rows = live[rows]
-        yield rows, cells[rows], sources[rows]
-
-
 def apply(op: CDOperator, x: BlockVector) -> BlockVector:
-    """Apply the operator; accumulation runs in (offset, cell) order."""
+    """Apply the operator; each cell adds its terms in ascending offset order."""
     if x.c != op.c or x.window_radius != op.window_radius:
         raise ShapeMismatch("vector window does not match operator window")
     if x.local_dim != op.local_dim:
         raise ShapeMismatch(
             f"vector payload dim {x.local_dim} != operator dim {op.local_dim}"
         )
+    rows, cells, sources = route(op)
     out = np.zeros_like(x.values)
-    for rows, cells, sources in _offset_passes(op):
-        out[cells] += (op.stack[rows] @ x.values[sources, :, None])[..., 0]
+    np.add.at(out, cells, (op.stack[rows] @ x.values[sources, :, None])[..., 0])
     return BlockVector(op.c, op.window_radius, out)
 
 
@@ -448,21 +421,20 @@ def compose(a: CDOperator, b: CDOperator) -> CDOperator:
     for attr in ("c", "window_radius", "local_dim", "boundary"):
         if getattr(a, attr) != getattr(b, attr):
             raise ShapeMismatch(f"operands differ in {attr}")
-    cells_a, sources_a = route(a)
-    live = np.flatnonzero(sources_a >= 0)
+    rows_a, cells_a, sources_a = route(a)
     # pair every block (k, m1) of a with each block (j, m2) of b at its source j
     cells_b = flat_offsets(b.keys[:, 0], b.window_radius)
     per_cell = np.bincount(cells_b, minlength=a.n_cells)
     first = np.cumsum(per_cell) - per_cell
-    fan = per_cell[sources_a[live]]
-    ia = np.repeat(live, fan)
-    step = np.repeat(first[sources_a[live]] - (np.cumsum(fan) - fan), fan)
+    fan = per_cell[sources_a]
+    ia = np.repeat(rows_a, fan)
+    step = np.repeat(first[sources_a] - (np.cumsum(fan) - fan), fan)
     ib = np.argsort(cells_b, kind="stable")[step + np.arange(len(ia))]
 
     band = a.band_radius + b.band_radius
     m1 = a.keys[ia, 1]
     m = m1 + b.keys[ib, 1]
-    target = cells_a[ia] * window_size(band, a.c) + flat_offsets(m, band)
+    target = np.repeat(cells_a, fan) * window_size(band, a.c) + flat_offsets(m, band)
     codes, group = np.unique(target, return_inverse=True)
     stack = sum_groups(a.stack[ia] @ b.stack[ib], group, flat_offsets(m1, a.band_radius))
     keys = np.empty((len(codes), 2, a.c), dtype=np.int64)
@@ -476,11 +448,10 @@ def densify(op: CDOperator) -> np.ndarray:
     """The full matrix on the flattened window, (2N+1)^c * d square."""
     n, d = op.n_cells, op.local_dim
     dense = np.zeros((n * d, n * d), dtype=np.complex128)
-    cell_blocks = dense.reshape(n, d, n, d)
-    for rows, cells, sources in _offset_passes(op):
-        # += rather than =: with a band wider than the window two offsets
-        # can wrap onto the same source cell, and they accumulate
-        cell_blocks[cells, :, sources, :] += op.stack[rows]
+    rows, cells, sources = route(op)
+    # added, not assigned: with a band wider than the window two offsets
+    # can wrap onto the same source cell, and they accumulate
+    np.add.at(dense.reshape(n, d, n, d), (cells, slice(None), sources), op.stack[rows])
     return dense
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -451,6 +452,12 @@ def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None,
 # ----------------------------------------------------------------- wiener
 
 
+# a term starts at a sign that follows anything but "eE^+-*({"
+_TERM_START = re.compile(r"(?<=[^eE^+\-*({])(?=[+-])")
+# signs, then coefficient[*...]u[^{exponent}] (braces optional) or a bare coefficient
+_TERM = re.compile(r"([+-]*)(?:([^u]*?)\**u(?:\^[{}]*(.*?)[{}]*)?|([^u]*))", re.DOTALL)
+
+
 def parse_symbol(text: str, c: int = 1) -> FiniteSeq:
     """Parse a one-variable symbol like "2+u", "3+u+u^{-1}", "1-0.5*u^2".
 
@@ -460,48 +467,20 @@ def parse_symbol(text: str, c: int = 1) -> FiniteSeq:
     if c != 1:
         raise ConfigError("symbol strings are one-dimensional; use a JSON seq")
     s = text.replace("−", "-").replace("⋅", "*").replace(" ", "")
-    if not s:
-        raise ConfigError("empty symbol")
     entries: dict = {}
-    # split into signed terms
-    terms = []
-    start = 0
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > start and s[i - 1] not in "eE^+-*({":
-            terms.append(s[start:i])
-            start = i
-    terms.append(s[start:])
-    for term in terms:
-        if not term or term in "+-":
-            raise ConfigError(f"malformed term in symbol {text!r}")
-        sign = 1.0
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:]
-        if "u" in term:
-            head, _, tail = term.partition("u")
-            head = head.rstrip("*")
-            try:
-                coef = complex(head) if head else 1.0 + 0j
-            except ValueError as exc:
-                raise ConfigError(f"bad coefficient in {term!r}") from exc
-            if tail.startswith("^"):
-                exp_text = tail[1:].strip("{}")
-                try:
-                    power = int(exp_text)
-                except ValueError as exc:
-                    raise ConfigError(f"bad exponent in {term!r}") from exc
-            elif tail:
-                raise ConfigError(f"malformed term {term!r}")
+    for term in _TERM_START.split(s):
+        match = _TERM.fullmatch(term)
+        if match is None:
+            raise ConfigError(f"malformed term {term!r} in symbol {text!r}")
+        signs, head, exponent, plain = match.groups()
+        try:
+            if plain is not None:
+                coef, power = complex(plain), 0
             else:
-                power = 1
-        else:
-            try:
-                coef = complex(term)
-            except ValueError as exc:
-                raise ConfigError(f"bad coefficient {term!r}") from exc
-            power = 0
+                coef, power = complex(head or "1"), 1 if exponent is None else int(exponent)
+        except ValueError as exc:
+            raise ConfigError(f"bad coefficient or exponent in {term!r}") from exc
+        sign = -1.0 if signs.count("-") % 2 else 1.0
         entries[(power,)] = entries.get((power,), 0j) + sign * coef
     radius = max(abs(p[0]) for p in entries)
     out = FiniteSeq.zeros(1, radius)
@@ -664,11 +643,10 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
 
         kern = assemble_kernel(op, cfg.q)
         via_kernel = apply_kernel(kern, f)
-        via_blocks = unblock(apply(op, block(f)), cfg.q)
+        blocked = block(f)
+        via_blocks = unblock(apply(op, blocked), cfg.q)
         scale = max(1e-300, float(np.abs(via_blocks.values).max(initial=0.0)))
         rel_err = float(np.abs(via_kernel.values - via_blocks.values).max(initial=0.0)) / scale
-
-        blocked = block(f)
         isometry = {
             str(p): f.lp_norm(p) == blocked.norm(p, cell_weight=f.cell_volume_weight)
             for p in (1, 2, "inf")
@@ -839,47 +817,36 @@ def _verify_wiener_partial_sums(report: dict, out_dir: Path) -> list:
         for key, value in _totals(want[-1][1], want[-1][2]).items() if report.get(key) != value]
 
 
-def _verify_kernel_files(records: list, cfg: ExperimentConfig, out_dir: Path) -> list:
-    """Every file a kernel record names exists; the grid file reads back at (c, N, q)."""
+def _read_back(records: list, cfg: ExperimentConfig, out_dir: Path, key: str, read=None,
+               what: tuple = (), geometry: tuple = (), fields=None) -> list:
+    """Problems of the file each record names under `key`.
+
+    A file a record names must exist; with `fields`, every record must
+    name one.  `read(path)` reads the file back as what[0] (say "a grid
+    function"); its `geometry` config fields, by their JSON names, must
+    equal the config's, and `fields(obj)` re-derives the record's fields.
+    what[1] names the object in messages.
+    """
+    attrs = [_CONFIG_FIELDS[name] for name in geometry]
+    want = [getattr(cfg, attr) for attr in attrs]
     problems = []
     for r in records:
-        for key in ("kernel_block_csv", "grid_file"):
-            if key in r and _named_file(out_dir, r[key]) is None:
-                problems.append(f"trial {r.get('trial')}: missing {key} {r[key]!r}")
-        path = _named_file(out_dir, r.get("grid_file"))
-        if path is None:
+        trial, path = r.get("trial"), _named_file(out_dir, r.get(key))
+        if path is None and (key in r or fields is not None):
+            problems.append(f"trial {trial}: missing {key} {r.get(key)!r}")
+        if path is None or read is None:
             continue
         try:
-            f = read_grid_function(path)
-        except ValueError as exc:
-            problems.append(f"{path.name}: not a grid function: {exc}")
-            continue
-        if (f.c, f.window_radius, f.q) != (cfg.c, cfg.window_radius, cfg.q):
-            problems.append(f"{path.name}: grid does not match the config's (c, N, q)")
-    return problems
-
-
-def _verify_gen_files(records: list, cfg: ExperimentConfig, out_dir: Path) -> list:
-    """Every operator file reads back at the config's geometry and gives its record's fields."""
-    want = (cfg.c, cfg.window_radius, cfg.band_radius, cfg.local_dim, cfg.boundary)
-    problems = []
-    for r in records:
-        trial = r.get("trial")
-        path = _named_file(out_dir, r.get("operator_json"))
-        if path is None:
-            problems.append(f"trial {trial}: operator file missing")
-            continue
-        try:
-            op = CDOperator.from_json(json.loads(path.read_text()))
+            obj = read(path)
         except (OSError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-            problems.append(f"{path.name}: not an operator: {exc!r}")
+            problems.append(f"{path.name}: not {what[0]}: {exc!r}")
             continue
-        if (op.c, op.window_radius, op.band_radius, op.local_dim, op.boundary) != want:
-            problems.append(f"{path.name}: operator does not match the config's "
-                            "(c, N, W, d, boundary)")
-            continue
-        problems.extend(f"trial {trial}: {key} does not match its operator file"
-                        for key, value in _operator_fields(op).items() if r.get(key) != value)
+        if [getattr(obj, attr) for attr in attrs] != want:
+            problems.append(f"{path.name}: {what[1]} does not match the config's "
+                            f"({', '.join(geometry)})")
+        elif fields is not None:
+            problems.extend(f"trial {trial}: {name} does not match its {what[1]} file"
+                            for name, value in fields(obj).items() if r.get(name) != value)
     return problems
 
 
@@ -935,7 +902,12 @@ def verify_report(path) -> list:
                 f"trial {trial}: no envelope table", f"trial {trial}: embedded row")
             problems.extend(table_problems or _verify_envelope_table(rows, r, cfg))
     elif kind == "gen":
-        problems.extend(_verify_gen_files(records, cfg, path.parent))
+        problems.extend(_read_back(
+            records, cfg, path.parent, "operator_json",
+            lambda p: CDOperator.from_json(json.loads(p.read_text())), ("an operator", "operator"),
+            ("c", "N", "W", "d", "boundary"), _operator_fields))
     else:
-        problems.extend(_verify_kernel_files(records, cfg, path.parent))
+        problems.extend(_read_back(records, cfg, path.parent, "kernel_block_csv"))
+        problems.extend(_read_back(records, cfg, path.parent, "grid_file", read_grid_function,
+                                   ("a grid function", "grid"), ("c", "N", "q")))
     return problems

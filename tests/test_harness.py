@@ -577,6 +577,10 @@ def test_verify_report_reads_the_operator_files_back(tmp_path):
     problems = tamper(path, lambda r: r["records"][0].update(envelope_l1=0.25))
     assert problems == ["trial 0: envelope_l1 does not match its operator file"]
     path.write_text(original)
+    kept = (tmp_path / "operator_trial_001.json").read_text()
+    (tmp_path / "operator_trial_001.json").unlink()
+    assert verify_report(path) == ["trial 1: missing operator_json 'operator_trial_001.json'"]
+    (tmp_path / "operator_trial_001.json").write_text(kept)
     (tmp_path / "operator_trial_000.json").write_text("junk")
     problems = verify_report(path)
     assert len(problems) == 1

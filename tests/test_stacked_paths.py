@@ -1,11 +1,12 @@
 """The stacked operator paths against block-by-block references.
 
-Every operation on a CDOperator or a Kernel works on the stored block
-stack a pass at a time.  The references below walk the blocks one at a
+Every operation on a CDOperator or a Kernel works on the whole stored
+block stack at once.  The references below walk the blocks one at a
 time in sorted key order, as a dict-of-blocks implementation does; the
 stacked paths must agree with them bit for bit (compared as uint64
 views, so signed zeros count), and with dense matrix products up to
-rounding.
+rounding.  Operators are stored in sorted key order or in a drawn row
+order, so a path cannot get its order of additions from the store.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from decayalg.blocking_kernel import (
     GridFunction,
+    Kernel,
     apply_kernel,
     assemble_kernel,
     attach_svd_factorizations,
@@ -168,16 +170,25 @@ def rand_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_op(rng, c, N, W, d, boundary, density):
+def in_drawn_order(rng, op):
+    """The operator with its stored rows, factor rows too, in a drawn order."""
+    perm = rng.permutation(op.n_blocks)
+    factors = None if op.factors is None else tuple(f[perm] for f in op.factors)
+    return CDOperator.from_arrays(op.c, op.window_radius, op.band_radius, op.local_dim,
+                                  op.boundary, op.keys[perm], op.stack[perm], factors)
+
+
+def random_op(rng, c, N, W, d, boundary, density, shuffle=False):
     blocks = {}
     for k in window_indices(N, c):
         for m in window_indices(W, c):
             if rng.random() < density:
                 blocks[(k, m)] = rand_complex(rng, d, d)
-    return CDOperator(c, N, W, d, boundary, blocks)
+    op = CDOperator(c, N, W, d, boundary, blocks)
+    return in_drawn_order(rng, op) if shuffle else op
 
 
-def low_rank_op(rng, c, N, W, q, boundary, density):
+def low_rank_op(rng, c, N, W, q, boundary, density, shuffle=False):
     """Blocks of every rank 0..d, so SVD factorizations vary in length."""
     d = q ** c
     blocks = {}
@@ -188,11 +199,13 @@ def low_rank_op(rng, c, N, W, q, boundary, density):
                 r = int(rng.integers(0, d + 1))
                 blk[:r, :r] = rand_complex(rng, r, r)
                 blocks[(k, m)] = blk
-    return attach_svd_factorizations(CDOperator(c, N, W, d, boundary, blocks))
+    op = attach_svd_factorizations(CDOperator(c, N, W, d, boundary, blocks))
+    return in_drawn_order(rng, op) if shuffle else op
 
 
 # windows up to radius 3 (c=1) or 2 (c=2), bands up to two wider than the
-# window, so circulant offsets wrap onto shared source cells
+# window, so circulant offsets wrap onto shared source cells; stores in
+# sorted key order or shuffled
 geometry = st.integers(1, 2).flatmap(lambda c: st.tuples(
     st.just(c),
     st.integers(0, 3 if c == 1 else 2),
@@ -200,14 +213,15 @@ geometry = st.integers(1, 2).flatmap(lambda c: st.tuples(
     st.sampled_from(["circulant", "dirichlet"]),
     st.sampled_from([0.4, 1.0]),
     st.integers(0, 2**32 - 1),
+    st.booleans(),
 ))
 
 
 def build(geom, d):
-    c, N, extra, boundary, density, seed = geom
+    c, N, extra, boundary, density, seed, shuffle = geom
     rng = np.random.default_rng(seed)
     W = N + extra if extra else N // 2
-    return rng, random_op(rng, c, N, W, d, boundary, density)
+    return rng, random_op(rng, c, N, W, d, boundary, density, shuffle)
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,8 +247,8 @@ def test_fit_envelope_equals_block_by_block(geom, d):
 @given(geom=geometry, d=st.integers(1, 3), extra_b=st.integers(0, 2))
 def test_compose_equals_block_by_block_and_dense_product(geom, d, extra_b):
     rng, a = build(geom, d)
-    c, N, _, boundary, density, _ = geom
-    b = random_op(rng, c, N, extra_b, d, boundary, density)
+    c, N, _, boundary, density, _, shuffle = geom
+    b = random_op(rng, c, N, extra_b, d, boundary, density, shuffle)
     ab = compose(a, b)
     want = ref_compose(a, b)
     assert sorted(ab.blocks) == list(ab.blocks) == sorted(want)
@@ -246,10 +260,10 @@ def test_compose_equals_block_by_block_and_dense_product(geom, d, extra_b):
 @settings(max_examples=30, deadline=None)
 @given(geom=geometry, q=st.integers(1, 2))
 def test_kernel_paths_equal_block_by_block(geom, q):
-    c, N, extra, boundary, density, seed = geom
+    c, N, extra, boundary, density, seed, shuffle = geom
     rng = np.random.default_rng(seed)
     W = N + extra if extra else N // 2
-    op = low_rank_op(rng, c, N, W, q, boundary, density)
+    op = low_rank_op(rng, c, N, W, q, boundary, density, shuffle)
     # the reference factorizations drop zero singular values; the stored
     # terms keep them as zero terms, which add exactly nothing
     facts = {key: svd_factorization(blk) for key, blk in op.blocks.items()}
@@ -260,6 +274,9 @@ def test_kernel_paths_equal_block_by_block(geom, q):
         assert_bitwise(kern.blocks[key], blk)
 
     f = GridFunction(c, N, q, rand_complex(rng, op.n_cells, q ** c))
+    if shuffle:
+        perm = rng.permutation(kern.n_blocks)
+        kern = Kernel.from_arrays(c, N, q, kern.keys[perm], kern.stack[perm])
     got = apply_kernel(kern, f).values
     assert_bitwise(got, ref_apply_kernel(kern, f))
     # the kernel with its quadrature weight is the operator's dense form
