@@ -374,7 +374,8 @@ def route(op: CDOperator) -> tuple:
     if op.boundary == "circulant":
         src = (src + radius) % (2 * radius + 1) - radius
     cells = flat_offsets(k, radius)
-    rows = np.lexsort((flat_offsets(m, op.band_radius), cells))
+    code = cells * window_size(op.band_radius, op.c) + flat_offsets(m, op.band_radius)
+    rows = np.argsort(code, kind="stable")  # the code is unique per block
     rows = rows[np.abs(src[rows]).max(axis=1, initial=0) <= radius]
     return rows, cells[rows], flat_offsets(src[rows], radius)
 
@@ -386,6 +387,10 @@ def sum_groups(values: np.ndarray, group: np.ndarray, order: np.ndarray) -> np.n
     assigned, not added to zero, as a dict that stores a key's first
     product and adds the rest would do.
     """
+    if group.max(initial=-1) + 1 == len(group):  # one term per group
+        out = np.empty_like(values)
+        out[group] = values
+        return out
     ranked = np.lexsort((order, group))
     g = group[ranked]
     first = np.diff(g, prepend=-1) != 0

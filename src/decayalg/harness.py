@@ -533,6 +533,8 @@ def _wiener_inputs(cfg: dict) -> tuple:
         seq = _parsed("symbol", lambda: parse_symbol(cfg["symbol"], int(cfg.get("c", 1))))
     else:
         raise ConfigError("wiener config needs 'symbol' or 'seq'")
+    if not np.isfinite(seq.data).all():
+        raise ConfigError("wiener coefficients must be finite")
     try:
         grid = int(cfg["grid"])
         out_radius = int(cfg["out_radius"])

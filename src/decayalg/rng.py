@@ -53,7 +53,15 @@ uniforms, 1 - u, sqrt and the products are correctly rounded in numpy
 and so agree bit for bit.  numpy's float64 cos and sin call the C
 library once per element and give `math.cos`/`math.sin`'s bits (a test
 guards this); its SIMD log differs from libm in the last bit on some
-inputs, so log goes through `math.log`.
+inputs, so log must give `math.log`'s bits another way.  Where long
+double is the x87 format (np.finfo(np.longdouble).nmant == 63) the log
+is taken once in extended precision and rounded to double; the few
+elements whose extended log lies within 0.05 ulp of a rounding midpoint
+(0.45 ulp or more from the rounded value) are recomputed with
+`math.log`.  Every other element is then the correctly rounded log,
+which a libm log within 0.55 ulp also returns (0.549 exactly; glibc
+documents 0.519 ulp).  On any other long double format every log goes
+through `math.log`.
 """
 
 from __future__ import annotations
@@ -160,6 +168,37 @@ def uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * _UNIT
 
 
+_X87_MANTISSA = 63  # np.finfo(np.longdouble).nmant of the x87 80-bit format
+
+
+def _libm_log(u: np.ndarray) -> np.ndarray:
+    """math.log of each element of the float64 array u > 0, bit for bit.
+
+    With x87 long doubles the log is taken once in extended precision
+    (relative error <= 2^-63, about 0.001 ulp of a double) and rounded to
+    y.  off = ext - y is exact.  Where |off| < 0.45 of the gap from y
+    toward zero, the true log lies within 0.451 ulp of y, so y is its
+    correct rounding, and a libm log with error below 0.549 ulp returns y
+    too (glibc documents 0.519 ulp).  The elements within 0.05 ulp of a
+    rounding midpoint, about one in ten, go through math.log.  Other long
+    double formats take math.log everywhere.
+    """
+    if np.finfo(np.longdouble).nmant == _X87_MANTISSA:
+        ext = u.astype(np.longdouble)
+        np.log(ext, out=ext)
+        y = ext.astype(float)
+        ext -= y
+        off = np.abs(ext.astype(float))
+        # y * (1 - 2^-53) stays in y's binade unless |y| is a power of two,
+        # where it steps down to the smaller gap
+        redo = np.flatnonzero(off >= 0.45 * np.abs(np.spacing(y * (1.0 - _UNIT))))
+    else:
+        y, redo = np.empty_like(u), np.arange(u.size)
+    y.flat[redo] = np.fromiter(map(math.log, u.flat[redo].tolist()), dtype=float,
+                               count=redo.size)
+    return y
+
+
 def box_muller(words: np.ndarray) -> np.ndarray:
     """Normals from consecutive word pairs, as `normal()` draws a fresh pair.
 
@@ -167,8 +206,7 @@ def box_muller(words: np.ndarray) -> np.ndarray:
     r sin(theta) in the same two places of the float64 result.
     """
     u1 = 1.0 - uniforms(words[..., 0::2])
-    logs = np.fromiter(map(math.log, u1.ravel().tolist()), dtype=float, count=u1.size)
-    r = np.sqrt(-2.0 * logs.reshape(u1.shape))
+    r = np.sqrt(-2.0 * _libm_log(u1))
     theta = 2.0 * math.pi * uniforms(words[..., 1::2])
     out = np.empty(words.shape, dtype=float)
     out[..., 0::2] = r * np.cos(theta)

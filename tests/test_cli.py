@@ -292,6 +292,18 @@ def test_wiener_malformed_seq_exits_2(tmp_path, capsys, seq):
     assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])
 
 
+@pytest.mark.parametrize("config", [
+    '{"symbol": "nan+u", "grid": 64, "out_radius": 5}',
+    '{"symbol": "inf+u", "grid": 64, "out_radius": 5}',
+    '{"seq": {"c": 1, "radius": 1, "entries": [{"index": [0], "re": NaN, "im": 0.0}]},'
+    ' "grid": 64, "out_radius": 5}',
+])
+def test_wiener_non_finite_coefficient_exits_2(tmp_path, capsys, config):
+    cfg = tmp_path / "w.json"
+    cfg.write_text(config)
+    assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])
+
+
 @pytest.mark.parametrize("grid", [0, -4, 100, 16])  # 16 is too short for R' = 20
 def test_wiener_bad_grid_exits_2(tmp_path, capsys, grid):
     cfg = wiener_config(tmp_path / "w.json", grid=grid)

@@ -244,3 +244,50 @@ def test_numpy_trig_equals_libm_on_stream_angles():
     values = theta.tolist()
     assert np.array_equal(bits(np.cos(theta)), bits([math.cos(t) for t in values]))
     assert np.array_equal(bits(np.sin(theta)), bits([math.sin(t) for t in values]))
+
+
+def log_inputs(seed, stream, n):
+    return 1.0 - rng.uniforms(Xoshiro256StarStar(seed, stream=stream).u64_array(n))
+
+
+def libm_logs(u):
+    return np.array([math.log(x) for x in np.ravel(u).tolist()]).reshape(np.shape(u))
+
+
+@pytest.mark.parametrize("seed, stream", [(0, 0), (7, 3), (0x6B65726E, 11), (2**63 + 5, 1)])
+def test_libm_log_equals_math_log_on_stream_values(seed, stream):
+    u = log_inputs(seed, stream, 1 << 20)  # 2^22 values over the four cases
+    assert np.array_equal(bits(rng._libm_log(u)), bits(libm_logs(u)))
+
+
+def test_libm_log_edge_inputs_and_shape():
+    u = np.array([[1.0, 1.0 - 2.0 ** -53, 2.0 ** -53], [0.5, 0.25, 1.0 - 2.0 ** -52]])
+    got = rng._libm_log(u)
+    assert got.shape == u.shape
+    assert np.array_equal(bits(got), bits(libm_logs(u)))
+    assert bits(got[0, 0]) == bits(0.0)  # +0, not -0
+
+
+def test_libm_log_falls_back_where_the_extended_rounding_differs(monkeypatch):
+    # where rounding the extended log disagrees with math.log, only the
+    # fallback can give math.log's bits; about one value in a thousand
+    u = log_inputs(5, 2, 1 << 16)
+    if np.finfo(np.longdouble).nmant == rng._X87_MANTISSA:
+        rounded = np.log(u.astype(np.longdouble)).astype(float)
+        u = u[bits(rounded) != bits(libm_logs(u))]
+        assert u.size > 10
+    calls = []
+    log = math.log
+    monkeypatch.setattr(math, "log", lambda x: calls.append(x) or log(x))
+    got = rng._libm_log(u)
+    monkeypatch.undo()
+    assert np.array_equal(bits(got), bits(libm_logs(u)))
+    assert sorted(calls) == sorted(u.tolist())
+
+
+def test_libm_log_without_extended_precision(monkeypatch):
+    monkeypatch.setattr(rng, "_X87_MANTISSA", -1)  # no long double format matches
+    u = log_inputs(3, 1, 4096).reshape(64, 64)
+    got = rng._libm_log(u)
+    assert got.shape == u.shape
+    assert np.array_equal(bits(got), bits(libm_logs(u)))
