@@ -138,13 +138,28 @@ def attach_svd_factorizations(op: CDOperator) -> CDOperator:
     return op
 
 
+def _kernel_grouping(op: CDOperator) -> tuple:
+    """(group, order, keys): each routed block's kernel block, the order its
+    terms add in (ascending offset), and the kernel's key table."""
+    rows, cells, sources = route(op)
+    n = op.n_cells
+    codes, group = np.unique(cells * n + sources, return_inverse=True)
+    window = window_array(op.window_radius, op.c)
+    grouping = group, flat_offsets(op.keys[rows, 1], op.band_radius), \
+        np.stack((window[codes // n], window[codes % n]), axis=1)
+    for part in grouping:
+        part.flags.writeable = False
+    return grouping
+
+
 def assemble_kernel(op: CDOperator, q: int) -> Kernel:
     """Build the sampled kernel of a block operator with q^c = d.
 
     The operator must carry its factor terms (`op.factors`); the kernel
     block is their rank-one assembly divided by the cell quadrature weight h^c.
     Offsets that wrap onto the same source cell accumulate, mirroring
-    the circulant apply, in ascending order of the offset.
+    the circulant apply, in ascending order of the offset.  The grouping
+    depends only on the geometry; an operator's plan keeps it.
     """
     if q ** op.c != op.local_dim:
         raise ShapeMismatch(
@@ -153,18 +168,21 @@ def assemble_kernel(op: CDOperator, q: int) -> Kernel:
     if op.factors is None:
         raise MissingFactorization("operator carries no factor terms")
     h_pow = q ** (-op.c)
-    rows, cells, sources = route(op)
+    rows = route(op)[0]
+    grouping = op.plan.kernel if op.plan is not None else None
+    if grouping is None:
+        grouping = _kernel_grouping(op)
+        if op.plan is not None:
+            op.plan.kernel = grouping
+    group, order, keys = grouping
     a, y = op.factors[0][rows], op.factors[1][rows]
     assembled = np.zeros((len(rows), op.local_dim, op.local_dim), dtype=np.complex128)
+    term = np.empty_like(assembled)
     for j in range(a.shape[1]):
-        assembled += y[:, j, :, None] * a[:, j, None, :]
-    n = op.n_cells
-    codes, group = np.unique(cells * n + sources, return_inverse=True)
-    stack = sum_groups(assembled / h_pow, group,
-                       flat_offsets(op.keys[rows, 1], op.band_radius))
-    window = window_array(op.window_radius, op.c)
-    keys = np.stack((window[codes // n], window[codes % n]), axis=1)
-    return Kernel.from_arrays(op.c, op.window_radius, q, keys, stack)
+        assembled += np.multiply(y[:, j, :, None], a[:, j, None, :], out=term)
+    assembled /= h_pow
+    return Kernel.from_arrays(op.c, op.window_radius, q, keys,
+                              sum_groups(assembled, group, order))
 
 
 def apply_kernel(kernel: Kernel, f: GridFunction) -> GridFunction:

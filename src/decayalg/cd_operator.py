@@ -29,7 +29,8 @@ operator carries them.  All are validated in bulk once, at
 construction, and are read-only afterwards.  `blocks` is a read-only
 {(k, m): block} view whose values are rows of the stack.
 `route` is the one place a block is routed to its source cell; apply,
-densify, compose and the kernel assembly all go through it, and each
+densify, compose and the kernel assembly all go through it (it is
+computed once per operator, or once per geometry plan), and each
 adds its terms with one np.add.at over terms sorted by target and then
 by the order of a block-by-block walk over sorted keys.  The results
 rely on add.at being unbuffered: it adds repeated indices one at a time,
@@ -259,8 +260,11 @@ class CDOperator(BlockStore):
     (n_blocks, rank, d) stacks with block i = sum_j outer(y[i, j], a[i, j]);
     a block of lower rank is padded with zero terms, which add exactly
     nothing.  They are the only form in which an operator carries factor
-    terms.
+    terms.  `plan`, when set, is the read-only plan of the key table's
+    geometry (harness.geometry_plan), shared by every operator over it.
     """
+
+    plan = None
 
     def __init__(self, c: int, window_radius: int, band_radius: int,
                  local_dim: int, boundary: str, blocks: Optional[Mapping] = None):
@@ -288,6 +292,7 @@ class CDOperator(BlockStore):
         self.local_dim, self.boundary = local_dim, boundary
         self._store(keys, stack, (local_dim, local_dim), (window_radius, band_radius),
                     ("cell index", "offset"))
+        self._route = None
 
     @property
     def factors(self) -> Optional[tuple]:
@@ -367,17 +372,31 @@ def route(op: CDOperator) -> tuple:
     cells and sources are the flat window rows of each block's cell k and
     source k - m.  The circulant boundary wraps the source into the
     window; the dirichlet boundary drops a block whose source is outside.
+    Read-only: the operator's plan carries them, or the first call keeps
+    them on the operator, as `row` keeps its table.
     """
-    radius = op.window_radius
-    k, m = op.keys[:, 0], op.keys[:, 1]
+    if op.plan is not None:
+        return op.plan.route
+    if op._route is None:
+        op._route = route_keys(op.keys, op.window_radius, op.band_radius, op.boundary)
+    return op._route
+
+
+def route_keys(keys: np.ndarray, window_radius: int, band_radius: int,
+               boundary: str) -> tuple:
+    """`route` of an (n, 2, c) key table of (cell, offset) rows, computed afresh."""
+    k, m = keys[:, 0], keys[:, 1]
     src = k - m
-    if op.boundary == "circulant":
-        src = (src + radius) % (2 * radius + 1) - radius
-    cells = flat_offsets(k, radius)
-    code = cells * window_size(op.band_radius, op.c) + flat_offsets(m, op.band_radius)
+    if boundary == "circulant":
+        src = (src + window_radius) % (2 * window_radius + 1) - window_radius
+    cells = flat_offsets(k, window_radius)
+    code = cells * window_size(band_radius, keys.shape[2]) + flat_offsets(m, band_radius)
     rows = np.argsort(code, kind="stable")  # the code is unique per block
-    rows = rows[np.abs(src[rows]).max(axis=1, initial=0) <= radius]
-    return rows, cells[rows], flat_offsets(src[rows], radius)
+    rows = rows[np.abs(src[rows]).max(axis=1, initial=0) <= window_radius]
+    out = rows, cells[rows], flat_offsets(src[rows], window_radius)
+    for part in out:
+        part.flags.writeable = False
+    return out
 
 
 def sum_groups(values: np.ndarray, group: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -548,15 +567,12 @@ def fit_envelope(op: CDOperator, norm_kind: str = "nuclear") -> Envelope:
 
 def decay_slope(env: Envelope, floor: float = 1e-14) -> float:
     """Least-squares slope of ln(beta_m) against |m|_inf, above the floor."""
-    xs, ys = [], []
-    for m in window_indices(env.radius, env.c):
-        b = env.beta(m)
-        if b > floor:
-            xs.append(max(abs(x) for x in m))
-            ys.append(np.log(b))
-    if len(xs) < 2:
+    beta = env.values.reshape(-1)  # in window_array order
+    above = beta > floor
+    if above.sum() < 2:
         return float("nan")
-    slope, _ = np.polyfit(np.array(xs, dtype=float), np.array(ys), 1)
+    xs = np.abs(window_array(env.radius, env.c)[above]).max(axis=1).astype(float)
+    slope, _ = np.polyfit(xs, np.log(beta[above]), 1)
     return float(slope)
 
 

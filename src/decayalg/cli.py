@@ -14,6 +14,7 @@ failed numerically; 4 report verification found mismatches.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -43,7 +44,9 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
                           "json: tables embedded in the report")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="decayalg",
         description="experiments on convolution-dominated operators "
@@ -105,8 +108,7 @@ def _run_report_command(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "verify-report":
         problems = verify_report(args.report)
         if problems:

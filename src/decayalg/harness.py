@@ -9,6 +9,7 @@ and all emitted JSON/CSV, written and read back only here, is byte-stable
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -39,6 +41,7 @@ from .cd_operator import (
     densify,
     fit_envelope,
     invert_one_plus,
+    route_keys,
 )
 from .lattice import window_array, window_indices, window_size
 from .rng import Xoshiro256StarStar, box_muller, uniforms
@@ -124,8 +127,8 @@ class ExperimentConfig:
                 setattr(self, name, int(getattr(self, name)))
         except (OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"non-integer field: {exc}") from exc
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        if not 0 <= self.seed < 1 << 64:  # the stream counter is the seed mod 2^64
+            raise ConfigError("seed must be an integer in [0, 2^64)")
         if self.c < 1:
             raise ConfigError("c must be at least 1")
         if self.window_radius < 0 or self.band_radius < 0:
@@ -182,7 +185,7 @@ def envelope_values(cfg: ExperimentConfig) -> np.ndarray:
             raise ConfigError("table values must be finite and nonnegative")
     else:  # a scalar exp or power per offset: vectorised, some differ in the last bit
         p = _positive(prof, "rate" if kind == "exponential" else "power")
-        sizes = [sum(abs(x) for x in m) for m in window_indices(cfg.band_radius, cfg.c)]
+        sizes = np.abs(window_array(cfg.band_radius, cfg.c)).sum(axis=1).tolist()
         vals = np.array([np.exp(-p * n) for n in sizes] if kind == "exponential"
                         else [(1.0 + n) ** -p for n in sizes])
     if "l1" in prof:
@@ -224,6 +227,21 @@ def _trace_norms(g: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
+@functools.lru_cache(maxsize=16)
+def geometry_plan(c: int, window_radius: int, band_radius: int, boundary: str,
+                  drawn: tuple) -> SimpleNamespace:
+    """The process's one read-only plan of a geometry, shared by its trials: the key
+    table `generate_operator` fills (cells, then the drawn flat offsets), its `route`,
+    and `kernel`, None until the first `assemble_kernel` stores its grouping whole."""
+    cells = window_array(window_radius, c)
+    keys = np.empty((len(cells) * len(drawn), 2, c), dtype=np.int64)
+    keys[:, 0] = np.repeat(cells, len(drawn), axis=0)
+    keys[:, 1] = np.tile(window_array(band_radius, c)[list(drawn)], (len(cells), 1))
+    keys.flags.writeable = False
+    return SimpleNamespace(keys=keys, kernel=None,
+                           route=route_keys(keys, window_radius, band_radius, boundary))
+
+
 def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
     """Draw the trial's operator: random rank-limited blocks under the envelope.
 
@@ -237,18 +255,17 @@ def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
     stream: r, then the entries of X and of Y row by row, one complex
     normal (a full Box-Muller pair) each.  The trial's words are drawn
     at once; blocks are then processed in chunks, with one batched
-    product and one batched `_trace_norms` per chunk.
+    product and one batched `_trace_norms` per chunk.  The operator gets
+    the geometry's shared plan unless it has no blocks or drops one.
     """
     rng = Xoshiro256StarStar(cfg.seed, stream=trial)
     d, rank = cfg.local_dim, cfg.block_rank
     beta = envelope_values(cfg).reshape(-1)  # in window_indices order
     drawn = np.flatnonzero(beta != 0.0)
-    cells = window_array(cfg.window_radius, cfg.c)
-    n = len(cells) * len(drawn)
-    keys = np.empty((n, 2, cfg.c), dtype=np.int64)
-    keys[:, 0] = np.repeat(cells, len(drawn), axis=0)
-    keys[:, 1] = np.tile(window_array(cfg.band_radius, cfg.c)[drawn], (len(cells), 1))
-    targets = np.tile(beta[drawn], len(cells))
+    plan = geometry_plan(cfg.c, cfg.window_radius, cfg.band_radius, cfg.boundary,
+                         tuple(drawn.tolist()))
+    keys, n = plan.keys, len(plan.keys)
+    targets = np.tile(beta[drawn], window_size(cfg.window_radius, cfg.c))
     stack = np.empty((n, d, d), dtype=np.complex128)
     # term j of block i: functional a[i, j] (a row of Y), output y[i, j] (a column of X)
     a = np.empty((n, rank, d), dtype=np.complex128)
@@ -263,17 +280,20 @@ def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
         z = box_muller(words[part, 1:]).view(np.complex128)
         xs = z[:, :d * rank].reshape(-1, d, rank)
         ys = z[:, d * rank:].reshape(-1, rank, d)
-        g = xs @ ys
+        g = np.matmul(xs, ys, out=stack[part])
         tn[part] = _trace_norms(g, xs, ys)
-        scale = targets[part] * r / tn[part]
-        stack[part] = g * scale[:, None, None]
-        a[part] = ys * scale[:, None, None]
+        scale = (targets[part] * r / tn[part])[:, None, None]
+        g *= scale
+        np.multiply(ys, scale, out=a[part])
         y[part] = xs.transpose(0, 2, 1)
     kept = tn != 0.0
-    if not kept.all():  # pragma: no cover - measure-zero draw
+    if not kept.all():  # a measure-zero draw
         keys, stack, a, y = keys[kept], stack[kept], a[kept], y[kept]
-    return CDOperator.from_arrays(cfg.c, cfg.window_radius, cfg.band_radius, d,
-                                  cfg.boundary, keys, stack, factors=(a, y))
+    op = CDOperator.from_arrays(cfg.c, cfg.window_radius, cfg.band_radius, d,
+                                cfg.boundary, keys, stack, factors=(a, y))
+    if n and kept.all():
+        op.plan = plan
+    return op
 
 
 def worker_count() -> int:
@@ -666,9 +686,9 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
     def emit(trial: int, rec: dict, out_path: Path) -> dict:
         kern, grid = rec.pop("_kernel"), rec.pop("_grid")
         if trial == 0 and fmt == "csv":
-            center = ((0,) * cfg.c, (0,) * cfg.c)
-            if center in kern.blocks:  # a zero centre offset assembles no block
-                name, blk = "kernel_block_trial_000.csv", kern.blocks[center].tolist()
+            center = np.flatnonzero(~kern.keys.any(axis=(1, 2)))  # the block at (0, 0)
+            if center.size:  # a zero centre offset assembles no block
+                name, blk = "kernel_block_trial_000.csv", kern.stack[center[0]].tolist()
                 _write_csv(out_path / name, ["i", "j", "re", "im"], ([i, j, z.real, z.imag]
                            for i, row in enumerate(blk) for j, z in enumerate(row)))
                 rec["kernel_block_csv"] = name

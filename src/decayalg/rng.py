@@ -54,14 +54,14 @@ and so agree bit for bit.  numpy's float64 cos and sin call the C
 library once per element and give `math.cos`/`math.sin`'s bits (a test
 guards this); its SIMD log differs from libm in the last bit on some
 inputs, so log must give `math.log`'s bits another way.  Where long
-double is the x87 format (np.finfo(np.longdouble).nmant == 63) the log
-is taken once in extended precision and rounded to double; the few
-elements whose extended log lies within 0.05 ulp of a rounding midpoint
-(0.45 ulp or more from the rounded value) are recomputed with
-`math.log`.  Every other element is then the correctly rounded log,
-which a libm log within 0.55 ulp also returns (0.549 exactly; glibc
-documents 0.519 ulp).  On any other long double format every log goes
-through `math.log`.
+double is the x87 format in 16 bytes (np.finfo(np.longdouble).nmant ==
+63, itemsize 16) the log is taken once in extended precision and
+rounded to double.  A significand test picks the elements within 0.05
+ulp of a rounding midpoint: the 11 low significand bits that rounding
+drops read within 102 of 1024.  Those are recomputed with `math.log`.
+Every other element is then the correctly rounded log, which a libm log
+within 0.55 ulp also returns (0.549 exactly; glibc documents 0.519 ulp).
+On any other long double layout every log goes through `math.log`.
 """
 
 from __future__ import annotations
@@ -171,27 +171,30 @@ def uniforms(words: np.ndarray) -> np.ndarray:
 _X87_MANTISSA = 63  # np.finfo(np.longdouble).nmant of the x87 80-bit format
 
 
+def _near_midpoints(ext: np.ndarray) -> np.ndarray:
+    """Flat indices of the 16-byte x87 long doubles ext whose low 11 significand bits
+    read within 102 of 1024: within 0.05 ulp of a double rounding midpoint."""
+    low = ext.reshape(-1).view(np.uint64)[0::2] & np.uint64(0x7FF)
+    low -= np.uint64(1024 - 102)  # wraps below the window
+    return np.flatnonzero(low <= np.uint64(2 * 102))
+
+
 def _libm_log(u: np.ndarray) -> np.ndarray:
     """math.log of each element of the float64 array u > 0, bit for bit.
 
-    With x87 long doubles the log is taken once in extended precision
-    (relative error <= 2^-63, about 0.001 ulp of a double) and rounded to
-    y.  off = ext - y is exact.  Where |off| < 0.45 of the gap from y
-    toward zero, the true log lies within 0.451 ulp of y, so y is its
+    With 16-byte x87 long doubles the log is taken once in extended
+    precision (relative error <= 2^-63, about 0.001 ulp of a double) and
+    rounded to y, which drops the low 11 of its 64 significand bits.
+    Where they read more than 102 from 1024, the midpoint, the true log
+    lies within 0.451 ulp of y (0.5 - 103/2048 and the error), so y is its
     correct rounding, and a libm log with error below 0.549 ulp returns y
-    too (glibc documents 0.519 ulp).  The elements within 0.05 ulp of a
-    rounding midpoint, about one in ten, go through math.log.  Other long
-    double formats take math.log everywhere.
+    too (glibc documents 0.519 ulp).  The other elements, about one in
+    ten, go through math.log, as all do with other long double layouts.
     """
-    if np.finfo(np.longdouble).nmant == _X87_MANTISSA:
-        ext = u.astype(np.longdouble)
-        np.log(ext, out=ext)
+    if (np.finfo(np.longdouble).nmant, np.dtype(np.longdouble).itemsize) == (_X87_MANTISSA, 16):
+        ext = np.log(u.astype(np.longdouble))
         y = ext.astype(float)
-        ext -= y
-        off = np.abs(ext.astype(float))
-        # y * (1 - 2^-53) stays in y's binade unless |y| is a power of two,
-        # where it steps down to the smaller gap
-        redo = np.flatnonzero(off >= 0.45 * np.abs(np.spacing(y * (1.0 - _UNIT))))
+        redo = _near_midpoints(ext)
     else:
         y, redo = np.empty_like(u), np.arange(u.size)
     y.flat[redo] = np.fromiter(map(math.log, u.flat[redo].tolist()), dtype=float,

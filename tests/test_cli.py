@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from decayalg.cli import main
+from decayalg.cli import build_parser, main
 
 
 def write_config(path, **overrides):
@@ -259,6 +259,38 @@ def test_infinite_integer_field_exits_2(tmp_path, capsys, field):
     cfg = write_config(tmp_path / "cfg.json", **{field: float("inf")})
     assert_config_error(tmp_path, capsys, ["invert", "--config", str(cfg)])
 
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 7, 2**70])
+def test_seed_of_2_to_the_64_or_more_exits_2(tmp_path, capsys, seed):
+    # the stream counter takes the seed mod 2^64: 2^64 + 7 would rerun seed 7
+    cfg = write_config(tmp_path / "cfg.json")
+    assert_config_error(tmp_path, capsys, ["invert", "--config", str(cfg),
+                                           "--seed", str(seed)])
+
+
+def test_largest_seed_runs(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", trials=1)
+    out = tmp_path / "o"
+    assert main(["gen", "--config", str(cfg), "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["config"]["seed"] == 2**64 - 1
+
+
+def test_one_parser_and_independent_main_calls(tmp_path):
+    assert build_parser() is build_parser()
+    cfg = write_config(tmp_path / "cfg.json")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["kernel", "--config", str(cfg), "--out", str(a), "--seed", "5",
+                 "--trials", "1", "--format", "json"]) == 0
+    assert main(["kernel", "--config", str(cfg), "--out", str(b)]) == 0
+    first = json.loads((a / "report.json").read_text())
+    second = json.loads((b / "report.json").read_text())
+    assert (first["config"]["seed"], first["config"]["trials"]) == (5, 1)
+    assert (second["config"]["seed"], second["config"]["trials"]) == (21, 2)
+    assert "kernel_block_csv" not in first["records"][0]
+    assert (b / second["records"][0]["kernel_block_csv"]).exists()
+    args = build_parser().parse_args(["gen", "--config", str(cfg)])
+    assert (args.seed, args.trials, args.out, args.format) == (None, None, None, "csv")
 
 def wiener_config(path, **fields):
     obj = {"symbol": "3+u+u^{-1}", "grid": 256, "out_radius": 20}

@@ -1,13 +1,15 @@
 """Tests for experiment configs, operator generation, runners, verification."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decayalg.blocking_kernel import GridFunction, write_grid_function
-from decayalg.cd_operator import densify, fit_envelope
+from decayalg import harness
+from decayalg.blocking_kernel import GridFunction, assemble_kernel, write_grid_function
+from decayalg.cd_operator import Envelope, densify, fit_envelope, route
 from decayalg.harness import (
     FORMAT_VERSION,
     ConfigError,
@@ -15,6 +17,7 @@ from decayalg.harness import (
     _trace_norms,
     envelope_values,
     generate_operator,
+    geometry_plan,
     parse_symbol,
     run_gen,
     run_inverse_closedness,
@@ -24,7 +27,7 @@ from decayalg.harness import (
     worker_count,
 )
 from decayalg.cd_operator import CDOperator, decay_slope, invert_one_plus
-from decayalg.lattice import window_indices
+from decayalg.lattice import window_array, window_indices
 from decayalg.nuclear_blocks import trace_norm
 from decayalg.rng import Xoshiro256StarStar
 from decayalg.weights import Weight
@@ -223,6 +226,144 @@ def test_generate_operator_zero_table():
     assert op.blocks == {}
 
 
+
+# ---------------------------------------------------------- geometry plans
+
+
+def test_trials_of_one_config_share_one_read_only_plan():
+    cfg = small_config()
+    first, second = generate_operator(cfg, 0), generate_operator(cfg, 1)
+    plan = first.plan
+    assert plan is not None and second.plan is plan
+    assert generate_operator(small_config(seed=99), 0).plan is plan  # the seed is no part of it
+    assert plan is geometry_plan(1, 3, 1, "circulant", (0, 1, 2))
+    assert first.keys is plan.keys and route(first) is plan.route
+    kern = assemble_kernel(first, cfg.q)
+    assert kern.keys is plan.kernel[2]
+    assert assemble_kernel(second, cfg.q).keys is kern.keys
+    for part in (plan.keys, *plan.route, *plan.kernel):
+        assert not part.flags.writeable
+    with pytest.raises(ValueError):
+        plan.keys[0, 0, 0] = 1
+
+
+PLAN_CASES = {
+    "c1": {},
+    "dirichlet": dict(boundary="dirichlet"),
+    "band-wider-than-window": dict(window_radius=1, band_radius=3),
+    "c2-table-with-zeros": dict(c=2, window_radius=2, envelope_profile={
+        "kind": "table", "values": [0.0, 0.1, 0.0, 0.2, 0.0, 0.3, 0.0, 0.1, 0.2]}),
+    "c3-dirichlet": dict(c=3, window_radius=1, boundary="dirichlet"),
+}
+
+
+def same_route(got, want) -> bool:
+    return all(g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+               for g, w in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_CASES))
+def test_plan_route_equals_a_fresh_route(case):
+    op = generate_operator(small_config(**PLAN_CASES[case]), 3)
+    copy = CDOperator.from_arrays(op.c, op.window_radius, op.band_radius, op.local_dim,
+                                  op.boundary, op.keys.copy(), op.stack.copy())
+    assert op.plan is not None and copy.plan is None
+    assert same_route(route(op), route(copy))
+    assert route(copy) is route(copy)  # computed once, kept on the operator
+    assert all(not part.flags.writeable for part in route(copy))
+
+
+def test_a_dropped_block_leaves_the_operator_without_a_plan(monkeypatch):
+    calls = []
+
+    def one_zero(g, xs, ys):
+        tn = _trace_norms(g, xs, ys)
+        if not calls:
+            tn[1] = 0.0
+        calls.append(len(tn))
+        return tn
+
+    cfg = small_config()
+    full = generate_operator(cfg, 4)
+    monkeypatch.setattr(harness, "_trace_norms", one_zero)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        op = generate_operator(cfg, 4)
+    assert op.n_blocks == full.n_blocks - 1 and op.plan is None
+    assert op.keys.tobytes() == np.delete(full.keys, 1, axis=0).tobytes()
+    copy = CDOperator.from_arrays(op.c, op.window_radius, op.band_radius, op.local_dim,
+                                  op.boundary, op.keys.copy(), op.stack.copy())
+    assert same_route(route(op), route(copy))
+    assert not same_route(route(op), route(full))
+
+
+def test_an_all_zero_table_computes_its_own_empty_route():
+    op = generate_operator(small_config(envelope_profile={"kind": "table",
+                                                          "values": [0.0, 0.0, 0.0]}), 0)
+    assert op.plan is None
+    assert [len(part) for part in route(op)] == [0, 0, 0]
+
+
+# ------------------------------------------------------ loops made arrays
+
+
+def envelope_values_by_loop(cfg):
+    """The profile's values as envelope_values computed them with one Python loop."""
+    prof = cfg.envelope_profile
+    p = prof["rate" if prof["kind"] == "exponential" else "power"]
+    sizes = [sum(abs(x) for x in m) for m in window_indices(cfg.band_radius, cfg.c)]
+    vals = np.array([np.exp(-p * n) for n in sizes] if prof["kind"] == "exponential"
+                    else [(1.0 + n) ** -p for n in sizes])
+    if "l1" in prof:
+        vals = vals * (prof["l1"] / vals.sum())
+    return vals.reshape((2 * cfg.band_radius + 1,) * cfg.c)
+
+
+def decay_slope_by_loop(env, floor=1e-14):
+    xs, ys = [], []
+    for m in window_indices(env.radius, env.c):
+        b = env.beta(m)
+        if b > floor:
+            xs.append(max(abs(x) for x in m))
+            ys.append(np.log(b))
+    if len(xs) < 2:
+        return float("nan")
+    slope, _ = np.polyfit(np.array(xs, dtype=float), np.array(ys), 1)
+    return float(slope)
+
+
+@pytest.mark.parametrize("c, radius", [(1, 0), (1, 7), (2, 3), (3, 2)])
+@pytest.mark.parametrize("profile", [
+    {"kind": "exponential", "rate": 0.7},
+    {"kind": "exponential", "rate": 1.3, "l1": 0.5},
+    {"kind": "polynomial", "power": 1.7},
+    {"kind": "polynomial", "power": 2.5, "l1": 0.9},
+])
+def test_envelope_values_equal_the_loop_bitwise(c, radius, profile):
+    cfg = small_config(c=c, band_radius=radius, envelope_profile=profile)
+    assert envelope_values(cfg).tobytes() == envelope_values_by_loop(cfg).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+@settings(max_examples=40, deadline=None)
+@given(c=st.integers(1, 3), radius=st.integers(0, 4), seed=st.integers(0, 2**32),
+       zero_frac=st.floats(0.0, 0.9))
+def test_decay_slope_equals_the_loop_bitwise(c, radius, seed, zero_frac):
+    gen = np.random.default_rng(seed)
+    values = np.exp(-gen.uniform(0, 30, (2 * radius + 1,) * c))
+    values[gen.uniform(size=values.shape) < zero_frac] = 0.0
+    values.flat[::3] *= 1e-16  # some entries under the floor
+    env = Envelope(c, radius, values)
+    got, want = decay_slope(env), decay_slope_by_loop(env)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_decay_slope_of_fitted_envelopes_equals_the_loop_bitwise():
+    for trial in range(3):
+        env = invert_one_plus(generate_operator(small_config(window_radius=5), trial)).envelope
+        assert np.float64(decay_slope(env)).tobytes() == \
+            np.float64(decay_slope_by_loop(env)).tobytes()
+
+
 # ----------------------------------------------------------- invert runner
 
 
@@ -278,14 +419,20 @@ def test_run_inverse_closedness_deterministic(tmp_path):
 def test_run_inverse_closedness_parallel_matches_serial(runner, tmp_path, monkeypatch):
     cfg = small_config(trials=4)
     outputs = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("DECAYALG_THREADS", threads)
-        assert worker_count() == int(threads)
-        out = tmp_path / threads
-        outputs[threads] = (runner(cfg, out_dir=out)["records"],
-                            {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave often while they build the plan
+    try:
+        for threads in ("4", "2", "1"):  # each run builds the geometry plan afresh
+            geometry_plan.cache_clear()
+            monkeypatch.setenv("DECAYALG_THREADS", threads)
+            assert worker_count() == int(threads)
+            out = tmp_path / threads
+            outputs[threads] = (runner(cfg, out_dir=out)["records"],
+                                {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    finally:
+        sys.setswitchinterval(interval)
     assert len(outputs["1"][1]) > 1
-    assert outputs["1"] == outputs["4"]
+    assert outputs["1"] == outputs["2"] == outputs["4"]
 
 
 def test_worker_count_validation(monkeypatch):

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -283,6 +284,41 @@ def test_libm_log_falls_back_where_the_extended_rounding_differs(monkeypatch):
     monkeypatch.undo()
     assert np.array_equal(bits(got), bits(libm_logs(u)))
     assert sorted(calls) == sorted(u.tolist())
+
+
+def spacing_redo(u):
+    """The elements the spacing test sent to math.log: the extended log's offset
+    from its rounding y is at least 0.45 of the gap from y toward zero."""
+    ext = np.log(u.astype(np.longdouble))
+    y = ext.astype(float)
+    off = np.abs((ext - y).astype(float))
+    return np.flatnonzero(off >= 0.45 * np.abs(np.spacing(y * (1.0 - 2.0 ** -53))))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != rng._X87_MANTISSA
+                    or np.dtype(np.longdouble).itemsize != 16,
+                    reason="the significand test reads 16-byte x87 long doubles")
+@pytest.mark.parametrize("seed, stream", [(0, 0), (7, 3), (0x6B65726E, 11), (2**63 + 5, 1)])
+def test_significand_test_picks_the_spacing_tests_elements(seed, stream):
+    u = log_inputs(seed, stream, 1 << 20)  # 2^22 values over the four cases
+    redo = rng._near_midpoints(np.log(u.astype(np.longdouble)))
+    assert 0.09 < redo.size / u.size < 0.11
+    assert np.array_equal(redo, spacing_redo(u))
+
+
+def test_a_16_byte_long_double_that_is_not_x87_takes_math_log(monkeypatch):
+    # binary128 (aarch64, say) is 16 bytes with a 112-bit significand
+    finfo = np.finfo
+    monkeypatch.setattr(np, "finfo", lambda t: SimpleNamespace(nmant=112)
+                        if np.dtype(t) == np.longdouble else finfo(t))
+    calls = []
+    log = math.log
+    monkeypatch.setattr(math, "log", lambda x: calls.append(x) or log(x))
+    u = log_inputs(9, 4, 4096).reshape(64, 64)
+    got = rng._libm_log(u)
+    monkeypatch.undo()
+    assert np.array_equal(bits(got), bits(libm_logs(u)))
+    assert calls == u.ravel().tolist()
 
 
 def test_libm_log_without_extended_precision(monkeypatch):
