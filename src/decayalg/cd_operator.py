@@ -53,7 +53,6 @@ from .lattice import (
     window_indices,
     window_size,
 )
-from .nuclear_blocks import operator_norm
 from .seq_algebra import TorusPoint
 
 __all__ = [
@@ -71,6 +70,7 @@ __all__ = [
     "shift_decomposition",
     "laurent_symbol",
     "invert_one_plus",
+    "invert_stacked",
     "decay_slope",
 ]
 
@@ -583,31 +583,73 @@ def decay_slope(env: Envelope, floor: float = 1e-14) -> float:
 class InversionResult:
     """(1 + T)^{-1} = 1 + T1 with the quality certificates of the solve."""
 
-    t1: CDOperator
+    t1: Optional[CDOperator]  # None when invert_stacked was asked not to keep it
     residual: float
     condition: float
     envelope: Envelope  # nuclear envelope of t1
 
 
 def invert_one_plus(op: CDOperator, cond_limit: float = 1e12) -> InversionResult:
-    """Invert 1 + T on the circulant window and re-expand the correction.
+    """Invert 1 + T on the circulant window: invert_stacked of one operator."""
+    (res,) = invert_stacked([op], cond_limit)
+    if isinstance(res, NumericallySingular):
+        raise res
+    return res
 
-    The dense system is solved by LU factorization with partial pivoting
-    (refusing condition numbers above cond_limit); the correction
-    (1+T)^{-1} - 1 is re-blocked over the full band W = N, and its fitted
-    nuclear envelope is attached.
+
+def invert_stacked(ops: list, cond_limit: float = 1e12, keep_t1: bool = True) -> list:
+    """Invert each 1 + T: one InversionResult or NumericallySingular per operator.
+
+    Each system is solved by LU with partial pivoting, and the correction
+    (1+T)^{-1} - 1 is re-blocked over the full band W = N with its fitted
+    nuclear envelope (t1 itself only if keep_t1).  One stacked SVD of every
+    1 + T and (1+T)(1+T)^{-1} - 1 gives each condition number as
+    np.linalg.cond and each residual as operator_norm(., 2), bit for bit.
+    So the solve runs before the cond_limit check: a refused operator, or
+    one whose 1 + T the LU finds exactly singular, costs one inversion.
     """
-    if op.boundary != "circulant":
+    if any(op.boundary != "circulant" for op in ops):
         raise ValueError("inversion is defined on the circulant window")
+    if not ops:
+        return []
+    nd = ops[0].n_cells * ops[0].local_dim  # a dimension of another op fails to broadcast
+    stack = np.zeros((2 * len(ops), nd, nd), dtype=np.complex128)
+    solved = [_solve_into(op, stack[2 * i], stack[2 * i + 1], keep_t1)
+              for i, op in enumerate(ops)]
+    s = np.linalg.svd(stack, compute_uv=False)
+    with np.errstate(all="ignore"):
+        condition = s[0::2, 0] / s[0::2, -1]
+    # svd raises on a NaN entry, so a NaN here is 0/0 or inf/inf, which
+    # np.linalg.cond reads as infinitely ill-conditioned
+    condition[np.isnan(condition)] = np.inf
+    out = []
+    for cond, residual, done in zip(condition.tolist(), s[1::2, 0].tolist(), solved):
+        if not np.isfinite(cond) or cond > cond_limit:
+            out.append(NumericallySingular(f"condition {cond:.3e} exceeds {cond_limit:.1e}"))
+        elif done is None:
+            out.append(NumericallySingular(f"LU failed at condition {cond:.3e}"))
+        else:
+            out.append(InversionResult(done[0], residual, cond, done[1]))
+    return out
+
+
+def _solve_into(op: CDOperator, a: np.ndarray, r: np.ndarray, keep_t1: bool) -> Optional[tuple]:
+    """Write 1 + T into a and (1+T)(1+T)^{-1} - 1 into r; (t1 or None, its envelope).
+
+    None, r left zero, if the LU fails or the inverse is not finite.
+    """
     n, d = op.n_cells, op.local_dim
-    dense = densify(op)
-    a = np.eye(n * d, dtype=np.complex128) + dense
-    condition = float(np.linalg.cond(a))
-    if not np.isfinite(condition) or condition > cond_limit:
-        raise NumericallySingular(f"condition {condition:.3e} exceeds {cond_limit:.1e}")
-    a_inv = np.linalg.inv(a)
-    corr = a_inv - np.eye(n * d, dtype=np.complex128)
-    residual = operator_norm(a @ a_inv - np.eye(n * d, dtype=np.complex128), 2)
+    a[...] = densify(op)  # densify never writes -0.0, so this is eye + dense bit for bit
+    a.reshape(-1)[:: n * d + 1] += 1
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        a_inv = None
+    if a_inv is None or not np.isfinite(a_inv).all():
+        return None
+    np.matmul(a, a_inv, out=r)
+    r.reshape(-1)[:: n * d + 1] -= 1
+    a_inv.reshape(-1)[:: n * d + 1] -= 1  # the correction (1+T)^{-1} - 1
 
     # re-block the correction: block (k, j) of the dense matrix sits at the
     # offset m = wrap(k - j), unique within the band W = N
@@ -617,7 +659,6 @@ def invert_one_plus(op: CDOperator, cond_limit: float = 1e12) -> InversionResult
     m = (k - np.tile(cells, (n, 1)) + radius) % (2 * radius + 1) - radius
     t1 = CDOperator.from_arrays(
         op.c, radius, radius, d, "circulant", np.stack((k, m), axis=1),
-        corr.reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n * n, d, d),
+        a_inv.reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n * n, d, d),
     )
-    return InversionResult(t1=t1, residual=float(residual), condition=condition,
-                           envelope=fit_envelope(t1, "nuclear"))
+    return (t1 if keep_t1 else None), fit_envelope(t1, "nuclear")

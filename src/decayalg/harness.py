@@ -40,7 +40,7 @@ from .cd_operator import (
     decay_slope,
     densify,
     fit_envelope,
-    invert_one_plus,
+    invert_stacked,
     route_keys,
 )
 from .lattice import window_array, window_indices, window_size
@@ -122,9 +122,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         try:
-            for name in ("seed", "c", "window_radius", "band_radius", "local_dim", "q",
-                         "block_rank", "trials"):
-                setattr(self, name, int(getattr(self, name)))
+            for key in ("seed", "c", "N", "W", "d", "q", "block_rank", "trials"):
+                value = getattr(self, _CONFIG_FIELDS[key])
+                # int() alone would run 7.9 as 7, True as 1 and "4" as 4
+                if isinstance(value, (bool, np.bool_, str)) or value != int(value):
+                    raise TypeError(f"{key} is {value!r}")
+                setattr(self, _CONFIG_FIELDS[key], int(value))
         except (OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"non-integer field: {exc}") from exc
         if not 0 <= self.seed < 1 << 64:  # the stream counter is the seed mod 2^64
@@ -308,6 +311,14 @@ def worker_count() -> int:
     return max(1, n)
 
 
+def _group_size(dense_dim: int) -> int:
+    """Trials per invert group: the fewest whose 1 + T and residual matrices
+    have more than 500 singular values together; numpy releases the GIL in a
+    LAPACK call only above 500 output elements (CHANGES.md, the line on numpy
+    holding the GIL)."""
+    return 500 // (2 * dense_dim) + 1
+
+
 def _map_trials(fn, n_trials: int) -> list:
     workers = worker_count()
     if workers <= 1 or n_trials <= 1:
@@ -387,17 +398,22 @@ def _resolve_out_dir(cfg_output_dir, out_dir) -> Path:
     return path
 
 
-def _run_trials(kind: str, cfg: ExperimentConfig, out_dir, one_trial, emit) -> dict:
-    """The trial loop of every runner: map the trials, emit each record, write the report.
+def _run_trials(kind: str, cfg: ExperimentConfig, out_dir, run_group, emit,
+                group: int = 1) -> dict:
+    """The trial loop of every runner: map the trial groups, emit each record, write the report.
 
-    one_trial(trial) returns a record whose "_" keys carry objects for
+    run_group(trials) returns the records of a range of `group` consecutive
+    trials (the last range may be shorter), whose "_" keys carry objects for
     emit(trial, rec, out_path); emit pops them, writes the runner's
     sidecars and returns the record as reported.  Records are emitted in
     trial order, whatever the worker count.
     """
     out_path = _resolve_out_dir(cfg.output_dir, out_dir)
+    trials = range(cfg.trials)
+    groups = _map_trials(lambda i: run_group(trials[i * group:(i + 1) * group]),
+                         len(trials[::group]))
     records = [emit(trial, dict(rec), out_path)
-               for trial, rec in enumerate(_map_trials(one_trial, cfg.trials))]
+               for trial, rec in enumerate(rec for recs in groups for rec in recs)]
     report = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -414,13 +430,17 @@ def _run_trials(kind: str, cfg: ExperimentConfig, out_dir, one_trial, emit) -> d
 
 def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None,
                            fmt: str = "csv") -> dict:
-    """Generate, certify, invert, and measure decay, one record per trial."""
+    """Generate, certify, invert, and measure decay, one record per trial.
+
+    The certified trials of a group are inverted by one invert_stacked call.
+    """
     if cfg.boundary != "circulant":
         raise ConfigError("invert needs the circulant boundary: inversion is "
                           "defined on the circulant window")
     beta = envelope_values(cfg)
 
-    def one_trial(trial: int) -> dict:
+    def certify(trial: int) -> tuple:
+        """(record, operator): the record so far, and the operator if it is certified."""
         op = generate_operator(cfg, trial)
         fitted = fit_envelope(op, "nuclear")
         env_l1 = fitted.l1()
@@ -435,24 +455,34 @@ def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None,
                     "trial": trial,
                     "error": "not certified invertible "
                              f"(envelope l1 {env_l1:.3f}, spectral radius {radius:.3f})",
-                }
-        try:
-            res = invert_one_plus(op)
-        except NumericallySingular as exc:
-            return {"trial": trial, "error": str(exc)}
-        table = _envelope_table(res.envelope, cfg.weight)
+                }, None
         return {
             "trial": trial,
-            "residual": _json_float(res.residual),
-            "condition": _json_float(res.condition),
-            "slope": _json_float(decay_slope(res.envelope)),
-            **_totals(table[-1][-1], table[-1][-2]),
             "envelope_l1": _json_float(env_l1),
             "invertibility_check": check,
             # the fitted beta_m is the max over cells, so this bounds every block
             "envelope_dominates": bool((fitted.values <= beta * (1.0 + 1e-12) + 1e-15).all()),
+        }, op
+
+    def finish(rec: dict, res) -> dict:
+        if isinstance(res, NumericallySingular):
+            return {"trial": rec["trial"], "error": str(res)}
+        table = _envelope_table(res.envelope, cfg.weight)
+        return {
+            "trial": rec["trial"],
+            "residual": _json_float(res.residual),
+            "condition": _json_float(res.condition),
+            "slope": _json_float(decay_slope(res.envelope)),
+            **_totals(table[-1][-1], table[-1][-2]),
+            **rec,
             "_envelope_table": table,
         }
+
+    def run_group(trials: range) -> list:
+        certified = [certify(trial) for trial in trials]
+        results = iter(invert_stacked([op for _, op in certified if op is not None],
+                                      keep_t1=False))
+        return [rec if op is None else finish(rec, next(results)) for rec, op in certified]
 
     def emit(trial: int, rec: dict, out_path: Path) -> dict:
         table = rec.pop("_envelope_table", None)
@@ -466,7 +496,10 @@ def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None,
             rec["envelope_rows"] = table
         return rec
 
-    return _run_trials("inverse_closedness", cfg, out_dir, one_trial, emit)
+    # a group fewer trials where more would leave a worker without one
+    group = min(_group_size(window_size(cfg.window_radius, cfg.c) * cfg.local_dim),
+                -(-cfg.trials // worker_count()))
+    return _run_trials("inverse_closedness", cfg, out_dir, run_group, emit, group)
 
 
 # ----------------------------------------------------------------- wiener
@@ -697,7 +730,7 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
             rec["grid_file"] = gname
         return rec
 
-    return _run_trials("kernel", cfg, out_dir, one_trial, emit)
+    return _run_trials("kernel", cfg, out_dir, lambda trials: [one_trial(t) for t in trials], emit)
 
 
 # -------------------------------------------------------------------- gen
@@ -721,7 +754,7 @@ def run_gen(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
         rec["operator_json"] = name
         return rec
 
-    return _run_trials("gen", cfg, out_dir, one_trial, emit)
+    return _run_trials("gen", cfg, out_dir, lambda trials: [one_trial(t) for t in trials], emit)
 
 
 # ---------------------------------------------------------------- verify

@@ -18,13 +18,14 @@ from decayalg.cd_operator import (
     densify,
     fit_envelope,
     invert_one_plus,
+    invert_stacked,
     laurent_symbol,
     lp_accumulate,
     shift_decomposition,
 )
 from decayalg.harness import _envelope_header, _envelope_table, _write_csv
 from decayalg.lattice import window_indices, window_size
-from decayalg.nuclear_blocks import trace_norm
+from decayalg.nuclear_blocks import operator_norm, trace_norm
 from decayalg.seq_algebra import TorusPoint
 from decayalg.weights import Weight
 
@@ -310,6 +311,75 @@ def test_invert_one_plus_residual_identity():
     assert res.condition == pytest.approx(1.0)
     np.testing.assert_array_equal(densify(res.t1), np.zeros((10, 10)))
     assert _envelope_table(res.envelope, Weight())[-1][-1] == 0.0
+
+
+
+def test_invert_stacked_matches_the_single_matrix_calls_bit_for_bit():
+    # condition as np.linalg.cond, residual as operator_norm, each from one stacked SVD
+    rng = np.random.default_rng(47)
+    ops = [CDOperator(1, 3, 1, 2, "circulant",
+                      {km: scale * blk for km, blk in random_op(rng).blocks.items()})
+           for scale in (0.02, 0.1, 0.2, 0.3, 0.45)]
+    singular = CDOperator.shift_invariant(1, 3, 0, 2, "circulant",
+                                          {(0,): -np.eye(2, dtype=complex)})
+    ops.insert(2, singular)
+    results = invert_stacked(ops, cond_limit=np.inf)
+    for op, res in zip(ops, results):
+        a = np.eye(14) + densify(op)
+        cond = np.linalg.cond(a)
+        if op is singular:
+            assert cond == np.inf
+            assert isinstance(res, NumericallySingular)
+            assert str(res) == f"condition {cond:.3e} exceeds inf"
+            continue
+        assert res.condition == float(cond)
+        assert res.residual == operator_norm(a @ np.linalg.inv(a) - np.eye(14), 2)
+        alone = invert_one_plus(op, cond_limit=np.inf)
+        assert (res.condition, res.residual) == (alone.condition, alone.residual)
+        np.testing.assert_array_equal(res.t1.stack, alone.t1.stack)
+        np.testing.assert_array_equal(res.envelope.values, alone.envelope.values)
+    assert invert_stacked([]) == []
+    assert invert_stacked(ops[:2], keep_t1=False)[0].t1 is None
+    with pytest.raises(ValueError):  # dense dimensions 14 and 10
+        invert_stacked([ops[0], random_op(rng, N=2)])
+
+
+@pytest.mark.parametrize("inverse", ["raises", "not finite"])
+def test_invert_stacked_refuses_a_failed_lu_and_spares_the_others(monkeypatch, inverse):
+    rng = np.random.default_rng(53)
+    ops = [CDOperator(1, 2, 1, 2, "circulant",
+                      {km: 0.1 * blk for km, blk in random_op(rng, N=2).blocks.items()})
+           for _ in range(3)]
+    want = [invert_one_plus(op) for op in ops]
+    inv, calls = np.linalg.inv, []
+
+    def failing_inv(a):  # the second solve fails, though 1 + T is well conditioned
+        calls.append(None)
+        if len(calls) != 2:
+            return inv(a)
+        if inverse == "raises":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full_like(a, np.nan)
+
+    monkeypatch.setattr(np.linalg, "inv", failing_inv)
+    results = invert_stacked(ops)
+    assert str(results[1]) == f"LU failed at condition {want[1].condition:.3e}"
+    for res, alone in zip(results[::2], want[::2]):
+        assert (res.condition, res.residual) == (alone.condition, alone.residual)
+        np.testing.assert_array_equal(res.envelope.values, alone.envelope.values)
+
+
+@pytest.mark.parametrize("block, message", [
+    (-np.eye(2), "condition inf exceeds 1.0e+12"),  # exactly singular: the LU fails
+    (np.array([[0.0, 1e13], [0.0, 0.0]]), "condition 1.000e+26 exceeds 1.0e+12"),
+    (np.diag([-1 + 1e-13, 0.5]), "condition 1.500e+13 exceeds 1.0e+12"),
+], ids=["minus-one", "nilpotent", "near-singular"])
+def test_invert_one_plus_refusal_messages(block, message):
+    # the messages of the code that checked the condition before solving
+    op = CDOperator.shift_invariant(1, 2, 0, 2, "circulant", {(0,): block.astype(complex)})
+    with pytest.raises(NumericallySingular) as exc:
+        invert_one_plus(op)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------- serialization

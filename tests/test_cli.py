@@ -260,6 +260,13 @@ def test_infinite_integer_field_exits_2(tmp_path, capsys, field):
     assert_config_error(tmp_path, capsys, ["invert", "--config", str(cfg)])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 7.9), ("trials", 2.5), ("trials", True), ("N", "4"), ("W", None)])
+def test_non_integer_integer_field_exits_2(tmp_path, capsys, field, value):
+    # int() alone would have run the first four as seed 7, 2 trials, 1 trial and N = 4
+    cfg = write_config(tmp_path / "cfg.json", **{field: value})
+    assert_config_error(tmp_path, capsys, ["invert", "--config", str(cfg)])
+
 
 @pytest.mark.parametrize("seed", [2**64, 2**64 + 7, 2**70])
 def test_seed_of_2_to_the_64_or_more_exits_2(tmp_path, capsys, seed):

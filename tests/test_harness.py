@@ -26,7 +26,7 @@ from decayalg.harness import (
     verify_report,
     worker_count,
 )
-from decayalg.cd_operator import CDOperator, decay_slope, invert_one_plus
+from decayalg.cd_operator import CDOperator, NumericallySingular, decay_slope, invert_one_plus
 from decayalg.lattice import window_array, window_indices
 from decayalg.nuclear_blocks import trace_norm
 from decayalg.rng import Xoshiro256StarStar
@@ -73,10 +73,22 @@ def test_config_round_trip():
     {"envelope_profile": {"kind": "table", "values": [1.0]}},
     {"envelope_profile": {"kind": "table", "values": [1.0, -1.0, 1.0]}},
     {"envelope_profile": {"kind": "exponential", "rate": 1.0, "l1": 0.0}},
+    {"seed": 7.9},                          # int() would alias it to seed 7
+    {"trials": 2.5},
+    {"trials": True},
+    {"window_radius": "4"},
+    {"local_dim": np.bool_(True)},
+    {"block_rank": float("nan")},
 ])
 def test_config_rejects_bad_values(patch):
     with pytest.raises(ConfigError):
         small_config(**patch)
+
+
+def test_config_accepts_python_and_numpy_integers():
+    cfg = small_config(seed=np.uint64(2**64 - 1), trials=np.int8(3), window_radius=4.0)
+    assert (cfg.seed, cfg.trials, cfg.window_radius) == (2**64 - 1, 3, 4)
+    assert all(type(v) is int for v in (cfg.seed, cfg.trials, cfg.window_radius))
 
 
 def test_config_from_json_rejects_junk():
@@ -414,25 +426,92 @@ def test_run_inverse_closedness_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_group_size_is_the_fewest_trials_past_500_singular_values():
+    assert [harness._group_size(nd) for nd in (125, 126, 132, 250, 251, 1682)] == \
+        [3, 2, 2, 2, 1, 1]
+    for nd in range(1, 600):
+        g = harness._group_size(nd)
+        assert 2 * g * nd > 500 >= 2 * (g - 1) * nd
+
+
+@pytest.mark.parametrize("threads, trials, groups", [
+    ("1", 4, 2), ("2", 4, 2), ("2", 2, 2), ("2", 3, 2), ("4", 4, 4), ("2", 5, 3)])
+def test_every_worker_gets_a_group(tmp_path, monkeypatch, threads, trials, groups):
+    # n * d = 132 groups two trials, unless that would leave a worker idle
+    mapped = []
+    map_trials = harness._map_trials
+    monkeypatch.setattr(harness, "_map_trials",
+                        lambda fn, n: mapped.append(n) or map_trials(fn, n))
+    monkeypatch.setenv("DECAYALG_THREADS", threads)
+    cfg = small_config(window_radius=16, local_dim=4, trials=trials)
+    run_inverse_closedness(cfg, out_dir=tmp_path)
+    assert mapped == [groups]
+
+
+def invert_one_at_a_time(ops, keep_t1):
+    """invert_stacked as one invert_one_plus call per operator."""
+    out = []
+    for op in ops:
+        try:
+            out.append(invert_one_plus(op))
+        except NumericallySingular as exc:
+            out.append(exc)
+    return out
+
+
 @pytest.mark.parametrize("runner", [run_inverse_closedness, run_kernel, run_gen],
                          ids=["invert", "kernel", "gen"])
 def test_run_inverse_closedness_parallel_matches_serial(runner, tmp_path, monkeypatch):
-    cfg = small_config(trials=4)
-    outputs = {}
+    # invert runs at group sizes 1 (n * d = 252) and 3 (n * d = 124), and
+    # every run must equal trials inverted one invert_one_plus call each
+    geometries = [{}]
+    if runner is run_inverse_closedness:
+        geometries = [dict(window_radius=31, local_dim=4), dict(window_radius=15, local_dim=4)]
+        assert [harness._group_size(63 * 4), harness._group_size(31 * 4)] == [1, 3]
+
+    def run(cfg, threads, out):
+        geometry_plan.cache_clear()  # each run builds the geometry plan afresh
+        monkeypatch.setenv("DECAYALG_THREADS", threads)
+        assert worker_count() == int(threads)
+        return (runner(cfg, out_dir=out)["records"],
+                {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads interleave often while they build the plan
     try:
-        for threads in ("4", "2", "1"):  # each run builds the geometry plan afresh
-            geometry_plan.cache_clear()
-            monkeypatch.setenv("DECAYALG_THREADS", threads)
-            assert worker_count() == int(threads)
-            out = tmp_path / threads
-            outputs[threads] = (runner(cfg, out_dir=out)["records"],
-                                {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        for geometry in geometries:
+            for trials in (1, 2, 3, 5):
+                cfg = small_config(trials=trials, **geometry)
+                base = tmp_path / f"{cfg.window_radius}-{trials}"
+                with monkeypatch.context() as patched:
+                    if runner is run_inverse_closedness:
+                        patched.setattr(harness, "_group_size", lambda nd: 1)
+                        patched.setattr(harness, "invert_stacked", invert_one_at_a_time)
+                    want = run(cfg, "1", base / "reference")
+                assert len(want[0]) == trials and len(want[1]) > 1
+                assert all("error" not in rec for rec in want[0])
+                for threads in ("4", "2", "1"):
+                    assert run(cfg, threads, base / threads) == want, (geometry, trials, threads)
     finally:
         sys.setswitchinterval(interval)
-    assert len(outputs["1"][1]) > 1
-    assert outputs["1"] == outputs["2"] == outputs["4"]
+
+
+def test_a_refused_trial_leaves_its_group_mates_records_alone(tmp_path, monkeypatch):
+    # trial 1 is certified (nilpotent, spectral radius 0) but refused for its
+    # condition; trial 0 shares its group and must read as when it runs alone
+    cfg = small_config(trials=2)
+    assert harness._group_size(14) >= 2
+    alone = run_inverse_closedness(small_config(trials=1), out_dir=tmp_path / "alone")
+    generate = harness.generate_operator
+    nilpotent = CDOperator.shift_invariant(
+        1, 3, 1, 2, "circulant", {(0,): np.array([[0, 1e13], [0, 0]], dtype=complex)})
+    monkeypatch.setattr(harness, "generate_operator",
+                        lambda cfg, trial: nilpotent if trial == 1 else generate(cfg, trial))
+    grouped = run_inverse_closedness(cfg, out_dir=tmp_path / "grouped")
+    assert grouped["records"] == alone["records"] + [
+        {"trial": 1, "error": "condition 1.000e+26 exceeds 1.0e+12"}]
+    name = "envelope_trial_000.csv"
+    assert (tmp_path / "grouped" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
 def test_worker_count_validation(monkeypatch):

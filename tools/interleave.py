@@ -13,7 +13,9 @@ every file the two commands write is compared byte for byte.
 Prints trials/s of each side, the median per-command change/parent wall
 ratio and the number of commands in which the change was faster; the
 last line is the same as one JSON object.  OPENBLAS_NUM_THREADS defaults
-to 1 and DECAYALG_THREADS is the workload's, as in perfbench.
+to 1 and DECAYALG_THREADS is the workload's, as in perfbench, unless
+--threads sets it for both trees: `--threads 1` compares the serial
+paths of a change to the trial pool, the workload's count its gain.
 """
 
 from __future__ import annotations
@@ -62,12 +64,15 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--commands", type=int, default=200)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=None,
+                        help="DECAYALG_THREADS for both trees (default: the workload's)")
     args = parser.parse_args(argv)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     workloads = load("_perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     command_seed = load("_perfbench_run", ROOT / "perfbench" / "run.py").command_seed
     workload = workloads.WORKLOADS[args.workload]
-    os.environ["DECAYALG_THREADS"] = str(workload.threads)
+    threads = workload.threads if args.threads is None else args.threads
+    os.environ["DECAYALG_THREADS"] = str(threads)
     mains = {side: load_cli(tree.resolve(), f"decayalg_{side}").main
              for side, tree in zip(SIDES, (args.parent, args.change))}
 
@@ -100,6 +105,7 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "commands": args.commands,
         "seed": args.seed,
+        "threads": threads,
         "trials_per_s": {side: round(workload.trials * args.commands / sum(walls[side]), 3)
                          for side in SIDES},
         "median_ratio": round(statistics.median(ratios), 4),
@@ -107,7 +113,8 @@ def main(argv=None) -> int:
         "outputs_identical": args.commands + 1 - len(differing),
         "differing_commands": differing,
     }
-    print(f"{args.workload}: {args.commands} commands, each tree first in every other one")
+    print(f"{args.workload}: {args.commands} commands at {threads} thread(s), "
+          "each tree first in every other one")
     for side in SIDES:
         print(f"  {side:6s} {summary['trials_per_s'][side]:.3f} trials/s")
     print(f"  change/parent wall per command: median {summary['median_ratio']:.4f}, "
