@@ -7,141 +7,9 @@ operators dominated by summable envelopes, with dense-LU inversion and
 envelope decay fits; the blocking isometry to sampled functions and
 integral kernels; and a deterministic experiment harness, the one owner
 of the report tables, with a CLI (``decayalg``).
+
+Names are imported from the modules that define them (``decayalg.cd_operator``
+and so on); the package root exports only ``__version__``.
 """
 
-from .weights import AxiomReport, Weight, grs_sequence, verify_axioms
-from .seq_algebra import (
-    FiniteSeq,
-    SymbolVanishes,
-    TorusPoint,
-    WienerResult,
-    basis,
-    character_eval,
-    convolve,
-    delta,
-    invertibility_test,
-    symbol_on_grid,
-    weighted_norm,
-    wiener_inverse,
-)
-from .nuclear_blocks import (
-    Diverged,
-    HomotopyPath,
-    HomotopyResult,
-    NotContractive,
-    NuclearFactorization,
-    PathHitsSpectrum,
-    StepTooLarge,
-    build_path,
-    homotopy_inverse,
-    neumann_inverse,
-    operator_norm,
-    svd_factorization,
-    trace_norm,
-)
-from .cd_operator import (
-    BlockVector,
-    CDOperator,
-    Envelope,
-    InversionResult,
-    NotShiftInvariant,
-    NumericallySingular,
-    ShapeMismatch,
-    apply,
-    compose,
-    decay_slope,
-    densify,
-    fit_envelope,
-    invert_one_plus,
-    laurent_symbol,
-    shift_decomposition,
-)
-from .blocking_kernel import (
-    GridFunction,
-    Kernel,
-    MissingFactorization,
-    apply_kernel,
-    assemble_kernel,
-    block,
-    read_grid_function,
-    unblock,
-    write_grid_function,
-)
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    generate_operator,
-    parse_symbol,
-    run_inverse_closedness,
-    run_kernel,
-    run_wiener,
-    verify_report,
-)
-from .rng import Xoshiro256StarStar
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AxiomReport",
-    "BlockVector",
-    "CDOperator",
-    "ConfigError",
-    "Diverged",
-    "Envelope",
-    "ExperimentConfig",
-    "FiniteSeq",
-    "GridFunction",
-    "HomotopyPath",
-    "HomotopyResult",
-    "InversionResult",
-    "Kernel",
-    "MissingFactorization",
-    "NotContractive",
-    "NotShiftInvariant",
-    "NuclearFactorization",
-    "NumericallySingular",
-    "PathHitsSpectrum",
-    "ShapeMismatch",
-    "StepTooLarge",
-    "SymbolVanishes",
-    "TorusPoint",
-    "Weight",
-    "WienerResult",
-    "Xoshiro256StarStar",
-    "apply",
-    "apply_kernel",
-    "assemble_kernel",
-    "basis",
-    "block",
-    "build_path",
-    "character_eval",
-    "compose",
-    "convolve",
-    "decay_slope",
-    "delta",
-    "densify",
-    "fit_envelope",
-    "generate_operator",
-    "grs_sequence",
-    "homotopy_inverse",
-    "invert_one_plus",
-    "invertibility_test",
-    "laurent_symbol",
-    "neumann_inverse",
-    "operator_norm",
-    "parse_symbol",
-    "read_grid_function",
-    "run_inverse_closedness",
-    "run_kernel",
-    "run_wiener",
-    "shift_decomposition",
-    "svd_factorization",
-    "symbol_on_grid",
-    "trace_norm",
-    "unblock",
-    "verify_axioms",
-    "verify_report",
-    "weighted_norm",
-    "wiener_inverse",
-    "write_grid_function",
-]

@@ -32,10 +32,9 @@ from .cd_operator import (
     CDOperator,
     ShapeMismatch,
     lp_accumulate,
-    route,
     sum_groups,
 )
-from .lattice import flat_offsets, window_array, window_indices, window_size
+from .lattice import flat_offsets, window_indices, window_size
 
 __all__ = [
     "GridFunction",
@@ -138,28 +137,14 @@ def attach_svd_factorizations(op: CDOperator) -> CDOperator:
     return op
 
 
-def _kernel_grouping(op: CDOperator) -> tuple:
-    """(group, order, keys): each routed block's kernel block, the order its
-    terms add in (ascending offset), and the kernel's key table."""
-    rows, cells, sources = route(op)
-    n = op.n_cells
-    codes, group = np.unique(cells * n + sources, return_inverse=True)
-    window = window_array(op.window_radius, op.c)
-    grouping = group, flat_offsets(op.keys[rows, 1], op.band_radius), \
-        np.stack((window[codes // n], window[codes % n]), axis=1)
-    for part in grouping:
-        part.flags.writeable = False
-    return grouping
-
-
 def assemble_kernel(op: CDOperator, q: int) -> Kernel:
     """Build the sampled kernel of a block operator with q^c = d.
 
     The operator must carry its factor terms (`op.factors`); the kernel
     block is their rank-one assembly divided by the cell quadrature weight h^c.
     Offsets that wrap onto the same source cell accumulate, mirroring
-    the circulant apply, in ascending order of the offset.  The grouping
-    depends only on the geometry; an operator's plan keeps it.
+    the circulant apply, in ascending order of the offset; the grouping
+    is the `pairs` of the operator's plan.
     """
     if q ** op.c != op.local_dim:
         raise ShapeMismatch(
@@ -168,13 +153,8 @@ def assemble_kernel(op: CDOperator, q: int) -> Kernel:
     if op.factors is None:
         raise MissingFactorization("operator carries no factor terms")
     h_pow = q ** (-op.c)
-    rows = route(op)[0]
-    grouping = op.plan.kernel if op.plan is not None else None
-    if grouping is None:
-        grouping = _kernel_grouping(op)
-        if op.plan is not None:
-            op.plan.kernel = grouping
-    group, order, keys = grouping
+    rows = op.plan.route[0]
+    group, order, keys = op.plan.pairs
     a, y = op.factors[0][rows], op.factors[1][rows]
     assembled = np.zeros((len(rows), op.local_dim, op.local_dim), dtype=np.complex128)
     term = np.empty_like(assembled)

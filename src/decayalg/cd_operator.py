@@ -28,10 +28,9 @@ factor terms are two more stacks, `factors`, the one form in which an
 operator carries them.  All are validated in bulk once, at
 construction, and are read-only afterwards.  `blocks` is a read-only
 {(k, m): block} view whose values are rows of the stack.
-`route` is the one place a block is routed to its source cell; apply,
-densify, compose and the kernel assembly all go through it (it is
-computed once per operator, or once per geometry plan), and each
-adds its terms with one np.add.at over terms sorted by target and then
+The `route` of an operator's `Plan` is the one place a block is routed
+to its source cell; apply, densify, compose and the kernel assembly all
+go through it, and each adds its terms with one np.add.at over terms sorted by target and then
 by the order of a block-by-block walk over sorted keys.  The results
 rely on add.at being unbuffered: it adds repeated indices one at a time,
 in index order, so every target sums its terms in that walk's order.
@@ -41,13 +40,14 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
 from .lattice import (
     as_index,
-    flat_offset,
     flat_offsets,
     window_array,
     window_indices,
@@ -57,6 +57,7 @@ from .seq_algebra import TorusPoint
 
 __all__ = [
     "CDOperator",
+    "Plan",
     "BlockVector",
     "Envelope",
     "InversionResult",
@@ -158,23 +159,6 @@ def lp_accumulate(values: np.ndarray, p, cell_weight: float = 1.0) -> float:
 # ----------------------------------------------------------- block store
 
 
-class _RowMap(Mapping):
-    """Read-only {(index, index): block} view of a block store, in row order."""
-
-    def __init__(self, owner: "BlockStore"):
-        self._owner = owner
-
-    def __getitem__(self, key):
-        return self._owner.stack[self._owner.row(key)]
-
-    def __iter__(self):
-        keys = self._owner.keys
-        return zip(map(tuple, keys[:, 0].tolist()), map(tuple, keys[:, 1].tolist()))
-
-    def __len__(self) -> int:
-        return len(self._owner.keys)
-
-
 class BlockStore:
     """Blocks kept as one stack plus a key table of index pairs.
 
@@ -197,7 +181,8 @@ class BlockStore:
             raise ShapeMismatch(f"key table has shape {keys.shape}, "
                                 f"want {(len(stack), 2, self.c)}")
         for part, (radius, name) in enumerate(zip(radii, names)):
-            outside = np.flatnonzero(np.abs(keys[:, part]).max(axis=1, initial=0) > radius)
+            outside = np.flatnonzero(
+                ((keys[:, part] < -radius) | (keys[:, part] > radius)).any(axis=1))
             if outside.size:
                 raise ShapeMismatch(
                     f"{name} {tuple(keys[outside[0], part].tolist())} outside radius {radius}"
@@ -205,26 +190,6 @@ class BlockStore:
         keys.flags.writeable = False
         stack.flags.writeable = False
         self.keys, self.stack = keys, stack
-        self._radii = radii
-        self._rows = None
-
-    def row(self, key) -> int:
-        """The row of the block at key (a pair of indices); KeyError if there is none."""
-        (r0, r1), c = self._radii, self.c
-        try:
-            a, b = key
-            code = flat_offset(as_index(a, c), r0) * window_size(r1, c) + \
-                flat_offset(as_index(b, c), r1)
-        except (IndexError, TypeError, ValueError):
-            raise KeyError(key) from None
-        if self._rows is None:  # {key code: row}, built on first use
-            codes = flat_offsets(self.keys[:, 0], r0) * window_size(r1, c) + \
-                flat_offsets(self.keys[:, 1], r1)
-            self._rows = dict(zip(codes.tolist(), range(len(codes))))
-        try:
-            return self._rows[code]
-        except KeyError:
-            raise KeyError(key) from None
 
     @staticmethod
     def _table(blocks: Mapping, c: int, block_shape: tuple) -> tuple:
@@ -234,18 +199,21 @@ class BlockStore:
         a key that normalizes onto an earlier one replaces its block.
         """
         table = {(as_index(a, c), as_index(b, c)): blk for (a, b), blk in blocks.items()}
-        keys = np.array(list(table), dtype=np.int64).reshape(len(table), 2, c)
-        if not table:
-            return keys, np.zeros((0,) + block_shape, dtype=np.complex128)
         try:
-            return keys, np.array(list(table.values()), dtype=np.complex128)
+            keys = np.array(list(table), dtype=np.int64).reshape(len(table), 2, c)
+            return keys, np.array(list(table.values()) or np.zeros((0,) + block_shape),
+                                  dtype=np.complex128)
+        except OverflowError as exc:
+            raise ShapeMismatch("an index does not fit in int64") from exc
         except ValueError as exc:  # blocks of differing shapes
             raise ShapeMismatch(f"blocks differ in shape, want {block_shape}") from exc
 
-    @property
+    @cached_property
     def blocks(self) -> Mapping:
-        """Read-only {(index, index): block} view; the blocks are rows of `stack`."""
-        return _RowMap(self)
+        """Read-only {(index tuple, index tuple): block} view in row order, built
+        on first use; the blocks are rows of `stack`."""
+        return MappingProxyType({(tuple(a), tuple(b)): blk
+                                 for (a, b), blk in zip(self.keys.tolist(), self.stack)})
 
     @property
     def n_blocks(self) -> int:
@@ -260,11 +228,9 @@ class CDOperator(BlockStore):
     (n_blocks, rank, d) stacks with block i = sum_j outer(y[i, j], a[i, j]);
     a block of lower rank is padded with zero terms, which add exactly
     nothing.  They are the only form in which an operator carries factor
-    terms.  `plan`, when set, is the read-only plan of the key table's
-    geometry (harness.geometry_plan), shared by every operator over it.
+    terms.  `plan` is the `Plan` of the key table, the operator's own or
+    one shared by every operator over the same key array.
     """
-
-    plan = None
 
     def __init__(self, c: int, window_radius: int, band_radius: int,
                  local_dim: int, boundary: str, blocks: Optional[Mapping] = None):
@@ -275,24 +241,33 @@ class CDOperator(BlockStore):
     @classmethod
     def from_arrays(cls, c: int, window_radius: int, band_radius: int,
                     local_dim: int, boundary: str, keys, stack,
-                    factors: Optional[tuple] = None) -> "CDOperator":
+                    factors: Optional[tuple] = None,
+                    plan: Optional["Plan"] = None) -> "CDOperator":
         """An operator over a key table and a block stack, validated in bulk.
 
-        The arrays are kept, not copied, and become read-only.
+        The arrays are kept, not copied, and become read-only.  A shared
+        `plan` must be over this very key array and geometry.
         """
         op = cls.__new__(cls)
-        op._set(c, window_radius, band_radius, local_dim, boundary, keys, stack)
+        op._set(c, window_radius, band_radius, local_dim, boundary, keys, stack, plan)
         op.factors = factors
         return op
 
-    def _set(self, c, window_radius, band_radius, local_dim, boundary, keys, stack) -> None:
+    def _set(self, c, window_radius, band_radius, local_dim, boundary, keys, stack,
+             plan=None) -> None:
         if boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}")
         self.c, self.window_radius, self.band_radius = c, window_radius, band_radius
         self.local_dim, self.boundary = local_dim, boundary
         self._store(keys, stack, (local_dim, local_dim), (window_radius, band_radius),
                     ("cell index", "offset"))
-        self._route = None
+        if plan is None:
+            plan = Plan(self.keys, window_radius, band_radius, boundary)
+        elif plan.keys is not self.keys or \
+                (plan.window_radius, plan.band_radius, plan.boundary) != \
+                (window_radius, band_radius, boundary):
+            raise ShapeMismatch("the plan is over another key table or geometry")
+        self.plan = plan
 
     @property
     def factors(self) -> Optional[tuple]:
@@ -366,37 +341,57 @@ class CDOperator(BlockStore):
 # --------------------------------------------------------------- routing
 
 
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """What depends only on a key table of (cell, offset) rows and its geometry;
+    each part is computed on first use and kept as read-only arrays."""
+
+    keys: np.ndarray  # (n, 2, c) int64
+    window_radius: int
+    band_radius: int
+    boundary: str
+
+    @cached_property
+    def route(self) -> tuple:
+        """(rows, cells, sources) of the blocks that land in the window, in (cell, offset) order.
+
+        cells and sources are the flat window rows of each block's cell k and
+        source k - m.  The circulant boundary wraps the source into the
+        window; the dirichlet boundary drops a block whose source is outside.
+        """
+        keys, radius, band = self.keys, self.window_radius, self.band_radius
+        k, m = keys[:, 0], keys[:, 1]
+        src = k - m
+        if self.boundary == "circulant":
+            src = (src + radius) % (2 * radius + 1) - radius
+        cells = flat_offsets(k, radius)
+        code = cells * window_size(band, keys.shape[2]) + flat_offsets(m, band)
+        rows = np.argsort(code, kind="stable")  # the code is unique per block
+        rows = rows[np.abs(src[rows]).max(axis=1, initial=0) <= radius]
+        return _read_only(rows, cells[rows], flat_offsets(src[rows], radius))
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """(group, order, keys) of the kernel assembly: each routed block's
+        kernel block, the order its terms add in (ascending offset), and the
+        kernel's key table of cell pairs."""
+        rows, cells, sources = self.route
+        window = window_array(self.window_radius, self.keys.shape[2])
+        n = len(window)
+        codes, group = np.unique(cells * n + sources, return_inverse=True)
+        return _read_only(group, flat_offsets(self.keys[rows, 1], self.band_radius),
+                          np.stack((window[codes // n], window[codes % n]), axis=1))
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def route(op: CDOperator) -> tuple:
-    """(rows, cells, sources) of the blocks that land in the window, in (cell, offset) order.
-
-    cells and sources are the flat window rows of each block's cell k and
-    source k - m.  The circulant boundary wraps the source into the
-    window; the dirichlet boundary drops a block whose source is outside.
-    Read-only: the operator's plan carries them, or the first call keeps
-    them on the operator, as `row` keeps its table.
-    """
-    if op.plan is not None:
-        return op.plan.route
-    if op._route is None:
-        op._route = route_keys(op.keys, op.window_radius, op.band_radius, op.boundary)
-    return op._route
-
-
-def route_keys(keys: np.ndarray, window_radius: int, band_radius: int,
-               boundary: str) -> tuple:
-    """`route` of an (n, 2, c) key table of (cell, offset) rows, computed afresh."""
-    k, m = keys[:, 0], keys[:, 1]
-    src = k - m
-    if boundary == "circulant":
-        src = (src + window_radius) % (2 * window_radius + 1) - window_radius
-    cells = flat_offsets(k, window_radius)
-    code = cells * window_size(band_radius, keys.shape[2]) + flat_offsets(m, band_radius)
-    rows = np.argsort(code, kind="stable")  # the code is unique per block
-    rows = rows[np.abs(src[rows]).max(axis=1, initial=0) <= window_radius]
-    out = rows, cells[rows], flat_offsets(src[rows], window_radius)
-    for part in out:
-        part.flags.writeable = False
-    return out
+    """The `Plan.route` of the operator's key table."""
+    return op.plan.route
 
 
 def sum_groups(values: np.ndarray, group: np.ndarray, order: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -36,12 +35,12 @@ from .cd_operator import (
     CDOperator,
     Envelope,
     NumericallySingular,
+    Plan,
     apply,
     decay_slope,
     densify,
     fit_envelope,
     invert_stacked,
-    route_keys,
 )
 from .lattice import window_array, window_indices, window_size
 from .rng import Xoshiro256StarStar, box_muller, uniforms
@@ -232,17 +231,15 @@ def _trace_norms(g: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def geometry_plan(c: int, window_radius: int, band_radius: int, boundary: str,
-                  drawn: tuple) -> SimpleNamespace:
-    """The process's one read-only plan of a geometry, shared by its trials: the key
-    table `generate_operator` fills (cells, then the drawn flat offsets), its `route`,
-    and `kernel`, None until the first `assemble_kernel` stores its grouping whole."""
+                  drawn: tuple) -> Plan:
+    """The process's one `Plan` of a geometry, shared by its trials, over the key
+    table `generate_operator` fills (cells, then the drawn flat offsets)."""
     cells = window_array(window_radius, c)
     keys = np.empty((len(cells) * len(drawn), 2, c), dtype=np.int64)
     keys[:, 0] = np.repeat(cells, len(drawn), axis=0)
     keys[:, 1] = np.tile(window_array(band_radius, c)[list(drawn)], (len(cells), 1))
     keys.flags.writeable = False
-    return SimpleNamespace(keys=keys, kernel=None,
-                           route=route_keys(keys, window_radius, band_radius, boundary))
+    return Plan(keys, window_radius, band_radius, boundary)
 
 
 def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
@@ -290,13 +287,10 @@ def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
         np.multiply(ys, scale, out=a[part])
         y[part] = xs.transpose(0, 2, 1)
     kept = tn != 0.0
-    if not kept.all():  # a measure-zero draw
-        keys, stack, a, y = keys[kept], stack[kept], a[kept], y[kept]
-    op = CDOperator.from_arrays(cfg.c, cfg.window_radius, cfg.band_radius, d,
-                                cfg.boundary, keys, stack, factors=(a, y))
-    if n and kept.all():
-        op.plan = plan
-    return op
+    if not (n and kept.all()):  # no blocks, or a measure-zero draw dropped one
+        keys, stack, a, y, plan = keys[kept], stack[kept], a[kept], y[kept], None
+    return CDOperator.from_arrays(cfg.c, cfg.window_radius, cfg.band_radius, d,
+                                  cfg.boundary, keys, stack, factors=(a, y), plan=plan)
 
 
 def worker_count() -> int:

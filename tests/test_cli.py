@@ -5,6 +5,7 @@ import json
 import pytest
 
 from decayalg.cli import build_parser, main
+from decayalg.harness import verify_report
 
 
 def write_config(path, **overrides):
@@ -177,6 +178,22 @@ def test_verify_report_junk_operator_file_exits_4(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
     (out / "operator_trial_000.json").write_text("junk")
+    assert_verify_problem(capsys, out / "report.json", "operator_trial_000.json: not an operator")
+
+
+@pytest.mark.parametrize("index", [-2**63, 2**64])
+def test_verify_report_operator_index_beyond_the_window_exits_4(tmp_path, capsys, index):
+    # np.abs(-2**63) is -2**63, and 2**64 does not fit in int64
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "operator_trial_000.json"
+    obj = json.loads(path.read_text())
+    obj["blocks"][0]["k"] = [index]
+    path.write_text(json.dumps(obj))
+    problems = verify_report(out / "report.json")
+    assert [p.split(": not an operator: ")[0] for p in problems] == [path.name]
+    assert "ShapeMismatch" in problems[0]
     assert_verify_problem(capsys, out / "report.json", "operator_trial_000.json: not an operator")
 
 

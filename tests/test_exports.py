@@ -1,10 +1,13 @@
 """Every exported name resolves and every imported name is used or exported.
 
-A deletion can then leave neither a stale export nor a stale import.
+A deletion can then leave neither a stale export nor a stale import.  Each
+name has one import path: a module exports only what it defines, and the
+package root exports nothing but its version.
 """
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -23,6 +26,22 @@ def test_every_exported_name_exists(name):
     exported = getattr(module, "__all__", [])
     assert len(exported) == len(set(exported))
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_class_or_function_is_defined_in_its_module(name):
+    module = importlib.import_module(name)
+    exported = [getattr(module, n) for n in getattr(module, "__all__", [])]
+    assert [obj.__qualname__ for obj in exported
+            if (inspect.isclass(obj) or inspect.isfunction(obj))
+            and obj.__module__ != name] == []
+
+
+def test_the_package_root_exports_only_its_version():
+    public = [n for n, obj in vars(decayalg).items()
+              if not n.startswith("_") and not inspect.ismodule(obj)]
+    assert public == [] and getattr(decayalg, "__all__", []) == []
+    assert decayalg.__version__ == "0.1.0"
 
 
 

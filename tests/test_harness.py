@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from decayalg import harness
 from decayalg.blocking_kernel import GridFunction, assemble_kernel, write_grid_function
-from decayalg.cd_operator import Envelope, densify, fit_envelope, route
+from decayalg.cd_operator import Envelope, Plan, ShapeMismatch, densify, fit_envelope, route
 from decayalg.harness import (
     FORMAT_VERSION,
     ConfigError,
@@ -246,17 +246,19 @@ def test_trials_of_one_config_share_one_read_only_plan():
     cfg = small_config()
     first, second = generate_operator(cfg, 0), generate_operator(cfg, 1)
     plan = first.plan
-    assert plan is not None and second.plan is plan
+    assert isinstance(plan, Plan) and second.plan is plan
     assert generate_operator(small_config(seed=99), 0).plan is plan  # the seed is no part of it
     assert plan is geometry_plan(1, 3, 1, "circulant", (0, 1, 2))
     assert first.keys is plan.keys and route(first) is plan.route
     kern = assemble_kernel(first, cfg.q)
-    assert kern.keys is plan.kernel[2]
+    assert kern.keys is plan.pairs[2]
     assert assemble_kernel(second, cfg.q).keys is kern.keys
-    for part in (plan.keys, *plan.route, *plan.kernel):
+    for part in (plan.keys, *plan.route, *plan.pairs):
         assert not part.flags.writeable
     with pytest.raises(ValueError):
         plan.keys[0, 0, 0] = 1
+    with pytest.raises(AttributeError):
+        plan.window_radius = 4
 
 
 PLAN_CASES = {
@@ -269,23 +271,36 @@ PLAN_CASES = {
 }
 
 
-def same_route(got, want) -> bool:
+def same_arrays(got, want) -> bool:
     return all(g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
                for g, w in zip(got, want, strict=True))
 
 
+def assert_plan_of_a_copied_table(op):
+    """op's plan is over its own key array, and its route and pairs equal, bit for bit,
+    those of a plan over a copy of that array; every array is read-only."""
+    fresh = Plan(op.keys.copy(), op.window_radius, op.band_radius, op.boundary)
+    assert op.plan.keys is op.keys
+    assert same_arrays(route(op), fresh.route)
+    assert same_arrays(op.plan.pairs, fresh.pairs)
+    for part in (op.plan.keys, *op.plan.route, *op.plan.pairs, *fresh.route, *fresh.pairs):
+        assert not part.flags.writeable
+
+
 @pytest.mark.parametrize("case", sorted(PLAN_CASES))
 def test_plan_route_equals_a_fresh_route(case):
-    op = generate_operator(small_config(**PLAN_CASES[case]), 3)
+    cfg = small_config(**PLAN_CASES[case])
+    op = generate_operator(cfg, 3)
+    assert generate_operator(cfg, 4).plan is op.plan
+    assert_plan_of_a_copied_table(op)
     copy = CDOperator.from_arrays(op.c, op.window_radius, op.band_radius, op.local_dim,
                                   op.boundary, op.keys.copy(), op.stack.copy())
-    assert op.plan is not None and copy.plan is None
-    assert same_route(route(op), route(copy))
-    assert route(copy) is route(copy)  # computed once, kept on the operator
-    assert all(not part.flags.writeable for part in route(copy))
+    assert copy.plan is not op.plan
+    assert route(copy) is route(copy)  # computed once, kept on the operator's own plan
+    assert_plan_of_a_copied_table(copy)
 
 
-def test_a_dropped_block_leaves_the_operator_without_a_plan(monkeypatch):
+def test_a_dropped_block_gives_the_operator_its_own_plan(monkeypatch):
     calls = []
 
     def one_zero(g, xs, ys):
@@ -300,19 +315,39 @@ def test_a_dropped_block_leaves_the_operator_without_a_plan(monkeypatch):
     monkeypatch.setattr(harness, "_trace_norms", one_zero)
     with np.errstate(divide="ignore", invalid="ignore"):
         op = generate_operator(cfg, 4)
-    assert op.n_blocks == full.n_blocks - 1 and op.plan is None
+    assert op.n_blocks == full.n_blocks - 1 and op.plan is not full.plan
     assert op.keys.tobytes() == np.delete(full.keys, 1, axis=0).tobytes()
-    copy = CDOperator.from_arrays(op.c, op.window_radius, op.band_radius, op.local_dim,
-                                  op.boundary, op.keys.copy(), op.stack.copy())
-    assert same_route(route(op), route(copy))
-    assert not same_route(route(op), route(full))
+    assert_plan_of_a_copied_table(op)
+    assert not same_arrays(route(op), route(full))
+
+
+def test_a_dict_built_operator_has_its_own_plan():
+    full = generate_operator(small_config(), 0)
+    op = CDOperator(1, 3, 1, full.local_dim, "circulant", dict(full.blocks))
+    assert op.plan is not full.plan
+    assert_plan_of_a_copied_table(op)
+    assert same_arrays(route(op), route(full)) and same_arrays(op.plan.pairs, full.plan.pairs)
 
 
 def test_an_all_zero_table_computes_its_own_empty_route():
-    op = generate_operator(small_config(envelope_profile={"kind": "table",
-                                                          "values": [0.0, 0.0, 0.0]}), 0)
-    assert op.plan is None
-    assert [len(part) for part in route(op)] == [0, 0, 0]
+    cfg = small_config(envelope_profile={"kind": "table", "values": [0.0, 0.0, 0.0]})
+    op = generate_operator(cfg, 0)
+    assert op.plan is not generate_operator(cfg, 1).plan
+    assert_plan_of_a_copied_table(op)
+    assert [len(part) for part in (*route(op), *op.plan.pairs)] == [0] * 6
+
+
+def test_from_arrays_takes_only_a_plan_over_its_own_key_array():
+    op = generate_operator(small_config(), 0)
+    geometry = [op.c, op.window_radius, op.band_radius, op.local_dim, op.boundary]
+    shared = CDOperator.from_arrays(*geometry, op.keys, op.stack.copy(), plan=op.plan)
+    assert shared.plan is op.plan
+    with pytest.raises(ShapeMismatch, match="another key table"):
+        CDOperator.from_arrays(*geometry, op.keys.copy(), op.stack, plan=op.plan)
+    for at, other in ((2, op.band_radius + 1), (4, "dirichlet")):  # the same array, elsewhere
+        with pytest.raises(ShapeMismatch, match="another key table"):
+            CDOperator.from_arrays(*geometry[:at], other, *geometry[at + 1:], op.keys,
+                                   op.stack, plan=op.plan)
 
 
 # ------------------------------------------------------ loops made arrays

@@ -24,6 +24,7 @@ from decayalg.cd_operator import (
     BlockVector,
     CDOperator,
     NotShiftInvariant,
+    ShapeMismatch,
     apply,
     compose,
     densify,
@@ -342,3 +343,38 @@ def test_store_is_read_only_and_validated_in_bulk():
     with pytest.raises(ValueError):
         CDOperator(1, 2, 1, 2, "circulant", {(0, 0): blk, (1, 0): np.eye(3)})
     assert window_size(2, 1) == op.n_cells
+    with pytest.raises(KeyError):  # lookups take the tuple keys the view yields
+        op.blocks[(0, 1)]
+
+    # a shuffled store: the view is built once and follows the key table's rows
+    shuffled = random_op(np.random.default_rng(5), 2, 2, 1, 2, "circulant", 0.5, shuffle=True)
+    keys = [(tuple(k), tuple(m)) for k, m in shuffled.keys.tolist()]
+    assert shuffled.blocks is shuffled.blocks
+    assert list(shuffled.blocks) == keys and keys != sorted(keys)
+    view = dict(shuffled.blocks)
+    assert list(view) == list(dict(zip(keys, shuffled.stack)))
+    for got, want in zip(view.values(), shuffled.stack, strict=True):
+        assert_bitwise(got, want)
+        assert np.shares_memory(got, shuffled.stack)
+    absent = next((k, m) for k in window_indices(2, 2) for m in window_indices(1, 2)
+                  if (k, m) not in view)
+    for key in (absent, ((3, 0), (0, 0)), keys[0][0], (1, 2)):
+        with pytest.raises(KeyError):
+            shuffled.blocks[key]
+    with pytest.raises(TypeError):
+        shuffled.blocks[keys[0]] = blk
+    with pytest.raises(ValueError):
+        shuffled.blocks[keys[0]][0, 0] = 5.0
+
+
+@pytest.mark.parametrize("index", [-2**63, -2**63 + 1, 2**63, 2**64])
+def test_an_index_outside_the_window_is_refused_at_any_magnitude(index):
+    blk = np.eye(2, dtype=complex)
+    for key in (((index,), (0,)), ((0,), (index,))):
+        with pytest.raises(ShapeMismatch):
+            CDOperator(1, 2, 1, 2, "circulant", {key: blk})
+        with pytest.raises(ShapeMismatch):
+            Kernel(1, 2, 1, {key: np.eye(1)})
+    if -2**63 <= index < 2**63:
+        with pytest.raises(ShapeMismatch, match="outside radius"):
+            CDOperator.from_arrays(1, 2, 1, 2, "circulant", [[[index], [0]]], [blk])
