@@ -29,9 +29,10 @@ operator carries them.  All are validated in bulk once, at
 construction, and are read-only afterwards.  `blocks` is a read-only
 {(k, m): block} view whose values are rows of the stack.
 The `route` of an operator's `Plan` is the one place a block is routed
-to its source cell; apply, densify, compose and the kernel assembly all
-go through it, and each adds its terms with one np.add.at over terms sorted by target and then
-by the order of a block-by-block walk over sorted keys.  The results
+to its source cell; apply, densify, compose, the kernel assembly and the
+re-blocking of an inverse all go through it.  The first four add their
+terms with one np.add.at over terms sorted by target and then by the
+order of a block-by-block walk over sorted keys.  The results
 rely on add.at being unbuffered: it adds repeated indices one at a time,
 in index order, so every target sums its terms in that walk's order.
 """
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Optional
 
@@ -58,6 +59,8 @@ from .seq_algebra import TorusPoint
 __all__ = [
     "CDOperator",
     "Plan",
+    "band_plan",
+    "geometry_plan",
     "BlockVector",
     "Envelope",
     "InversionResult",
@@ -360,15 +363,14 @@ class Plan:
         window; the dirichlet boundary drops a block whose source is outside.
         """
         keys, radius, band = self.keys, self.window_radius, self.band_radius
-        k, m = keys[:, 0], keys[:, 1]
-        src = k - m
+        cells = flat_offsets(keys[:, 0], radius)
+        code = cells * window_size(band, keys.shape[2]) + flat_offsets(keys[:, 1], band)
+        rows = np.argsort(code, kind="stable")  # the code is unique per block
+        src = keys[rows, 0] - keys[rows, 1]
         if self.boundary == "circulant":
             src = (src + radius) % (2 * radius + 1) - radius
-        cells = flat_offsets(k, radius)
-        code = cells * window_size(band, keys.shape[2]) + flat_offsets(m, band)
-        rows = np.argsort(code, kind="stable")  # the code is unique per block
-        rows = rows[np.abs(src[rows]).max(axis=1, initial=0) <= radius]
-        return _read_only(rows, cells[rows], flat_offsets(src[rows], radius))
+        inside = np.abs(src).max(axis=1, initial=0) <= radius
+        return _read_only(rows[inside], cells[rows[inside]], flat_offsets(src[inside], radius))
 
     @cached_property
     def pairs(self) -> tuple:
@@ -389,9 +391,20 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-def route(op: CDOperator) -> tuple:
-    """The `Plan.route` of the operator's key table."""
-    return op.plan.route
+def band_plan(c: int, window_radius: int, band_radius: int, boundary: str,
+              drawn: tuple) -> Plan:
+    """The `Plan` over the key table of every cell with the `drawn` flat offsets
+    of the band: cells in window order, then offsets in `drawn` order."""
+    cells = window_array(window_radius, c)
+    keys = np.empty((len(cells) * len(drawn), 2, c), dtype=np.int64)
+    keys[:, 0] = np.repeat(cells, len(drawn), axis=0)
+    keys[:, 1] = np.tile(window_array(band_radius, c)[list(drawn)], (len(cells), 1))
+    keys.flags.writeable = False
+    return Plan(keys, window_radius, band_radius, boundary)
+
+
+# the process's one plan of a generated geometry, shared by its trials
+geometry_plan = lru_cache(maxsize=16)(band_plan)
 
 
 def sum_groups(values: np.ndarray, group: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -422,7 +435,7 @@ def apply(op: CDOperator, x: BlockVector) -> BlockVector:
         raise ShapeMismatch(
             f"vector payload dim {x.local_dim} != operator dim {op.local_dim}"
         )
-    rows, cells, sources = route(op)
+    rows, cells, sources = op.plan.route
     out = np.zeros_like(x.values)
     np.add.at(out, cells, (op.stack[rows] @ x.values[sources, :, None])[..., 0])
     return BlockVector(op.c, op.window_radius, out)
@@ -440,7 +453,7 @@ def compose(a: CDOperator, b: CDOperator) -> CDOperator:
     for attr in ("c", "window_radius", "local_dim", "boundary"):
         if getattr(a, attr) != getattr(b, attr):
             raise ShapeMismatch(f"operands differ in {attr}")
-    rows_a, cells_a, sources_a = route(a)
+    rows_a, cells_a, sources_a = a.plan.route
     # pair every block (k, m1) of a with each block (j, m2) of b at its source j
     cells_b = flat_offsets(b.keys[:, 0], b.window_radius)
     per_cell = np.bincount(cells_b, minlength=a.n_cells)
@@ -467,7 +480,7 @@ def densify(op: CDOperator) -> np.ndarray:
     """The full matrix on the flattened window, (2N+1)^c * d square."""
     n, d = op.n_cells, op.local_dim
     dense = np.zeros((n * d, n * d), dtype=np.complex128)
-    rows, cells, sources = route(op)
+    rows, cells, sources = op.plan.route
     # added, not assigned: with a band wider than the window two offsets
     # can wrap onto the same source cell, and they accumulate
     np.add.at(dense.reshape(n, d, n, d), (cells, slice(None), sources), op.stack[rows])
@@ -646,14 +659,11 @@ def _solve_into(op: CDOperator, a: np.ndarray, r: np.ndarray, keep_t1: bool) -> 
     r.reshape(-1)[:: n * d + 1] -= 1
     a_inv.reshape(-1)[:: n * d + 1] -= 1  # the correction (1+T)^{-1} - 1
 
-    # re-block the correction: block (k, j) of the dense matrix sits at the
-    # offset m = wrap(k - j), unique within the band W = N
+    # re-block the correction over the full band W = N, where each block (k, m)
+    # has its own source cell; the plan is not cached, its route is as large as T1
     radius = op.window_radius
-    cells = window_array(radius, op.c)
-    k = np.repeat(cells, n, axis=0)
-    m = (k - np.tile(cells, (n, 1)) + radius) % (2 * radius + 1) - radius
-    t1 = CDOperator.from_arrays(
-        op.c, radius, radius, d, "circulant", np.stack((k, m), axis=1),
-        a_inv.reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n * n, d, d),
-    )
+    plan = band_plan(op.c, radius, radius, "circulant", tuple(range(n)))
+    _, cells, sources = plan.route  # rows 0..n^2-1: the keys come in route order
+    t1 = CDOperator.from_arrays(op.c, radius, radius, d, "circulant", plan.keys,
+                                a_inv.reshape(n, d, n, d)[cells, :, sources], plan=plan)
     return (t1 if keep_t1 else None), fit_envelope(t1, "nuclear")

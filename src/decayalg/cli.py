@@ -34,10 +34,11 @@ _EXIT_NUMERICAL = 3
 _EXIT_VERIFY = 4
 
 
-def _add_run_flags(sub: argparse.ArgumentParser) -> None:
+def _add_run_flags(sub: argparse.ArgumentParser, seeded: bool = True) -> None:
     sub.add_argument("--config", required=True, help="experiment config JSON")
-    sub.add_argument("--seed", type=int, default=None, help="override config seed")
-    sub.add_argument("--trials", type=int, default=None, help="override trial count")
+    if seeded:  # wiener draws nothing: it has no seed and no trials
+        sub.add_argument("--seed", type=int, default=None, help="override config seed")
+        sub.add_argument("--trials", type=int, default=None, help="override trial count")
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="csv: sidecar tables next to report.json; "
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("wiener", "invert a scalar symbol on the torus"),
         ("kernel", "run the blocking/kernel consistency experiment"),
     ):
-        _add_run_flags(subs.add_parser(name, help=text))
+        _add_run_flags(subs.add_parser(name, help=text), seeded=name != "wiener")
     verify = subs.add_parser("verify-report", help="re-check a report's invariants")
     verify.add_argument("report", help="path to a report.json")
     return parser
@@ -86,10 +87,7 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def _run_report_command(args) -> int:
     if args.command == "wiener":
-        obj = _load_json(args.config)
-        if args.seed is not None:
-            obj["seed"] = args.seed
-        report = run_wiener(obj, out_dir=args.out, fmt=args.format)
+        report = run_wiener(_load_json(args.config), out_dir=args.out, fmt=args.format)
         return _EXIT_NUMERICAL if "error" in report else _EXIT_OK
     cfg = _experiment_config(args)
     runner = {

@@ -9,7 +9,6 @@ and all emitted JSON/CSV, written and read back only here, is byte-stable
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -35,21 +34,16 @@ from .cd_operator import (
     CDOperator,
     Envelope,
     NumericallySingular,
-    Plan,
     apply,
     decay_slope,
     densify,
     fit_envelope,
+    geometry_plan,
     invert_stacked,
 )
 from .lattice import window_array, window_indices, window_size
 from .rng import Xoshiro256StarStar, box_muller, uniforms
-from .seq_algebra import (
-    FiniteSeq,
-    SymbolVanishes,
-    invertibility_test,
-    wiener_inverse,
-)
+from .seq_algebra import FiniteSeq, SymbolVanishes, check_sizes, wiener_inverse
 from .weights import Weight
 
 __all__ = [
@@ -76,6 +70,17 @@ class ConfigError(ValueError):
     """The experiment configuration is malformed or inconsistent."""
 
 
+def _integer(key: str, value) -> int:
+    """value as an int; ConfigError unless it is an integral number."""
+    try:
+        # int() alone would run 7.9 as 7, True as 1 and "4" as 4
+        if isinstance(value, (bool, np.bool_, str)) or value != int(value):
+            raise TypeError(f"{key} is {value!r}")
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"non-integer field: {exc}") from exc
+    return int(value)
+
+
 def _parsed(what: str, parse):
     """parse(), with any parsing error raised as a ConfigError naming `what`."""
     try:
@@ -84,6 +89,22 @@ def _parsed(what: str, parse):
         raise
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what}: {exc!r}") from exc
+
+
+def _config_object(obj, fields, required: tuple, what: str) -> None:
+    """ConfigError unless obj is a JSON object of this format version that
+    has every `required` field and no field outside `fields`."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    version = obj.get("format_version", FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        raise ConfigError(f"unsupported format_version {version}")
+    unknown = set(obj) - set(fields) - {"format_version"}
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ConfigError(f"{what} needs {', '.join(missing)}")
 
 
 def _positive(prof: dict, key: str) -> float:
@@ -120,15 +141,9 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
-        try:
-            for key in ("seed", "c", "N", "W", "d", "q", "block_rank", "trials"):
-                value = getattr(self, _CONFIG_FIELDS[key])
-                # int() alone would run 7.9 as 7, True as 1 and "4" as 4
-                if isinstance(value, (bool, np.bool_, str)) or value != int(value):
-                    raise TypeError(f"{key} is {value!r}")
-                setattr(self, _CONFIG_FIELDS[key], int(value))
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise ConfigError(f"non-integer field: {exc}") from exc
+        for key in ("seed", "c", "N", "W", "d", "q", "block_rank", "trials"):
+            name = _CONFIG_FIELDS[key]
+            setattr(self, name, _integer(key, getattr(self, name)))
         if not 0 <= self.seed < 1 << 64:  # the stream counter is the seed mod 2^64
             raise ConfigError("seed must be an integer in [0, 2^64)")
         if self.c < 1:
@@ -156,16 +171,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError("config must be a JSON object")
-        version = obj.get("format_version", FORMAT_VERSION)
-        if version != FORMAT_VERSION:
-            raise ConfigError(f"unsupported format_version {version}")
-        unknown = set(obj) - set(_CONFIG_FIELDS) - {"format_version"}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "seed" not in obj:
-            raise ConfigError("config needs a seed")
+        _config_object(obj, _CONFIG_FIELDS, ("seed",), "config")
         fields = {name: obj[key] for key, name in _CONFIG_FIELDS.items() if key in obj}
         if "weight" in obj:
             fields["weight"] = _parsed("weight", lambda: Weight.from_json(obj["weight"]))
@@ -227,19 +233,6 @@ def _trace_norms(g: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     if xs.shape[-1] == 2:
         sq = sq + 2.0 * np.sqrt(_gram_det(xs.transpose(0, 2, 1)) * _gram_det(ys))
     return np.sqrt(sq)
-
-
-@functools.lru_cache(maxsize=16)
-def geometry_plan(c: int, window_radius: int, band_radius: int, boundary: str,
-                  drawn: tuple) -> Plan:
-    """The process's one `Plan` of a geometry, shared by its trials, over the key
-    table `generate_operator` fills (cells, then the drawn flat offsets)."""
-    cells = window_array(window_radius, c)
-    keys = np.empty((len(cells) * len(drawn), 2, c), dtype=np.int64)
-    keys[:, 0] = np.repeat(cells, len(drawn), axis=0)
-    keys[:, 1] = np.tile(window_array(band_radius, c)[list(drawn)], (len(cells), 1))
-    keys.flags.writeable = False
-    return Plan(keys, window_radius, band_radius, boundary)
 
 
 def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
@@ -392,22 +385,20 @@ def _resolve_out_dir(cfg_output_dir, out_dir) -> Path:
     return path
 
 
-def _run_trials(kind: str, cfg: ExperimentConfig, out_dir, run_group, emit,
+def _run_trials(kind: str, cfg: ExperimentConfig, out_dir, run_group,
                 group: int = 1) -> dict:
-    """The trial loop of every runner: map the trial groups, emit each record, write the report.
+    """The trial loop of every runner: map the trial groups, write the report.
 
-    run_group(trials) returns the records of a range of `group` consecutive
-    trials (the last range may be shorter), whose "_" keys carry objects for
-    emit(trial, rec, out_path); emit pops them, writes the runner's
-    sidecars and returns the record as reported.  Records are emitted in
-    trial order, whatever the worker count.
+    run_group(trials, out_path) runs a range of `group` consecutive trials
+    (the last range may be shorter), writes their sidecars into out_path and
+    returns their finished records.  Records are reported in trial order,
+    whatever the worker count.
     """
     out_path = _resolve_out_dir(cfg.output_dir, out_dir)
     trials = range(cfg.trials)
-    groups = _map_trials(lambda i: run_group(trials[i * group:(i + 1) * group]),
+    groups = _map_trials(lambda i: run_group(trials[i * group:(i + 1) * group], out_path),
                          len(trials[::group]))
-    records = [emit(trial, dict(rec), out_path)
-               for trial, rec in enumerate(rec for recs in groups for rec in recs)]
+    records = [rec for recs in groups for rec in recs]
     report = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -458,42 +449,31 @@ def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None,
             "envelope_dominates": bool((fitted.values <= beta * (1.0 + 1e-12) + 1e-15).all()),
         }, op
 
-    def finish(rec: dict, res) -> dict:
+    def finish(rec: dict, res, out_path: Path) -> dict:
         if isinstance(res, NumericallySingular):
             return {"trial": rec["trial"], "error": str(res)}
         table = _envelope_table(res.envelope, cfg.weight)
-        return {
-            "trial": rec["trial"],
-            "residual": _json_float(res.residual),
-            "condition": _json_float(res.condition),
-            "slope": _json_float(decay_slope(res.envelope)),
-            **_totals(table[-1][-1], table[-1][-2]),
-            **rec,
-            "_envelope_table": table,
-        }
-
-    def run_group(trials: range) -> list:
-        certified = [certify(trial) for trial in trials]
-        results = iter(invert_stacked([op for _, op in certified if op is not None],
-                                      keep_t1=False))
-        return [rec if op is None else finish(rec, next(results)) for rec, op in certified]
-
-    def emit(trial: int, rec: dict, out_path: Path) -> dict:
-        table = rec.pop("_envelope_table", None)
-        if table is None:
-            return rec
+        rec.update(residual=_json_float(res.residual), condition=_json_float(res.condition),
+                   slope=_json_float(decay_slope(res.envelope)),
+                   **_totals(table[-1][-1], table[-1][-2]))
         if fmt == "csv":
-            name = f"envelope_trial_{trial:03d}.csv"
-            _write_csv(out_path / name, _envelope_header(cfg.c), table)
-            rec["envelope_csv"] = name
+            rec["envelope_csv"] = f"envelope_trial_{rec['trial']:03d}.csv"
+            _write_csv(out_path / rec["envelope_csv"], _envelope_header(cfg.c), table)
         else:
             rec["envelope_rows"] = table
         return rec
 
+    def run_group(trials: range, out_path: Path) -> list:
+        certified = [certify(trial) for trial in trials]
+        results = iter(invert_stacked([op for _, op in certified if op is not None],
+                                      keep_t1=False))
+        return [rec if op is None else finish(rec, next(results), out_path)
+                for rec, op in certified]
+
     # a group fewer trials where more would leave a worker without one
     group = min(_group_size(window_size(cfg.window_radius, cfg.c) * cfg.local_dim),
                 -(-cfg.trials // worker_count()))
-    return _run_trials("inverse_closedness", cfg, out_dir, run_group, emit, group)
+    return _run_trials("inverse_closedness", cfg, out_dir, run_group, group)
 
 
 # ----------------------------------------------------------------- wiener
@@ -528,75 +508,56 @@ def parse_symbol(text: str, c: int = 1) -> FiniteSeq:
         except ValueError as exc:
             raise ConfigError(f"bad coefficient or exponent in {term!r}") from exc
         sign = -1.0 if signs.count("-") % 2 else 1.0
-        entries[(power,)] = entries.get((power,), 0j) + sign * coef
-    radius = max(abs(p[0]) for p in entries)
-    out = FiniteSeq.zeros(1, radius)
-    for (p,), v in entries.items():
-        out.data[p + radius] = v
-    return out
+        entries[power] = entries.get(power, 0j) + sign * coef
+    return FiniteSeq.from_entries(entries, c=1)
 
 
 def _geometric_closed_form_error(seq: FiniteSeq, inverse: FiniteSeq) -> Optional[float]:
-    """Exact-coefficient check for two-term symbols lam + gam * u^m0."""
-    support = list(seq.support())
-    if len(support) != 2:
-        return None
-    entries = dict(support)
+    """Exact-coefficient check for two-term symbols lam + gam * u^m0.
+
+    Moduli are Python's abs: np.abs on complex128 can differ in the last bit."""
+    entries = dict(seq.support())
     origin = (0,) * seq.c
-    if origin not in entries:
+    if len(entries) != 2 or origin not in entries:
         return None
     lam = entries.pop(origin)
     (m0, gam), = entries.items()
     if abs(lam) <= abs(gam):
         return None
-    worst = 0.0
-    r_out = inverse.radius
-    j = 0
-    while True:
-        pos = tuple(j * x for x in m0)
-        if max(abs(x) for x in pos) > r_out:
-            break
+    worst, ray, j, pos = 0.0, set(), 0, origin
+    while max(abs(x) for x in pos) <= inverse.radius:  # the ray j m0 inside the window
         expected = (-gam) ** j / lam ** (j + 1)
         worst = max(worst, abs(inverse[pos] - expected))
+        ray.add(pos)
         j += 1
+        pos = tuple(j * x for x in m0)
     # everything off the geometric ray must vanish
-    ray = {tuple(j * x for x in m0) for j in range(r_out * seq.radius + r_out + 2)}
     for pos, val in inverse.support():
         if pos not in ray:
             worst = max(worst, abs(val))
     return worst
 
 
+_WIENER_FIELDS = ("symbol", "c", "seq", "grid", "out_radius", "weight", "margin", "output_dir")
+
+
 def _wiener_inputs(cfg: dict) -> tuple:
     """(seq, grid, out_radius, weight, margin) of a wiener config, checked up front."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("wiener config must be a JSON object")
-    version = cfg.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise ConfigError(f"unsupported format_version {version}")
+    _config_object(cfg, _WIENER_FIELDS, ("grid", "out_radius"), "wiener config")
+    if ("seq" in cfg) == ("symbol" in cfg):
+        raise ConfigError("wiener config needs exactly one of 'symbol' and 'seq'")
     if "seq" in cfg:
         seq = _parsed("seq", lambda: FiniteSeq.from_json(cfg["seq"]))
-    elif "symbol" in cfg:
-        seq = _parsed("symbol", lambda: parse_symbol(cfg["symbol"], int(cfg.get("c", 1))))
     else:
-        raise ConfigError("wiener config needs 'symbol' or 'seq'")
+        seq = _parsed("symbol", lambda: parse_symbol(cfg["symbol"],
+                                                     _integer("c", cfg.get("c", 1))))
     if not np.isfinite(seq.data).all():
         raise ConfigError("wiener coefficients must be finite")
-    try:
-        grid = int(cfg["grid"])
-        out_radius = int(cfg["out_radius"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"wiener config needs integer grid/out_radius: {exc}") from exc
+    grid, out_radius = _integer("grid", cfg["grid"]), _integer("out_radius", cfg["out_radius"])
+    _parsed("grid or out_radius", lambda: check_sizes(grid, seq.radius, out_radius))
     weight = _parsed("weight", lambda: Weight.from_json(cfg["weight"]) if "weight" in cfg
                      else Weight())
     margin = _parsed("margin", lambda: float(cfg.get("margin", 0.0)))
-    if grid < 1 or grid & (grid - 1):
-        raise ConfigError(f"grid must be a power of two, got {grid}")
-    if out_radius < 0:
-        raise ConfigError(f"out_radius must be >= 0, got {out_radius}")
-    if grid < 2 * (seq.radius + out_radius) + 2:
-        raise ConfigError(f"grid {grid} too short for radii R={seq.radius}, "
-                          f"R'={out_radius}: need grid >= 2(R + R') + 2")
     if not math.isfinite(margin):
         raise ConfigError("margin must be finite")
     return seq, grid, out_radius, weight, margin
@@ -610,16 +571,14 @@ def _wiener_partial_sums(inverse: FiniteSeq, weight: Weight, out_radius: int) ->
 
     The runner writes these rows and verify_report re-derives them.
     """
+    increments = [0.0] * (out_radius + 1)
+    for pos, val in sorted(inverse.support()):  # each shell adds in index order
+        r = max(abs(x) for x in pos)
+        if r <= out_radius:
+            increments[r] += float(weight.eval_many(np.array([pos], dtype=float))[0]) * abs(val)
     partial = []
     running = 0.0
-    by_radius: dict = {}
-    for pos, val in inverse.support():
-        by_radius.setdefault(max(abs(x) for x in pos), []).append((pos, val))
-    for r in range(out_radius + 1):
-        increment = 0.0
-        for pos, val in sorted(by_radius.get(r, [])):
-            coords = np.array([pos], dtype=float)
-            increment += float(weight.eval_many(coords)[0]) * abs(val)
+    for r, increment in enumerate(increments):
         running += increment
         partial.append([r, running, increment])
     return partial
@@ -630,7 +589,6 @@ def run_wiener(cfg: dict, out_dir=None, fmt: str = "csv") -> dict:
     seq, grid, out_radius, weight, margin = _wiener_inputs(cfg)
     out_path = _resolve_out_dir(cfg.get("output_dir"), out_dir)
 
-    probe = invertibility_test(seq, grid, margin)
     report: dict = {
         "format_version": FORMAT_VERSION,
         "kind": "wiener",
@@ -642,18 +600,18 @@ def run_wiener(cfg: dict, out_dir=None, fmt: str = "csv") -> dict:
             "margin": margin,
             **({"symbol": cfg["symbol"]} if "symbol" in cfg else {"seq": cfg["seq"]}),
         },
-        "min_modulus": _json_float(probe.min_modulus),
     }
     try:
         result = wiener_inverse(seq, grid, out_radius)
     except SymbolVanishes as exc:
-        report["error"] = f"symbol_vanishes: {exc}"
+        report.update(min_modulus=_json_float(exc.min_modulus), error=f"symbol_vanishes: {exc}")
         _write_json(out_path / "report.json", report)
         return report
 
     closed = _geometric_closed_form_error(seq, result.inverse)
     partial = _wiener_partial_sums(result.inverse, weight, out_radius)
 
+    report["min_modulus"] = _json_float(result.min_modulus)
     report["residual"] = _json_float(result.residual)
     if closed is not None:
         report["closed_form_max_err"] = _json_float(closed)
@@ -683,7 +641,7 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
             f"q^c={cfg.q ** cfg.c})"
         )
 
-    def one_trial(trial: int) -> dict:
+    def one_trial(trial: int, out_path: Path) -> dict:
         op = generate_operator(cfg, trial)
         rng = Xoshiro256StarStar(cfg.seed ^ 0x6B65726E, stream=trial)
         n_cells = window_size(cfg.window_radius, cfg.c)
@@ -700,18 +658,12 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
             str(p): f.lp_norm(p) == blocked.norm(p, cell_weight=f.cell_volume_weight)
             for p in (1, 2, "inf")
         }
-        round_trip = bool(np.array_equal(unblock(blocked, cfg.q).values, f.values))
-        return {
+        rec = {
             "trial": trial,
             "kernel_rel_err": _json_float(rel_err),
             "isometry_exact": isometry,
-            "round_trip_exact": round_trip,
-            "_kernel": kern,
-            "_grid": f,
+            "round_trip_exact": bool(np.array_equal(unblock(blocked, cfg.q).values, f.values)),
         }
-
-    def emit(trial: int, rec: dict, out_path: Path) -> dict:
-        kern, grid = rec.pop("_kernel"), rec.pop("_grid")
         if trial == 0 and fmt == "csv":
             center = np.flatnonzero(~kern.keys.any(axis=(1, 2)))  # the block at (0, 0)
             if center.size:  # a zero centre offset assembles no block
@@ -719,12 +671,12 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
                 _write_csv(out_path / name, ["i", "j", "re", "im"], ([i, j, z.real, z.imag]
                            for i, row in enumerate(blk) for j, z in enumerate(row)))
                 rec["kernel_block_csv"] = name
-            gname = "input_trial_000.grid"
-            write_grid_function(grid, out_path / gname)
-            rec["grid_file"] = gname
+            rec["grid_file"] = "input_trial_000.grid"
+            write_grid_function(f, out_path / rec["grid_file"])
         return rec
 
-    return _run_trials("kernel", cfg, out_dir, lambda trials: [one_trial(t) for t in trials], emit)
+    return _run_trials("kernel", cfg, out_dir,
+                       lambda trials, out_path: [one_trial(t, out_path) for t in trials])
 
 
 # -------------------------------------------------------------------- gen
@@ -738,17 +690,14 @@ def _operator_fields(op: CDOperator) -> dict:
 def run_gen(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
     """Write the trial operators themselves (JSON) plus a manifest."""
 
-    def one_trial(trial: int) -> dict:
+    def one_trial(trial: int, out_path: Path) -> dict:
         op = generate_operator(cfg, trial)
-        return {"trial": trial, **_operator_fields(op), "_op": op}
-
-    def emit(trial: int, rec: dict, out_path: Path) -> dict:
         name = f"operator_trial_{trial:03d}.json"
-        _write_json(out_path / name, rec.pop("_op").to_json())
-        rec["operator_json"] = name
-        return rec
+        _write_json(out_path / name, op.to_json())
+        return {"trial": trial, **_operator_fields(op), "operator_json": name}
 
-    return _run_trials("gen", cfg, out_dir, lambda trials: [one_trial(t) for t in trials], emit)
+    return _run_trials("gen", cfg, out_dir,
+                       lambda trials, out_path: [one_trial(t, out_path) for t in trials])
 
 
 # ---------------------------------------------------------------- verify

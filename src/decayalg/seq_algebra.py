@@ -34,7 +34,6 @@ __all__ = [
     "FiniteSeq",
     "TorusPoint",
     "SymbolVanishes",
-    "InvertibilityReport",
     "WienerResult",
     "delta",
     "basis",
@@ -42,13 +41,17 @@ __all__ = [
     "convolve",
     "character_eval",
     "symbol_on_grid",
-    "invertibility_test",
+    "check_sizes",
     "wiener_inverse",
 ]
 
 
 class SymbolVanishes(ArithmeticError):
     """The sampled symbol has (numerically) a zero, so inversion is hopeless."""
+
+    def __init__(self, message: str, min_modulus: float):
+        super().__init__(message)
+        self.min_modulus = min_modulus  # smallest sampled |symbol|
 
 
 def _require_pow2(n: int, what: str) -> None:
@@ -254,40 +257,23 @@ def symbol_on_grid(a: FiniteSeq, grid: int) -> np.ndarray:
 
 
 @dataclass
-class InvertibilityReport:
-    """Sampled invertibility check: sufficient evidence, not a proof.
-
-    min_modulus is the smallest |symbol| over the grid; a symbol can
-    still vanish between grid points, hence the `sampled` caveat flag.
-    """
-
-    invertible: bool
-    min_modulus: float
-    argmin: TorusPoint
-    margin: float
-    sampled: bool = True
-
-
-def invertibility_test(a: FiniteSeq, grid: int, margin: float) -> InvertibilityReport:
-    sym = symbol_on_grid(a, grid)
-    mod = np.abs(sym)
-    flat = int(np.argmin(mod))
-    pos = np.unravel_index(flat, mod.shape)
-    return InvertibilityReport(
-        invertible=bool(mod[pos] > margin),
-        min_modulus=float(mod[pos]),
-        argmin=TorusPoint.from_grid(tuple(int(p) for p in pos), grid),
-        margin=float(margin),
-    )
-
-
-@dataclass
 class WienerResult:
     """Truncated inverse plus the evidence for how good it is."""
 
     inverse: FiniteSeq
     residual: float          # ||a * inverse - delta||_1, exact convolution
     min_modulus: float       # smallest sampled |symbol|
+
+
+def check_sizes(grid: int, radius: int, out_radius: int) -> None:
+    """ValueError unless grid is a power of two, out_radius >= 0 and
+    grid >= 2(R + R') + 2 for the symbol radius R and R' = out_radius."""
+    _require_pow2(grid, "grid")
+    if out_radius < 0:
+        raise ValueError(f"out_radius must be >= 0, got {out_radius}")
+    if grid < 2 * (radius + out_radius) + 2:
+        raise ValueError(f"grid {grid} too short for radii R={radius}, R'={out_radius}: "
+                         "need grid >= 2(R + R') + 2")
 
 
 def wiener_inverse(a: FiniteSeq, grid: int, out_radius: int) -> WienerResult:
@@ -300,21 +286,13 @@ def wiener_inverse(a: FiniteSeq, grid: int, out_radius: int) -> WienerResult:
     a * b - delta is computed exactly and returned, never judged here:
     callers decide what residual they accept.
     """
-    _require_pow2(grid, "grid")
-    if out_radius < 0:
-        raise ValueError("out_radius must be >= 0")
-    if grid < 2 * (a.radius + out_radius) + 2:
-        raise ValueError(
-            f"grid {grid} too short for radii R={a.radius}, R'={out_radius}: "
-            "need N >= 2(R + R') + 2"
-        )
+    check_sizes(grid, a.radius, out_radius)
     sym = symbol_on_grid(a, grid)
     mod = np.abs(sym)
     min_mod = float(mod.min())
     if min_mod <= 1e-13 * max(1.0, float(mod.max())):
         raise SymbolVanishes(
-            f"sampled symbol modulus {min_mod:.3e} is zero to machine precision"
-        )
+            f"sampled symbol modulus {min_mod:.3e} is zero to machine precision", min_mod)
     coeffs = np.fft.fftn(1.0 / sym) / float(grid**a.c)
     inv = FiniteSeq.zeros(a.c, out_radius)
     for n in window_indices(out_radius, a.c):

@@ -360,7 +360,8 @@ def test_wiener_non_finite_coefficient_exits_2(tmp_path, capsys, config):
     assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])
 
 
-@pytest.mark.parametrize("grid", [0, -4, 100, 16])  # 16 is too short for R' = 20
+# 16 is too short for R' = 20; 64.5, true and "64" are no integers
+@pytest.mark.parametrize("grid", [0, -4, 100, 16, 64.5, True, "64"])
 def test_wiener_bad_grid_exits_2(tmp_path, capsys, grid):
     cfg = wiener_config(tmp_path / "w.json", grid=grid)
     assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])
@@ -369,6 +370,30 @@ def test_wiener_bad_grid_exits_2(tmp_path, capsys, grid):
 def test_wiener_negative_out_radius_exits_2(tmp_path, capsys):
     cfg = wiener_config(tmp_path / "w.json", out_radius=-1)
     assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("fields", [
+    {"grdi": 3},  # an unknown key
+    {"seed": 5},  # wiener draws nothing
+    {"out_radius": True},  # would run as 1
+    {"out_radius": 20.5},
+    {"c": 1.5},
+    # a seq beside the symbol: the run would compute from one and echo the other
+    {"seq": {"c": 1, "radius": 1, "entries": [{"index": [0], "re": 2.0, "im": 0.0},
+                                              {"index": [1], "re": 1.0, "im": 0.0}]}},
+])
+def test_wiener_rejects_what_it_would_ignore(tmp_path, capsys, fields):
+    cfg = wiener_config(tmp_path / "w.json", **fields)
+    assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--trials"])
+def test_wiener_has_no_seed_or_trials_flag(tmp_path, flag):
+    cfg = wiener_config(tmp_path / "w.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["wiener", "--config", str(cfg), flag, "3", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command, edit", [

@@ -36,16 +36,19 @@ _CRITERION_7 = {
     "boundary": "circulant",
 }
 
+_KERNEL_C2 = {
+    "seed": 5, "c": 2, "q": 2, "N": 3, "W": 1, "d": 4, "block_rank": 2,
+    "trials": 2, "weight": {"a": 0.5, "b": 0.5},
+    "envelope_profile": {"kind": "exponential", "rate": 1.0, "l1": 0.5},
+}
+
 # case name -> (subcommand, config, extra CLI flags)
 CASES = {
     "invert-criterion7-csv": ("invert", _CRITERION_7, ["--trials", "2"]),
     "invert-criterion7-json": ("invert", _CRITERION_7,
                                ["--trials", "2", "--format", "json"]),
-    "kernel-c2-q2-d4": ("kernel", {
-        "seed": 5, "c": 2, "q": 2, "N": 3, "W": 1, "d": 4, "block_rank": 2,
-        "trials": 2, "weight": {"a": 0.5, "b": 0.5},
-        "envelope_profile": {"kind": "exponential", "rate": 1.0, "l1": 0.5},
-    }, []),
+    "kernel-c2-q2-d4": ("kernel", _KERNEL_C2, []),
+    "kernel-c2-q2-d4-json": ("kernel", _KERNEL_C2, ["--format", "json"]),
     "gen-table-zeros": ("gen", {
         "seed": 3, "c": 1, "N": 3, "W": 1, "d": 3, "block_rank": 1, "trials": 2,
         "envelope_profile": {"kind": "table", "values": [0.25, 0.0, 0.5]},
@@ -53,6 +56,9 @@ CASES = {
     "wiener": ("wiener", {
         "symbol": "3+u+u^{-1}", "grid": 256, "out_radius": 20,
         "weight": {"s": 1.0},
+    }, []),
+    "wiener-geometric": ("wiener", {  # a two-term symbol: closed_form_max_err
+        "symbol": "2+u", "grid": 128, "out_radius": 20, "weight": {"a": 0.5, "b": 0.5},
     }, []),
 }
 

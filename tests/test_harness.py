@@ -9,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from decayalg import harness
 from decayalg.blocking_kernel import GridFunction, assemble_kernel, write_grid_function
-from decayalg.cd_operator import Envelope, Plan, ShapeMismatch, densify, fit_envelope, route
+from decayalg.cd_operator import (
+    Envelope,
+    Plan,
+    ShapeMismatch,
+    densify,
+    fit_envelope,
+    geometry_plan,
+)
 from decayalg.harness import (
     FORMAT_VERSION,
     ConfigError,
@@ -17,7 +24,6 @@ from decayalg.harness import (
     _trace_norms,
     envelope_values,
     generate_operator,
-    geometry_plan,
     parse_symbol,
     run_gen,
     run_inverse_closedness,
@@ -30,6 +36,7 @@ from decayalg.cd_operator import CDOperator, NumericallySingular, decay_slope, i
 from decayalg.lattice import window_array, window_indices
 from decayalg.nuclear_blocks import trace_norm
 from decayalg.rng import Xoshiro256StarStar
+from decayalg.seq_algebra import SymbolVanishes, symbol_on_grid, wiener_inverse
 from decayalg.weights import Weight
 
 
@@ -249,7 +256,7 @@ def test_trials_of_one_config_share_one_read_only_plan():
     assert isinstance(plan, Plan) and second.plan is plan
     assert generate_operator(small_config(seed=99), 0).plan is plan  # the seed is no part of it
     assert plan is geometry_plan(1, 3, 1, "circulant", (0, 1, 2))
-    assert first.keys is plan.keys and route(first) is plan.route
+    assert first.keys is plan.keys
     kern = assemble_kernel(first, cfg.q)
     assert kern.keys is plan.pairs[2]
     assert assemble_kernel(second, cfg.q).keys is kern.keys
@@ -281,7 +288,7 @@ def assert_plan_of_a_copied_table(op):
     those of a plan over a copy of that array; every array is read-only."""
     fresh = Plan(op.keys.copy(), op.window_radius, op.band_radius, op.boundary)
     assert op.plan.keys is op.keys
-    assert same_arrays(route(op), fresh.route)
+    assert same_arrays(op.plan.route, fresh.route)
     assert same_arrays(op.plan.pairs, fresh.pairs)
     for part in (op.plan.keys, *op.plan.route, *op.plan.pairs, *fresh.route, *fresh.pairs):
         assert not part.flags.writeable
@@ -296,7 +303,7 @@ def test_plan_route_equals_a_fresh_route(case):
     copy = CDOperator.from_arrays(op.c, op.window_radius, op.band_radius, op.local_dim,
                                   op.boundary, op.keys.copy(), op.stack.copy())
     assert copy.plan is not op.plan
-    assert route(copy) is route(copy)  # computed once, kept on the operator's own plan
+    assert copy.plan.route is copy.plan.route  # computed once, kept on the operator's own plan
     assert_plan_of_a_copied_table(copy)
 
 
@@ -318,7 +325,7 @@ def test_a_dropped_block_gives_the_operator_its_own_plan(monkeypatch):
     assert op.n_blocks == full.n_blocks - 1 and op.plan is not full.plan
     assert op.keys.tobytes() == np.delete(full.keys, 1, axis=0).tobytes()
     assert_plan_of_a_copied_table(op)
-    assert not same_arrays(route(op), route(full))
+    assert not same_arrays(op.plan.route, full.plan.route)
 
 
 def test_a_dict_built_operator_has_its_own_plan():
@@ -326,7 +333,8 @@ def test_a_dict_built_operator_has_its_own_plan():
     op = CDOperator(1, 3, 1, full.local_dim, "circulant", dict(full.blocks))
     assert op.plan is not full.plan
     assert_plan_of_a_copied_table(op)
-    assert same_arrays(route(op), route(full)) and same_arrays(op.plan.pairs, full.plan.pairs)
+    assert same_arrays(op.plan.route, full.plan.route)
+    assert same_arrays(op.plan.pairs, full.plan.pairs)
 
 
 def test_an_all_zero_table_computes_its_own_empty_route():
@@ -334,7 +342,7 @@ def test_an_all_zero_table_computes_its_own_empty_route():
     op = generate_operator(cfg, 0)
     assert op.plan is not generate_operator(cfg, 1).plan
     assert_plan_of_a_copied_table(op)
-    assert [len(part) for part in (*route(op), *op.plan.pairs)] == [0] * 6
+    assert [len(part) for part in (*op.plan.route, *op.plan.pairs)] == [0] * 6
 
 
 def test_from_arrays_takes_only_a_plan_over_its_own_key_array():
@@ -640,6 +648,19 @@ def test_run_wiener_records_vanishing_symbol(tmp_path):
     assert report["min_modulus"] <= 1e-12
     on_disk = json.loads((tmp_path / "report.json").read_text())
     assert "error" in on_disk
+
+
+@pytest.mark.parametrize("symbol, grid", [("1-u", 128), ("2+u", 128), ("3+u+u^{-1}", 64)])
+def test_wiener_min_modulus_is_the_sampled_minimum(tmp_path, symbol, grid):
+    seq = parse_symbol(symbol)
+    want = float(np.abs(symbol_on_grid(seq, grid)).min())
+    report = run_wiener({"symbol": symbol, "grid": grid, "out_radius": 10}, out_dir=tmp_path)
+    assert report["min_modulus"] == want
+    assert ("error" in report) == (symbol == "1-u")
+    if "error" in report:
+        with pytest.raises(SymbolVanishes) as exc:
+            wiener_inverse(seq, grid, 10)
+        assert exc.value.min_modulus == want
 
 
 def test_run_wiener_accepts_seq_json(tmp_path):

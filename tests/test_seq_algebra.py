@@ -9,7 +9,6 @@ from decayalg.seq_algebra import (
     character_eval,
     convolve,
     delta,
-    invertibility_test,
     symbol_on_grid,
     weighted_norm,
     wiener_inverse,
@@ -169,24 +168,6 @@ def test_symbol_grid_rejects_bad_sizes():
         symbol_on_grid(a, 4)
     with pytest.raises(ValueError):
         symbol_on_grid(a, 12)  # not a power of two
-
-
-def test_invertibility_report():
-    a = 2.0 * delta(1) + basis(1)
-    rep = invertibility_test(a, 1024, margin=0.5)
-    # min |2 + u| over the unit circle is 1, attained at u = -1
-    assert rep.invertible
-    assert rep.min_modulus == pytest.approx(1.0, abs=1e-12)
-    assert rep.argmin.phases[0] == pytest.approx(np.pi)
-    assert rep.sampled
-
-    bad = delta(1) - basis(1)
-    rep = invertibility_test(bad, 1024, margin=1e-6)
-    assert not rep.invertible
-    assert rep.min_modulus <= 1e-2
-
-    rep = invertibility_test(delta(1), 8, margin=0.5)
-    assert rep.invertible and rep.min_modulus == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------- inversion

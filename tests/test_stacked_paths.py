@@ -24,11 +24,14 @@ from decayalg.cd_operator import (
     BlockVector,
     CDOperator,
     NotShiftInvariant,
+    Plan,
     ShapeMismatch,
     apply,
+    band_plan,
     compose,
     densify,
     fit_envelope,
+    geometry_plan,
     invert_one_plus,
     laurent_symbol,
 )
@@ -325,10 +328,31 @@ def test_invert_reblocking_equals_block_by_block(c, N, d):
     n = op.n_cells * d
     corr = np.linalg.inv(np.eye(n) + densify(op)) - np.eye(n)
     want = ref_reblock(corr, c, N, d)
-    assert list(res.t1.blocks) == list(want)
+    assert list(res.t1.blocks) == sorted(want)  # T1's blocks come in sorted (k, m) order
     for key, blk in want.items():
         assert_bitwise(res.t1.blocks[key], blk)
     assert_bitwise(res.envelope.values, ref_fit_envelope(res.t1, "nuclear"))
+
+
+@pytest.mark.parametrize("c,N,d", [(1, 3, 2), (2, 1, 2), (1, 0, 3)])
+def test_invert_reblocks_through_an_uncached_full_band_plan(c, N, d):
+    """T1's keys and route are those of the shared builder's full-band plan and
+    of a plan over a copy of T1's table; the route keeps every row in order."""
+    op = random_op(np.random.default_rng(c + N + d), c, N, min(N, 1), d, "circulant", 0.5)
+    cached = geometry_plan.cache_info()
+    t1 = invert_one_plus(CDOperator(c, N, op.band_radius, d, "circulant",
+                                    {key: 0.05 * blk for key, blk in op.blocks.items()})).t1
+    assert geometry_plan.cache_info() == cached  # T1's plan is not kept in the cache
+    n = window_size(N, c)
+    built = band_plan(c, N, N, "circulant", tuple(range(n)))
+    fresh = Plan(t1.keys.copy(), N, N, "circulant")
+    assert t1.plan.keys is t1.keys
+    for plan in (built, fresh):
+        for got, want in zip((t1.keys, *t1.plan.route), (plan.keys, *plan.route), strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert t1.plan.route[0].tolist() == list(range(n * n))
+    for part in (t1.keys, t1.stack, *t1.plan.route, built.keys, *built.route):
+        assert not part.flags.writeable
 
 
 def test_store_is_read_only_and_validated_in_bulk():

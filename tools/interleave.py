@@ -10,9 +10,9 @@ Command i runs the perfbench workload's config at perfbench's seed for i
 never edited) in both trees; the tree that goes first alternates, and
 every file the two commands write is compared byte for byte.
 
-Prints trials/s of each side, the median per-command change/parent wall
-ratio and the number of commands in which the change was faster; the
-last line is the same as one JSON object.  OPENBLAS_NUM_THREADS defaults
+Prints trials/s and the src/ line count of each side, the median
+per-command change/parent wall ratio and the number of commands in which
+the change was faster; the last line is the same as one JSON object.  OPENBLAS_NUM_THREADS defaults
 to 1 and DECAYALG_THREADS is the workload's, as in perfbench, unless
 --threads sets it for both trees: `--threads 1` compares the serial
 paths of a change to the trial pool, the workload's count its gain.
@@ -51,6 +51,11 @@ def load_cli(tree: Path, name: str):
     pkg = tree / "src" / "decayalg"
     load(name, pkg / "__init__.py", pkg)
     return importlib.import_module(f"{name}.cli")
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of tree's src/decayalg/*.py, as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "decayalg").glob("*.py"))
 
 
 def files(out_dir: Path) -> dict:
@@ -112,11 +117,14 @@ def main(argv=None) -> int:
         "change_faster": sum(r < 1.0 for r in ratios),
         "outputs_identical": args.commands + 1 - len(differing),
         "differing_commands": differing,
+        "src_lines": {side: src_lines(tree)
+                      for side, tree in zip(SIDES, (args.parent, args.change))},
     }
     print(f"{args.workload}: {args.commands} commands at {threads} thread(s), "
           "each tree first in every other one")
     for side in SIDES:
-        print(f"  {side:6s} {summary['trials_per_s'][side]:.3f} trials/s")
+        print(f"  {side:6s} {summary['trials_per_s'][side]:.3f} trials/s, "
+              f"src/ {summary['src_lines'][side]} lines")
     print(f"  change/parent wall per command: median {summary['median_ratio']:.4f}, "
           f"change faster in {summary['change_faster']}/{args.commands}")
     print(f"  outputs identical in {summary['outputs_identical']}/{args.commands + 1} commands"
