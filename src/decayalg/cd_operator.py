@@ -544,7 +544,6 @@ class Envelope:
     c: int
     radius: int
     values: np.ndarray  # float array of shape (2W+1,)*c
-    norm_kind: str = "nuclear"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -570,7 +569,7 @@ def fit_envelope(op: CDOperator, norm_kind: str = "nuclear") -> Envelope:
     vals = np.zeros((2 * op.band_radius + 1,) * op.c, dtype=float)
     np.maximum.at(vals.reshape(-1), flat_offsets(op.keys[:, 1], op.band_radius),
                   _block_norms(op.stack, norm_kind))
-    return Envelope(op.c, op.band_radius, vals, norm_kind)
+    return Envelope(op.c, op.band_radius, vals)
 
 
 def decay_slope(env: Envelope, floor: float = 1e-14) -> float:

@@ -1,10 +1,11 @@
 """Batch experiment runner: random operators, inversion studies, reports.
 
-Experiments are fully deterministic: every (seed, trial) pair opens its
-own xoshiro256** stream, trials may run in parallel (capped by the
-DECAYALG_THREADS environment variable) but are merged in trial order,
-and all emitted JSON/CSV, written and read back only here, is byte-stable
-— sorted keys, repr'd floats, no timestamps.
+Experiments are fully deterministic: every block of a trial's operator,
+and every cell of a kernel run's grid, draws from its own xoshiro256**
+lane keyed by (seed, domain, trial, cell[, offset]).  Trials may run in
+parallel (capped by the DECAYALG_THREADS environment variable) but are
+merged in trial order, and all emitted JSON/CSV, written and read back
+only here, is byte-stable — sorted keys, repr'd floats, no timestamps.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ from .cd_operator import (
     invert_stacked,
 )
 from .lattice import window_array, window_indices, window_size
-from .rng import Xoshiro256StarStar, box_muller, uniforms
-from .seq_algebra import FiniteSeq, SymbolVanishes, check_sizes, wiener_inverse
+from .rng import box_muller, lane_keys, lanes, uniforms
+from .seq_algebra import (FiniteSeq, SymbolVanishes, check_sizes, convolve, delta,
+                          symbol_on_grid, wiener_inverse)
 from .weights import Weight
 
 __all__ = [
@@ -52,6 +54,7 @@ __all__ = [
     "ExperimentConfig",
     "envelope_values",
     "generate_operator",
+    "kernel_input",
     "run_inverse_closedness",
     "run_wiener",
     "run_kernel",
@@ -61,7 +64,7 @@ __all__ = [
     "worker_count",
 ]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _PROFILE_KINDS = ("exponential", "polynomial", "table")
 
@@ -144,7 +147,7 @@ class ExperimentConfig:
         for key in ("seed", "c", "N", "W", "d", "q", "block_rank", "trials"):
             name = _CONFIG_FIELDS[key]
             setattr(self, name, _integer(key, getattr(self, name)))
-        if not 0 <= self.seed < 1 << 64:  # the stream counter is the seed mod 2^64
+        if not 0 <= self.seed < 1 << 64:  # lane keys read the seed mod 2^64
             raise ConfigError("seed must be an integer in [0, 2^64)")
         if self.c < 1:
             raise ConfigError("c must be at least 1")
@@ -191,11 +194,10 @@ def envelope_values(cfg: ExperimentConfig) -> np.ndarray:
         vals = np.array([_parsed("table value", lambda: float(v)) for v in values])
         if not (np.isfinite(vals).all() and (vals >= 0).all()):
             raise ConfigError("table values must be finite and nonnegative")
-    else:  # a scalar exp or power per offset: vectorised, some differ in the last bit
+    else:  # exp or power of each offset's l1 size
         p = _positive(prof, "rate" if kind == "exponential" else "power")
-        sizes = np.abs(window_array(cfg.band_radius, cfg.c)).sum(axis=1).tolist()
-        vals = np.array([np.exp(-p * n) for n in sizes] if kind == "exponential"
-                        else [(1.0 + n) ** -p for n in sizes])
+        sizes = np.abs(window_array(cfg.band_radius, cfg.c)).sum(axis=1)
+        vals = np.exp(-p * sizes) if kind == "exponential" else (1.0 + sizes) ** -p
     if "l1" in prof:
         l1 = _positive(prof, "l1")
         if not vals.any():
@@ -207,6 +209,9 @@ def envelope_values(cfg: ExperimentConfig) -> np.ndarray:
 
 # words per chunk of blocks processed at once: bounds the temporaries of a trial
 _CHUNK_WORDS = 1 << 14
+# the domain part of a lane key: the operator's blocks and the kernel run's grid cells
+_OPERATOR_DOMAIN = int.from_bytes(b"operator", "big")
+_GRID_DOMAIN = int.from_bytes(b"grid", "big")
 
 
 def _squares(z: np.ndarray) -> np.ndarray:
@@ -241,17 +246,17 @@ def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
     Each stored block is X @ Y with X of shape (d, block_rank) and Y of
     shape (block_rank, d), rescaled so its trace norm is beta_m * r with
     r uniform in [0.5, 1]; the factorization (rows of Y against columns
-    of X) is kept alongside as two stacks of factor terms.  Draw order is
-    fixed (cells then offsets, lexicographic), so the operator is a pure
-    function of (seed, trial).
-    Each block with beta_m > 0 takes 1 + 4 d block_rank words of the
-    stream: r, then the entries of X and of Y row by row, one complex
-    normal (a full Box-Muller pair) each.  The trial's words are drawn
-    at once; blocks are then processed in chunks, with one batched
-    product and one batched `_trace_norms` per chunk.  The operator gets
-    the geometry's shared plan unless it has no blocks or drops one.
+    of X) is kept alongside as two stacks of factor terms.
+    Block (k, m) with beta_m > 0 takes the first 1 + 4 d block_rank
+    words of its own lane, keyed by (seed, "operator", trial, *k, *m):
+    r, then the entries of X and of Y row by row, one complex normal (a
+    full Box-Muller pair) each.  So a block is a function of its key
+    alone, the same in every window that holds it.  All lanes of a
+    trial are drawn at once; blocks are then processed in chunks, with
+    one batched product and one batched `_trace_norms` per chunk.  The
+    operator gets the geometry's shared plan unless it has no blocks or
+    drops one.
     """
-    rng = Xoshiro256StarStar(cfg.seed, stream=trial)
     d, rank = cfg.local_dim, cfg.block_rank
     beta = envelope_values(cfg).reshape(-1)  # in window_indices order
     drawn = np.flatnonzero(beta != 0.0)
@@ -265,7 +270,8 @@ def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
     y = np.empty_like(a)
     tn = np.empty(n)
     stride = 1 + 4 * d * rank
-    words = rng.u64_array(n * stride).reshape(n, stride)
+    words = lanes(lane_keys((cfg.seed, _OPERATOR_DOMAIN, trial), keys.reshape(n, 2 * cfg.c)),
+                  stride)
     per_chunk = max(1, _CHUNK_WORDS // stride)
     for start in range(0, n, per_chunk):
         part = slice(start, min(n, start + per_chunk))
@@ -485,14 +491,12 @@ _TERM_START = re.compile(r"(?<=[^eE^+\-*({])(?=[+-])")
 _TERM = re.compile(r"([+-]*)(?:([^u]*?)\**u(?:\^[{}]*(.*?)[{}]*)?|([^u]*))", re.DOTALL)
 
 
-def parse_symbol(text: str, c: int = 1) -> FiniteSeq:
+def parse_symbol(text: str) -> FiniteSeq:
     """Parse a one-variable symbol like "2+u", "3+u+u^{-1}", "1-0.5*u^2".
 
     Terms are [coefficient][*][u[^exponent]]; exponents may be braced.
     Only c=1 symbols are expressible; richer inputs go through JSON.
     """
-    if c != 1:
-        raise ConfigError("symbol strings are one-dimensional; use a JSON seq")
     s = text.replace("−", "-").replace("⋅", "*").replace(" ", "")
     entries: dict = {}
     for term in _TERM_START.split(s):
@@ -538,29 +542,25 @@ def _geometric_closed_form_error(seq: FiniteSeq, inverse: FiniteSeq) -> Optional
     return worst
 
 
-_WIENER_FIELDS = ("symbol", "c", "seq", "grid", "out_radius", "weight", "margin", "output_dir")
+_WIENER_FIELDS = ("symbol", "seq", "grid", "out_radius", "weight", "output_dir")
 
 
 def _wiener_inputs(cfg: dict) -> tuple:
-    """(seq, grid, out_radius, weight, margin) of a wiener config, checked up front."""
+    """(seq, grid, out_radius, weight) of a wiener config, checked up front."""
     _config_object(cfg, _WIENER_FIELDS, ("grid", "out_radius"), "wiener config")
     if ("seq" in cfg) == ("symbol" in cfg):
         raise ConfigError("wiener config needs exactly one of 'symbol' and 'seq'")
     if "seq" in cfg:
         seq = _parsed("seq", lambda: FiniteSeq.from_json(cfg["seq"]))
     else:
-        seq = _parsed("symbol", lambda: parse_symbol(cfg["symbol"],
-                                                     _integer("c", cfg.get("c", 1))))
+        seq = _parsed("symbol", lambda: parse_symbol(cfg["symbol"]))
     if not np.isfinite(seq.data).all():
         raise ConfigError("wiener coefficients must be finite")
     grid, out_radius = _integer("grid", cfg["grid"]), _integer("out_radius", cfg["out_radius"])
     _parsed("grid or out_radius", lambda: check_sizes(grid, seq.radius, out_radius))
     weight = _parsed("weight", lambda: Weight.from_json(cfg["weight"]) if "weight" in cfg
                      else Weight())
-    margin = _parsed("margin", lambda: float(cfg.get("margin", 0.0)))
-    if not math.isfinite(margin):
-        raise ConfigError("margin must be finite")
-    return seq, grid, out_radius, weight, margin
+    return seq, grid, out_radius, weight
 
 
 _PARTIAL_SUMS_HEADER = ["radius", "partial_sum", "increment"]
@@ -586,7 +586,7 @@ def _wiener_partial_sums(inverse: FiniteSeq, weight: Weight, out_radius: int) ->
 
 def run_wiener(cfg: dict, out_dir=None, fmt: str = "csv") -> dict:
     """Invert a scalar symbol on the torus and report coefficient decay."""
-    seq, grid, out_radius, weight, margin = _wiener_inputs(cfg)
+    seq, grid, out_radius, weight = _wiener_inputs(cfg)
     out_path = _resolve_out_dir(cfg.get("output_dir"), out_dir)
 
     report: dict = {
@@ -597,7 +597,6 @@ def run_wiener(cfg: dict, out_dir=None, fmt: str = "csv") -> dict:
             "grid": grid,
             "out_radius": out_radius,
             "weight": weight.to_json(),
-            "margin": margin,
             **({"symbol": cfg["symbol"]} if "symbol" in cfg else {"seq": cfg["seq"]}),
         },
     }
@@ -633,6 +632,14 @@ def run_wiener(cfg: dict, out_dir=None, fmt: str = "csv") -> dict:
 # ----------------------------------------------------------------- kernel
 
 
+def kernel_input(cfg: ExperimentConfig, trial: int) -> GridFunction:
+    """The kernel run's grid function: cell k's q^c complex normals are the first
+    2 q^c words of its lane, keyed by (seed, "grid", trial, *k)."""
+    cells = lane_keys((cfg.seed, _GRID_DOMAIN, trial), window_array(cfg.window_radius, cfg.c))
+    values = box_muller(lanes(cells, 2 * cfg.q ** cfg.c)).view(np.complex128)
+    return GridFunction(cfg.c, cfg.window_radius, cfg.q, values)
+
+
 def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
     """Blocking isometry + kernel consistency experiment."""
     if cfg.q ** cfg.c != cfg.local_dim:
@@ -643,11 +650,7 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
 
     def one_trial(trial: int, out_path: Path) -> dict:
         op = generate_operator(cfg, trial)
-        rng = Xoshiro256StarStar(cfg.seed ^ 0x6B65726E, stream=trial)
-        n_cells = window_size(cfg.window_radius, cfg.c)
-        vals = rng.complex_normals(n_cells * cfg.q ** cfg.c).reshape(n_cells, -1)
-        f = GridFunction(cfg.c, cfg.window_radius, cfg.q, vals)
-
+        f = kernel_input(cfg, trial)
         kern = assemble_kernel(op, cfg.q)
         via_kernel = apply_kernel(kern, f)
         blocked = block(f)
@@ -794,25 +797,39 @@ def _verify_envelope_table(rows: list, rec: dict, cfg: ExperimentConfig) -> list
         for key, value in _totals(want[-1][-1], want[-1][-2]).items() if rec.get(key) != value]
 
 
-def _verify_wiener_partial_sums(report: dict, out_dir: Path) -> list:
-    """Re-derive the partial sums from the stored inverse and the weight."""
+def _verify_wiener(report: dict, out_dir: Path) -> list:
+    """Re-derive min_modulus from the echoed symbol and grid, and residual,
+    closed_form_max_err and the partial sums from the stored inverse."""
     try:
-        _, _, out_radius, weight, _ = _wiener_inputs(report["config"])
+        seq, grid, out_radius, weight = _wiener_inputs(report["config"])
+    except ConfigError as exc:
+        return [f"wiener config not reconstructible: {exc}"]
+    problems = ([] if report.get("min_modulus") == _json_float(
+        np.abs(symbol_on_grid(seq, grid)).min()) else ["min_modulus does not match the symbol"])
+    if "error" in report:
+        return problems
+    try:
         if report.get("inverse_json") is not None:
             inverse = json.loads((out_dir / report["inverse_json"]).read_text())
         else:
             inverse = report["inverse"]
-        want = _wiener_partial_sums(FiniteSeq.from_json(inverse), weight, out_radius)
+        inverse = FiniteSeq.from_json(inverse)
     except (OSError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        return [f"wiener inverse not reconstructible: {exc!r}"]
-    rows, problems = _read_table(
+        return problems + [f"wiener inverse not reconstructible: {exc!r}"]
+    closed = _geometric_closed_form_error(seq, inverse)
+    derived = {"residual": _json_float((convolve(seq, inverse) - delta(seq.c)).l1_norm()),
+               "closed_form_max_err": None if closed is None else _json_float(closed)}
+    problems += [f"{key} does not match the stored inverse"
+                 for key, value in derived.items() if report.get(key) != value]
+    want = _wiener_partial_sums(inverse, weight, out_radius)
+    rows, table_problems = _read_table(
         out_dir, report.get("partial_sums_csv"), report.get("partial_sums"),
         _PARTIAL_SUMS_HEADER, 1, "wiener report has no partial sums", "embedded partial sum")
-    if not problems and len(rows) != len(want):
-        problems = [f"{len(rows)} partial sum rows, want {len(want)}"]
-    return problems or _compare_rows(rows, want, _PARTIAL_SUMS_HEADER) + [
+    if not table_problems and len(rows) != len(want):
+        table_problems = [f"{len(rows)} partial sum rows, want {len(want)}"]
+    return problems + (table_problems or _compare_rows(rows, want, _PARTIAL_SUMS_HEADER) + [
         f"{key} does not match the partial sums"
-        for key, value in _totals(want[-1][1], want[-1][2]).items() if report.get(key) != value]
+        for key, value in _totals(want[-1][1], want[-1][2]).items() if report.get(key) != value])
 
 
 def _read_back(records: list, cfg: ExperimentConfig, out_dir: Path, key: str, read=None,
@@ -878,11 +895,7 @@ def verify_report(path) -> list:
             if aggregates.get(key) != value:
                 problems.append(f"aggregate {key} does not match records")
     if kind == "wiener":
-        if "error" not in report:
-            if report.get("residual") is None:
-                problems.append("wiener report has neither residual nor error")
-            problems.extend(_verify_wiener_partial_sums(report, path.parent))
-        return problems
+        return problems + _verify_wiener(report, path.parent)
     if kind not in ("inverse_closedness", "kernel", "gen"):
         return problems + [f"unknown report kind {kind!r}"]
     try:  # the parser of the command line, so the checks below see a valid config

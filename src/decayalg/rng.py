@@ -18,39 +18,30 @@ xoshiro256** (state s0..s3, all updates mod 2^64):
     s2 ^= t
     s3  = rotl64(s3, 45)
 
-A stream is opened per (seed, stream) pair: the splitmix64 counter
-starts at (seed + stream * 0x9E3779B97F4A7C15) mod 2^64 and its first
-four outputs become s0..s3.  A pair therefore names its stream only
-through that counter: (seed + G, stream - 1) opens the same stream as
-(seed, stream), for G = 0x9E3779B97F4A7C15, and two pairs give distinct
-streams exactly when their counters differ mod 2^64.  The experiments
-open (seed, trial) for trial operators, and the kernel experiment draws
-its grid values from (seed ^ 0x6B65726E, trial), which is the operator
-stream of trial `trial` under the seed seed ^ 0x6B65726E.  Uniform doubles take the top 53 bits,
-uniform = (next >> 11) * 2^-53 in [0, 1); normals come from the
-Box-Muller transform (using 1 - uniform inside the logarithm, second
-value cached).
+A generator is opened at a splitmix64 counter, whose first four outputs
+become s0..s3.  Four consecutive outputs are never all zero: the output
+mixer is a bijection that sends only 0 to 0.  Uniform doubles take the
+top 53 bits, uniform = (next >> 11) * 2^-53 in [0, 1); normals come
+from the Box-Muller transform (using 1 - uniform inside the logarithm,
+second value cached).
 
-Bulk draws.  `next_u64`, `normal` and `complex_normal` are the spec and
-the test oracle; `u64_array`, `normals` and `complex_normals` return
-exactly the same bits, many at a time, and leave the generator in the
-same state.  The xoshiro256** update is linear over GF(2), so n steps
-are cut into K lanes of L steps each, L the power of two nearest
-sqrt(n/8) (this balances the ~10 numpy calls of each step against the
-per-lane jump cost): lane j starts at A^(jL) s.  The lane starts come
-from vectorised jumps by the doubling matrices A^L, A^2L, A^4L, ...:
-lanes [d, 2d) are lanes [0, d) jumped together by A^(dL), so K lanes
-take ceil(log2 K) jumps; past 256 lanes, blocks of 128 lanes jump by
-A^(128L).  Each matrix is kept as the images of the 256 unit states
-(8 KiB), built on first use (A^L by stepping the unit states L times,
-each later one by squaring the one before) and cached per (L, level).
-A jump expands the images into 64 nibble tables, so the image of a
-state is 64 table rows XORed together.  All lanes then step together in
-numpy uint64 arithmetic, and the scrambler is applied to the whole block
-at once.  A trial's operator draws its words with one call.  Box-Muller
-keeps the scalar formulas:
-uniforms, 1 - u, sqrt and the products are correctly rounded in numpy
-and so agree bit for bit.  numpy's float64 cos and sin call the C
+Lanes.  Each random object an experiment draws (one block of an
+operator, one cell of a grid) reads its own lane: the generator opened
+at a key of integer parts.  `lane_key(*parts)` folds the parts through
+splitmix64, h = 0 and then h = output of splitmix64 stepping the counter
+h ^ (part mod 2^64), part by part.  The harness keys block (k, m) of
+trial t by (seed, domain, t, *k, *m), so a block's words depend on
+nothing but its key, not on where it sits among the other blocks, and
+two different keys collide only by chance (a 2^-64 event per pair).
+`lanes(counters, steps)` draws the first `steps` words of many lanes
+at once: one vectorised splitmix64 pass seeds every lane, all lanes step
+together in numpy uint64 arithmetic, and the scrambler is applied to the
+whole block.  Row i equals `Xoshiro256StarStar(counters[i])` word for
+word; the scalar methods are the spec and the test oracle.
+
+Box-Muller over lane words keeps the scalar formulas: uniforms, 1 - u,
+sqrt and the products are correctly rounded in numpy and so agree bit
+for bit.  numpy's float64 cos and sin call the C
 library once per element and give `math.cos`/`math.sin`'s bits (a test
 guards this); its SIMD log differs from libm in the last bit on some
 inputs, so log must give `math.log`'s bits another way.  Where long
@@ -70,7 +61,8 @@ import math
 
 import numpy as np
 
-__all__ = ["splitmix64", "Xoshiro256StarStar", "box_muller", "uniforms"]
+__all__ = ["splitmix64", "lane_key", "lane_keys", "lanes", "Xoshiro256StarStar", "box_muller",
+           "uniforms"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -80,8 +72,8 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK
 
 
-def splitmix64(x: int) -> tuple:
-    """One splitmix64 step: returns (new_counter, output)."""
+def splitmix64(x):
+    """One splitmix64 step: returns (new_counter, output); x an int or a uint64 array."""
     x = (x + _GOLDEN) & _MASK
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
@@ -89,18 +81,30 @@ def splitmix64(x: int) -> tuple:
     return x, z ^ (z >> 31)
 
 
+def lane_key(*parts: int) -> int:
+    """The counter of the lane keyed by parts: h = 0, then h = splitmix64(h ^ part)[1]
+    for each part mod 2^64."""
+    h = 0
+    for part in parts:
+        h = splitmix64(h ^ (int(part) & _MASK))[1]
+    return h
+
+
+def lane_keys(prefix: tuple, rows) -> np.ndarray:
+    """lane_key(*prefix, *row) of every row of the integer array rows (shape (n, j)), as uint64."""
+    h = np.full(len(rows), lane_key(*prefix), dtype=np.uint64)
+    for part in np.asarray(rows, dtype=np.int64).view(np.uint64).T:  # negatives wrap mod 2^64
+        h = splitmix64(h ^ part)[1]
+    return h
+
+
 _UNIT = 2.0 ** -53
-_NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)[:, None]
-_NIBBLE_BASE = np.arange(64)
-_LEVELS = 8  # doubling levels cached per lane length; later lanes jump in blocks of 128
-_JUMPS: dict = {}  # (lane, level) -> unit images of A^(lane * 2^level)
+# s_j of a lane is the splitmix64 output that steps the counter + j G
+_SEEDING = np.arange(4, dtype=np.uint64)[:, None] * np.uint64(_GOLDEN)
 
 
 def _step_lanes(s: np.ndarray, rows) -> None:
-    """Step the lanes s (shape (4, K)) in place, once per row; row i gets s1 after step i.
-
-    A row may be s[1] itself, for steps whose words are not kept.
-    """
+    """Step the lanes s (shape (4, K)) in place, once per row; row i gets s1 after step i."""
     s0, s1, s2, s3 = s
     t = np.empty_like(s0)
     for row in rows:
@@ -116,51 +120,24 @@ def _step_lanes(s: np.ndarray, rows) -> None:
     s[1] = s1
 
 
-def _jump(images: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """The GF(2) map sending unit state i to images[i] (shape (256, 4)), applied
-    to every column of states (shape (4, M)).
+def lanes(counters, steps: int) -> np.ndarray:
+    """The first `steps` words of the lane at each splitmix64 counter, shape (n, steps).
 
-    State bit i is bit i % 64 of word i // 64, so nibble b holds bits
-    4b..4b+3.  Row 64 v + b of the nibble tables is the image of the state
-    whose nibble b is v, and a state's image is the XOR of 64 table rows.
-    The tables are built as 16 slabs of 64 rows, one XOR per doubling.
+    Row i holds what `steps` calls of Xoshiro256StarStar(counters[i]).next_u64 return.
     """
-    images = images.reshape(64, 4, 4)
-    tables = np.zeros((16, 64, 4), dtype=np.uint64)
-    for k in range(4):
-        np.bitwise_xor(tables[:1 << k], images[:, k], out=tables[1 << k:2 << k])
-    nibbles = (states[:, None, :] >> _NIBBLE_SHIFTS) & np.uint64(0xF)
-    rows = nibbles.reshape(64, -1).astype(np.intp) * 64 + _NIBBLE_BASE[:, None]
-    return np.bitwise_xor.reduce(np.take(tables.reshape(1024, 4), rows, axis=0), axis=0).T
-
-
-def _jump_images(lane: int, level: int) -> np.ndarray:
-    """The unit images of A^(lane * 2^level), built on first use and then shared.
-
-    Level 0 steps the 256 unit states `lane` times; level i + 1 applies
-    level i to its own images, squaring it.  Each matrix is published
-    whole under its key, so threads that build one at the same time all
-    use the first copy stored.
-    """
-    images = _JUMPS.get((lane, level))
-    if images is None:
-        if level == 0:
-            i = np.arange(256)
-            units = np.zeros((4, 256), dtype=np.uint64)
-            units[i // 64, i] = np.uint64(1) << (i % 64).astype(np.uint64)
-            _step_lanes(units, [units[1]] * lane)  # column i is A^lane e_i
-        else:
-            half = _jump_images(lane, level - 1)
-            units = _jump(half, half.T)
-        images = _JUMPS.setdefault((lane, level), np.ascontiguousarray(units.T))
-    return images
-
-
-def _lanes(n: int) -> tuple:
-    """(L, K) for a draw of n >= 1 words: K lanes of L steps, L the power
-    of two nearest sqrt(n/8)."""
-    lane = 1 << max(0, round(math.log2(n / 8) / 2))
-    return lane, -(-n // lane)
+    counters = np.asarray(counters, dtype=np.uint64)
+    s = splitmix64(counters + _SEEDING)[1]  # all lanes seeded in one pass
+    trace = np.empty((max(steps, 1), counters.size), dtype=np.uint64)  # row i: s1 before step i
+    trace[0] = s[1]
+    _step_lanes(s, trace[1:steps])
+    x = trace[:steps].T.copy().reshape(-1)
+    t = trace.reshape(-1)[:x.size]  # the trace's memory, reused
+    x *= np.uint64(5)
+    np.left_shift(x, np.uint64(7), out=t)
+    x >>= np.uint64(57)
+    x |= t
+    x *= np.uint64(9)
+    return x.reshape(counters.size, steps)
 
 
 def uniforms(words: np.ndarray) -> np.ndarray:
@@ -218,16 +195,14 @@ def box_muller(words: np.ndarray) -> np.ndarray:
 
 
 class Xoshiro256StarStar:
-    """xoshiro256** with splitmix64 seeding and Box-Muller normals."""
+    """xoshiro256** opened at a splitmix64 counter, with Box-Muller normals."""
 
-    def __init__(self, seed: int, stream: int = 0):
-        x = (int(seed) + int(stream) * _GOLDEN) & _MASK
+    def __init__(self, counter: int):
+        x = int(counter) & _MASK
         state = []
         for _ in range(4):
             x, z = splitmix64(x)
             state.append(z)
-        if not any(state):  # pragma: no cover - unreachable with splitmix64
-            state[0] = _GOLDEN
         self._s = state
         self._cached_normal = None
 
@@ -265,50 +240,3 @@ class Xoshiro256StarStar:
         re = self.normal()
         im = self.normal()
         return complex(re, im)
-
-    def u64_array(self, n: int) -> np.ndarray:
-        """The next n words as uint64, the same as n calls to next_u64."""
-        n = int(n)
-        if n <= 0:
-            return np.empty(0, dtype=np.uint64)
-        lane, lanes = _lanes(n)
-        s = np.empty((4, lanes), dtype=np.uint64)
-        s[:, 0] = self._s
-        done = 1
-        while done < lanes:  # lanes [done, done + count) are A^(span L) of the span before
-            level = min(done.bit_length(), _LEVELS) - 1
-            span = 1 << level
-            count = min(span, lanes - done)
-            s[:, done:done + count] = _jump(_jump_images(lane, level),
-                                            s[:, done - span:done - span + count])
-            done += count
-        trace = np.empty((lane + 1, lanes), dtype=np.uint64)  # row i: s1 after i steps
-        trace[0] = s[1]
-        last = n - (lanes - 1) * lane  # steps the last lane contributes
-        _step_lanes(s, trace[1:last + 1])
-        self._s = s[:, -1].tolist()
-        _step_lanes(s, trace[last + 1:lane])
-        x = trace[:lane].T.copy().reshape(-1)
-        t = trace.reshape(-1)[:x.size]  # the trace's memory, reused
-        x *= np.uint64(5)
-        np.left_shift(x, np.uint64(7), out=t)
-        x >>= np.uint64(57)
-        x |= t
-        x *= np.uint64(9)
-        return x[:n]
-
-    def normals(self, n: int) -> np.ndarray:
-        """The next n normals as float64, the same as n calls to normal()."""
-        out = np.empty(n, dtype=float)
-        head = 0
-        if n and self._cached_normal is not None:
-            out[0], self._cached_normal, head = self._cached_normal, None, 1
-        fresh = box_muller(self.u64_array(2 * ((n - head + 1) // 2)))
-        out[head:] = fresh[: n - head]
-        if fresh.size > n - head:
-            self._cached_normal = float(fresh[-1])
-        return out
-
-    def complex_normals(self, n: int) -> np.ndarray:
-        """The next n complex normals, the same as n calls to complex_normal()."""
-        return self.normals(2 * n).view(np.complex128)

@@ -205,6 +205,21 @@ def test_verify_report_version_1_report_exits_4(tmp_path, capsys):
     assert_verify_problem(capsys, report, "unsupported format_version 1")
 
 
+def test_verify_report_version_2_report_exits_4(tmp_path, capsys):
+    report = invert_report(tmp_path, "csv")
+    obj = json.loads(report.read_text())
+    obj["format_version"] = 2  # blocks and grid cells draw from keyed lanes in version 3
+    report.write_text(json.dumps(obj))
+    assert_verify_problem(capsys, report, "unsupported format_version 2")
+
+
+@pytest.mark.parametrize("command", ["invert", "wiener"])
+def test_a_version_2_config_exits_2(tmp_path, capsys, command):
+    cfg = (write_config if command == "invert" else wiener_config)(tmp_path / "c.json",
+                                                                    format_version=2)
+    assert_config_error(tmp_path, capsys, [command, "--config", str(cfg)])
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda rows: rows[0].__setitem__(0, "x"), "bad cell"),
     (lambda rows: rows[0].__setitem__(0, 1.5), "bad cell"),  # an index must be an int
@@ -384,6 +399,17 @@ def test_wiener_negative_out_radius_exits_2(tmp_path, capsys):
 ])
 def test_wiener_rejects_what_it_would_ignore(tmp_path, capsys, fields):
     cfg = wiener_config(tmp_path / "w.json", **fields)
+    assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("source", [
+    {"symbol": "2+u"},
+    {"seq": {"c": 1, "radius": 0, "entries": [{"index": [0], "re": 2.0, "im": 0.0}]}},
+])
+def test_wiener_c_is_an_unknown_key(tmp_path, capsys, source):
+    # a symbol string is one-dimensional and a seq carries its own c
+    cfg = tmp_path / "w.json"
+    cfg.write_text(json.dumps({**source, "c": 1, "grid": 256, "out_radius": 20}))
     assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])
 
 

@@ -1,11 +1,14 @@
 """Outputs pinned across code versions: the sha256 of every emitted file.
 
 `tests/golden/sha256.json` maps each case below to {file name: sha256}
-of everything its CLI command writes.  The digests were taken from the
-code before the generation path was vectorized and re-pinned once, for
-format version 2 (closed-form trace norms of rank <= 2 generated blocks,
-different in the last bits); a change that alters any byte must explain
-why in CHANGES.md and show value-level agreement.
+of everything its CLI command writes, and records under "format_version"
+the version they were pinned at.  They were re-pinned once per format
+version: for version 2 (closed-form trace norms of rank <= 2 generated
+blocks, different in the last bits) and for version 3 (every operator
+block and grid cell drawn from its own keyed lane; wiener's `margin`
+gone, its values unchanged).  A change that alters any byte must bump
+harness.FORMAT_VERSION, explain why in CHANGES.md and show value-level
+agreement; the digests and the version travel together.
 Never regenerate the digests just to make this test pass.
 
 The digests hold for one numpy/BLAS build at one BLAS thread count: the
@@ -25,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import decayalg
+from decayalg.harness import FORMAT_VERSION
 
 GOLDEN = Path(__file__).parent / "golden" / "sha256.json"
 SRC = str(Path(decayalg.__file__).resolve().parents[1])
@@ -78,6 +82,12 @@ def emitted_digests(case: str, work: Path) -> dict:
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.iterdir())
     }
+
+
+def test_digests_were_pinned_at_this_format_version():
+    golden = json.loads(GOLDEN.read_text())
+    assert golden.pop("format_version") == FORMAT_VERSION
+    assert set(golden) == set(CASES)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

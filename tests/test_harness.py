@@ -24,6 +24,7 @@ from decayalg.harness import (
     _trace_norms,
     envelope_values,
     generate_operator,
+    kernel_input,
     parse_symbol,
     run_gen,
     run_inverse_closedness,
@@ -35,7 +36,7 @@ from decayalg.harness import (
 from decayalg.cd_operator import CDOperator, NumericallySingular, decay_slope, invert_one_plus
 from decayalg.lattice import window_array, window_indices
 from decayalg.nuclear_blocks import trace_norm
-from decayalg.rng import Xoshiro256StarStar
+from decayalg.rng import Xoshiro256StarStar, lane_key
 from decayalg.seq_algebra import SymbolVanishes, symbol_on_grid, wiener_inverse
 from decayalg.weights import Weight
 
@@ -180,14 +181,14 @@ def test_trace_norms_closed_form_matches_svd(d, rank, seed, parallel, scales):
 def reference_operator(cfg, trial):
     """Block-by-block generation from the scalar draws: the spec of the bulk path.
 
-    The trace norm comes from `_trace_norms` on a one-block stack, which
+    Each block reads the scalar generator opened at its own lane key.  The
+    trace norm comes from `_trace_norms` on a one-block stack, which
     `test_trace_norms_closed_form_matches_svd` checks against LAPACK.
     """
-    rng = Xoshiro256StarStar(cfg.seed, stream=trial)
     beta = envelope_values(cfg)
     d, rank = cfg.local_dim, cfg.block_rank
 
-    def draw(rows, cols):
+    def draw(rng, rows, cols):
         out = np.empty((rows, cols), dtype=np.complex128)
         for i in range(rows):
             for j in range(cols):
@@ -200,9 +201,10 @@ def reference_operator(cfg, trial):
             target = float(beta[tuple(x + cfg.band_radius for x in m)])
             if target == 0.0:
                 continue
+            rng = Xoshiro256StarStar(lane_key(cfg.seed, harness._OPERATOR_DOMAIN, trial, *k, *m))
             r_km = rng.uniform_in(0.5, 1.0)
-            x = draw(d, rank)
-            y = draw(rank, d)
+            x = draw(rng, d, rank)
+            y = draw(rng, rank, d)
             g = x @ y
             scale = target * r_km / _trace_norms(g[None], x[None], y[None])[0]
             blocks[(k, m)] = g * scale
@@ -237,6 +239,50 @@ def test_generate_operator_equals_block_by_block_reference(case, seed, trial):
         for (u, v), (u_ref, v_ref) in zip(zip(a[i], y[i]), terms[key]):
             assert u.tobytes() == u_ref.tobytes()
             assert v.tobytes() == v_ref.tobytes()
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_a_block_is_the_same_in_every_window_that_holds_it(c):
+    small, large = (generate_operator(small_config(c=c, window_radius=n), 1) for n in (3, 5))
+    index = {key: j for j, key in enumerate(large.blocks)}
+    assert set(small.blocks) < set(index)
+    a, y = small.factors
+    for i, key in enumerate(small.blocks):
+        j = index[key]
+        assert small.blocks[key].tobytes() == large.blocks[key].tobytes()
+        assert a[i].tobytes() == large.factors[0][j].tobytes()
+        assert y[i].tobytes() == large.factors[1][j].tobytes()
+
+
+def test_seed_plus_golden_at_the_trial_before_draws_another_operator():
+    # format version 2 opened the stream at seed + trial * G, so these two were one operator
+    seed, trial, gold = 11, 3, 0x9E3779B97F4A7C15
+    op = generate_operator(small_config(seed=seed), trial)
+    other = generate_operator(small_config(seed=seed + gold), trial - 1)
+    assert list(op.blocks) == list(other.blocks)
+    assert not any(np.array_equal(op.blocks[k], other.blocks[k]) for k in op.blocks)
+
+
+def test_kernel_input_cells_are_lane_words():
+    cfg = small_config(c=2, window_radius=2, local_dim=4, q=2)
+    f = kernel_input(cfg, 4)
+    assert f.values.shape == (25, 4)
+    for k, values in zip(window_indices(2, 2), f.values):
+        rng = Xoshiro256StarStar(lane_key(cfg.seed, harness._GRID_DOMAIN, 4, *k))
+        want = np.array([rng.complex_normal() for _ in range(4)])
+        assert values.tobytes() == want.tobytes()
+
+
+def test_the_grid_is_no_operator_lane():
+    # format version 2 drew the grid of seed s from the operator stream of seed s ^ 0x6B65726E;
+    # now grid cells and blocks fold different domains into their keys
+    cfg = small_config(c=2, window_radius=2, local_dim=4, q=2)
+    grid = {lane_key(cfg.seed, harness._GRID_DOMAIN, t, *k)
+            for t in range(3) for k in window_indices(2, 2)}
+    for seed in (cfg.seed, cfg.seed ^ 0x6B65726E, *range(64)):
+        blocks = {lane_key(seed, harness._OPERATOR_DOMAIN, t, *k, *m)
+                  for t in range(3) for k in window_indices(2, 2) for m in window_indices(1, 2)}
+        assert not grid & blocks
 
 
 def test_generate_operator_zero_table():
@@ -594,8 +640,10 @@ def test_parse_symbol_rejects(bad):
 
 
 def test_parse_symbol_only_one_dimensional():
-    with pytest.raises(ConfigError):
-        parse_symbol("2+u", c=2)
+    assert parse_symbol("2+u").c == 1
+    for extra in ({"symbol": "2+u"}, {"seq": parse_symbol("2+u").to_json()}):
+        with pytest.raises(ConfigError, match="unknown wiener config fields"):
+            run_wiener({**extra, "c": 1, "grid": 64, "out_radius": 4})
 
 
 # ----------------------------------------------------------- wiener runner
@@ -925,6 +973,27 @@ def test_verify_report_rederives_wiener_partial_sums_csv(tmp_path):
     inverse["entries"][0]["re"] += 1.0
     (tmp_path / "inverse.json").write_text(json.dumps(inverse))
     assert any("partial_sum mismatch" in p for p in verify_report(tmp_path / "report.json"))
+
+
+@pytest.mark.parametrize("field, value, source", [
+    ("min_modulus", 123.0, "symbol"),
+    ("residual", 7.0, "stored inverse"),
+    ("closed_form_max_err", 0.5, "stored inverse"),
+])
+def test_verify_report_rederives_wiener_scalars(tmp_path, field, value, source):
+    run_wiener({"symbol": "2+u", "grid": 128, "out_radius": 20}, out_dir=tmp_path)
+    path = tmp_path / "report.json"
+    assert verify_report(path) == []
+    assert tamper(path, lambda r: r.update({field: value})) == [
+        f"{field} does not match the {source}"]
+
+
+def test_verify_report_rederives_a_vanishing_symbols_min_modulus(tmp_path):
+    run_wiener({"symbol": "1-u", "grid": 128, "out_radius": 10}, out_dir=tmp_path)
+    path = tmp_path / "report.json"
+    assert verify_report(path) == []
+    assert tamper(path, lambda r: r.update(min_modulus=1.0)) == [
+        "min_modulus does not match the symbol"]
 
 
 def test_verify_report_rederives_wiener_partial_sums_json(tmp_path):

@@ -1,8 +1,6 @@
 """Known-answer and behavioral tests for the deterministic generator."""
 
 import math
-import sys
-import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decayalg import rng
-from decayalg.rng import Xoshiro256StarStar, box_muller, splitmix64
+from decayalg.rng import Xoshiro256StarStar, box_muller, lane_key, lane_keys, lanes, splitmix64
 
 
 def test_splitmix64_known_answers():
@@ -35,18 +33,16 @@ def test_xoshiro_reference_sequence():
 
 
 def test_streams_are_reproducible_and_distinct():
-    a = Xoshiro256StarStar(7, stream=0)
-    b = Xoshiro256StarStar(7, stream=0)
+    a = Xoshiro256StarStar(7)
+    b = Xoshiro256StarStar(7)
     assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
-    c = Xoshiro256StarStar(7, stream=1)
-    d = Xoshiro256StarStar(8, stream=0)
-    first = Xoshiro256StarStar(7, stream=0).next_u64()
-    assert c.next_u64() != first
-    assert d.next_u64() != first
-    # the documented stream domain: a pair names its stream only through
-    # the splitmix64 counter seed + stream * G mod 2^64
-    e = Xoshiro256StarStar(7 + 0x9E3779B97F4A7C15, stream=0)
-    assert e.next_u64() == Xoshiro256StarStar(7, stream=1).next_u64()
+    first = Xoshiro256StarStar(7).next_u64()
+    assert Xoshiro256StarStar(8).next_u64() != first
+    # format version 2 opened (seed, trial) at the counter seed + trial * G, so
+    # (seed + G, trial - 1) named the same stream; lane keys hash every part
+    gold = 0x9E3779B97F4A7C15
+    assert lane_key(7 + gold, 0) != lane_key(7, 1)
+    assert lane_key(7, 0, 1, 2) != lane_key(7, 0, 2, 1)
 
 
 def test_uniform_range_and_moments():
@@ -82,123 +78,66 @@ def test_complex_normal_draws_real_then_imaginary():
     assert math.isfinite(abs(z))
 
 
-# ------------------------------------------------------------ bulk draws
+# ----------------------------------------------------------------- lanes
 #
-# The bulk path must reproduce the scalar methods bit for bit and leave the
-# generator where the scalar calls would.  Lane lengths are powers of two
-# near sqrt(n), so these lengths fill the last lane exactly, leave it one
-# short, or spill one word into a new lane.
+# lanes() must give each lane the words of the scalar generator opened at
+# its counter.  33 and 65 words are one block of the kernel-2d and
+# invert-1d benchmark workloads, which draw 4,225 and 297 lanes a trial.
+
+
+def scalar_words(counter, n):
+    gen = Xoshiro256StarStar(int(counter))
+    return [gen.next_u64() for _ in range(n)]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 33, 65])
+@pytest.mark.parametrize("count", [0, 1, 4225])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_lanes_equal_scalar_generators(seed, steps, count):
+    counters = lane_keys((seed,), np.arange(count)[:, None])
+    words = lanes(counters, steps)
+    assert words.dtype == np.uint64 and words.shape == (count, steps)
+    assert words.tolist() == [scalar_words(c, steps) for c in counters]
+
+
+@given(seed=st.integers(0, 2**64 - 1),
+       parts=st.lists(st.lists(st.integers(-2**63, 2**63 - 1), min_size=3, max_size=3),
+                      max_size=5))
+def test_lane_keys_fold_every_row_like_lane_key(seed, parts):
+    rows = np.array(parts, dtype=np.int64).reshape(len(parts), 3)
+    assert lane_keys((seed, 1), rows).tolist() == [lane_key(seed, 1, *row) for row in parts]
+    assert lane_key(seed, -1) == lane_key(seed, 2**64 - 1)  # parts count mod 2^64
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 64, 65, 4095, 4096, 4097, 5000, 16384])
 def test_u64_array_equals_scalar_words(n):
-    bulk = Xoshiro256StarStar(17, stream=n)
-    scalar = Xoshiro256StarStar(17, stream=n)
-    words = bulk.u64_array(n)
+    # one long lane
+    words = lanes([lane_key(17, n)], n)
     assert words.dtype == np.uint64
-    assert words.tolist() == [scalar.next_u64() for _ in range(n)]
-    assert bulk._s == scalar._s
+    assert words[0].tolist() == scalar_words(lane_key(17, n), n)
 
 
-# A draw of n words runs K lanes of L steps (L the power of two nearest
-# sqrt(n/8)).  Lanes [d, 2d) jump from lanes [0, d) up to 256 lanes and in
-# blocks of 128 beyond, so K = 2^k and 2^k + 1 are the edges; for each K
-# the smallest n leaves one word in the last lane and the largest fills it.
-# 139,425 and 19,305 words are one trial of the two benchmark workloads.
-
-
-def sizes_with_lane_counts(counts, limit=30000):
-    found = {}
-    for n in range(1, limit):
-        k = rng._lanes(n)[1]
-        if k in counts:
-            lo, hi = found.get(k, (n, n))
-            found[k] = (min(lo, n), max(hi, n))
-    assert set(found) == set(counts)
-    return sorted({n for pair in found.values() for n in pair})
-
-
-LANE_EDGE_SIZES = sizes_with_lane_counts({2, 3, 4, 5, 8, 9, 64, 65, 128, 129,
-                                          256, 257, 384, 385})
-
-
-@pytest.mark.parametrize("n", LANE_EDGE_SIZES + [19305, 139425])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 18, 253, 513, 1017, 1024, 1040, 2048, 2049,
+                               4081, 4128, 8193, 12257, 12289, 16384, 16448, 24576, 24640,
+                               19305, 139425])
 def test_u64_array_at_lane_count_edges_and_workload_sizes(n):
-    bulk = Xoshiro256StarStar(29, stream=n)
-    scalar = Xoshiro256StarStar(29, stream=n)
-    assert bulk.u64_array(n).tolist() == [scalar.next_u64() for _ in range(n)]
-    assert bulk._s == scalar._s
-
-
-def stepped_unit_images(steps):
-    """{k: images of the 256 unit states after k scalar steps} for k in steps."""
-    gens = []
-    for i in range(256):
-        gen = Xoshiro256StarStar(0)
-        gen._s = [0, 0, 0, 0]
-        gen._s[i // 64] = 1 << (i % 64)
-        gens.append(gen)
-    images = {}
-    for k in range(1, max(steps) + 1):
-        for gen in gens:
-            gen.next_u64()
-        if k in steps:
-            images[k] = np.array([gen._s for gen in gens], dtype=np.uint64)
-    return images
-
-
-@pytest.mark.parametrize("lane", [1, 2])
-def test_doubling_tables_are_stepped_powers(monkeypatch, lane):
-    # level i of lane L is A^(2^i L), here against the unit states stepped one by one
-    monkeypatch.setattr(rng, "_JUMPS", {})
-    levels = range(rng._LEVELS)
-    want = stepped_unit_images({lane << level for level in levels})
-    for level in levels:
-        assert np.array_equal(rng._jump_images(lane, level), want[lane << level])
-
-
-def test_first_draws_from_many_threads_on_an_empty_cache(monkeypatch):
-    # more threads than cores, switching often, all building the same matrices
-    monkeypatch.setattr(rng, "_JUMPS", {})
-    n, workers = 19305, 4
-    barrier = threading.Barrier(workers)
-    words = [None] * workers
-
-    def draw(k):
-        gen = Xoshiro256StarStar(5, stream=k)
-        barrier.wait(timeout=60)
-        words[k] = gen.u64_array(n)
-
-    threads = [threading.Thread(target=draw, args=(k,)) for k in range(workers)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    for k in range(workers):
-        scalar = Xoshiro256StarStar(5, stream=k)
-        assert words[k].tolist() == [scalar.next_u64() for _ in range(n)]
-    # one matrix per level, and no level past the cap
-    lane = rng._lanes(n)[0]
-    assert set(rng._JUMPS) == {(lane, level) for level in range(rng._LEVELS)}
+    # n words as lanes of 33 words, the last one cut short: up to kernel-2d's 4,225 lanes
+    counters = lane_keys((29, n), np.arange(-(-n // 33))[:, None])
+    want = [w for c in counters for w in scalar_words(c, 33)]
+    assert lanes(counters, 33).reshape(-1)[:n].tolist() == want[:n]
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**20),
        sizes=st.lists(st.integers(0, 3000), min_size=1, max_size=4))
 def test_u64_array_state_continuity(seed, stream, sizes):
-    # bulk -> scalar -> bulk -> ... matches one scalar stream
-    bulk = Xoshiro256StarStar(seed, stream)
-    scalar = Xoshiro256StarStar(seed, stream)
+    # a lane's first n words are the same however many are drawn, and the scalar continues them
+    counters = [lane_key(seed, stream, i) for i in range(3)]
+    longest = lanes(counters, max(sizes) + 1)
     for n in sizes:
-        assert bulk.u64_array(n).tolist() == [scalar.next_u64() for _ in range(n)]
-        assert bulk.next_u64() == scalar.next_u64()
-    assert bulk._s == scalar._s
+        assert np.array_equal(lanes(counters, n), longest[:, :n])
+    assert longest[2].tolist() == scalar_words(counters[2], max(sizes) + 1)
 
 
 def bits(a):
@@ -208,32 +147,28 @@ def bits(a):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 600))
 def test_complex_normals_equal_scalar_bitwise(seed, n):
-    bulk = Xoshiro256StarStar(seed)
+    z = box_muller(lanes([seed], 2 * n)).view(np.complex128)[0]
     scalar = Xoshiro256StarStar(seed)
-    z = bulk.complex_normals(n)
     want = np.array([scalar.complex_normal() for _ in range(n)], dtype=np.complex128)
     assert z.shape == (n,)
     assert np.array_equal(bits(z), bits(want))
-    assert bulk._s == scalar._s and bulk._cached_normal == scalar._cached_normal
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1),
        sizes=st.lists(st.integers(0, 50), min_size=1, max_size=5))
 def test_normals_keep_the_cached_value(seed, sizes):
-    # odd counts leave a cached normal that the next draw, bulk or scalar, uses
-    bulk = Xoshiro256StarStar(seed)
+    # odd counts leave a cached normal that the next scalar draw uses, so the
+    # scalar normals are Box-Muller of consecutive word pairs however they are cut
     scalar = Xoshiro256StarStar(seed)
-    for n in sizes:
-        got = bulk.normals(n)
-        assert np.array_equal(bits(got), bits([scalar.normal() for _ in range(n)]))
-        assert bulk._cached_normal == scalar._cached_normal
-        assert bulk.normal() == scalar.normal()
-    assert bulk._s == scalar._s
+    got = [x for n in sizes for x in (scalar.normal() for _ in range(n))]
+    total = sum(sizes)
+    want = box_muller(lanes([seed], total + total % 2))[0, :total]
+    assert np.array_equal(bits(got), bits(want))
 
 
 def test_box_muller_matches_a_fresh_pair():
-    words = Xoshiro256StarStar(3).u64_array(8).reshape(2, 4)
+    words = lanes([3], 8).reshape(2, 4)
     out = box_muller(words)
     scalar = Xoshiro256StarStar(3)
     assert np.array_equal(bits(out.ravel()), bits([scalar.normal() for _ in range(8)]))
@@ -241,14 +176,19 @@ def test_box_muller_matches_a_fresh_pair():
 
 def test_numpy_trig_equals_libm_on_stream_angles():
     # box_muller takes cos and sin from numpy; they must give libm's bits
-    theta = 2.0 * math.pi * rng.uniforms(Xoshiro256StarStar(41, stream=2).u64_array(1 << 17))
+    theta = 2.0 * math.pi * rng.uniforms(lane_words(41, 2, 1 << 17))
     values = theta.tolist()
     assert np.array_equal(bits(np.cos(theta)), bits([math.cos(t) for t in values]))
     assert np.array_equal(bits(np.sin(theta)), bits([math.sin(t) for t in values]))
 
 
+def lane_words(seed, stream, n):
+    """n words (a multiple of 1024) from lanes of 1024 words keyed by (seed, stream, i)."""
+    return lanes(lane_keys((seed, stream), np.arange(n // 1024)[:, None]), 1024).reshape(-1)
+
+
 def log_inputs(seed, stream, n):
-    return 1.0 - rng.uniforms(Xoshiro256StarStar(seed, stream=stream).u64_array(n))
+    return 1.0 - rng.uniforms(lane_words(seed, stream, n))
 
 
 def libm_logs(u):
