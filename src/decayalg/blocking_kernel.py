@@ -153,10 +153,9 @@ def assemble_kernel(op: CDOperator, q: int) -> Kernel:
     if op.factors is None:
         raise MissingFactorization("operator carries no factor terms")
     h_pow = q ** (-op.c)
-    rows = op.plan.route[0]
     group, order, keys = op.plan.pairs
-    a, y = op.factors[0][rows], op.factors[1][rows]
-    assembled = np.zeros((len(rows), op.local_dim, op.local_dim), dtype=np.complex128)
+    a, y = (op.plan.gather(f) for f in op.factors)
+    assembled = np.zeros((len(group), op.local_dim, op.local_dim), dtype=np.complex128)
     term = np.empty_like(assembled)
     for j in range(a.shape[1]):
         assembled += np.multiply(y[:, j, :, None], a[:, j, None, :], out=term)
@@ -175,7 +174,9 @@ def apply_kernel(kernel: Kernel, f: GridFunction) -> GridFunction:
     h_pow = kernel.q ** (-kernel.c)
     rows_k = flat_offsets(kernel.keys[:, 0], kernel.window_radius)
     rows_l = flat_offsets(kernel.keys[:, 1], kernel.window_radius)
-    rows = np.lexsort((rows_l, rows_k))
+    code = rows_k * len(f.values) + rows_l  # sorted already for an assembled kernel
+    rows = (slice(None) if kernel.stack.flags.c_contiguous and (code[1:] >= code[:-1]).all()
+            else np.argsort(code, kind="stable"))
     prod = (kernel.stack[rows] @ f.values[rows_l[rows], :, None])[..., 0]
     out = np.zeros_like(f.values)
     np.add.at(out, rows_k[rows], prod * h_pow)

@@ -45,7 +45,7 @@ from .cd_operator import (
 from .lattice import window_array, window_indices, window_size
 from .rng import box_muller, lane_keys, lanes, uniforms
 from .seq_algebra import (FiniteSeq, SymbolVanishes, check_sizes, convolve, delta,
-                          symbol_on_grid, wiener_inverse)
+                          symbol_on_grid, symbol_vanishes, wiener_inverse)
 from .weights import Weight
 
 __all__ = [
@@ -798,15 +798,18 @@ def _verify_envelope_table(rows: list, rec: dict, cfg: ExperimentConfig) -> list
 
 
 def _verify_wiener(report: dict, out_dir: Path) -> list:
-    """Re-derive min_modulus from the echoed symbol and grid, and residual,
-    closed_form_max_err and the partial sums from the stored inverse."""
+    """Re-derive min_modulus, and whether an error belongs, from the echoed symbol and
+    grid, and residual, closed_form_max_err and the partial sums from the stored inverse."""
     try:
         seq, grid, out_radius, weight = _wiener_inputs(report["config"])
     except ConfigError as exc:
         return [f"wiener config not reconstructible: {exc}"]
-    problems = ([] if report.get("min_modulus") == _json_float(
-        np.abs(symbol_on_grid(seq, grid)).min()) else ["min_modulus does not match the symbol"])
-    if "error" in report:
+    mod = np.abs(symbol_on_grid(seq, grid))
+    problems = ([] if report.get("min_modulus") == _json_float(mod.min())
+                else ["min_modulus does not match the symbol"])
+    if ("error" in report) != symbol_vanishes(mod):
+        problems.append("error disagrees with whether the symbol vanishes")
+    elif "error" in report:
         return problems
     try:
         if report.get("inverse_json") is not None:

@@ -42,6 +42,7 @@ __all__ = [
     "character_eval",
     "symbol_on_grid",
     "check_sizes",
+    "symbol_vanishes",
     "wiener_inverse",
 ]
 
@@ -276,6 +277,11 @@ def check_sizes(grid: int, radius: int, out_radius: int) -> None:
                          "need grid >= 2(R + R') + 2")
 
 
+def symbol_vanishes(mod: np.ndarray) -> bool:
+    """Whether sampled moduli of a symbol count as a zero: min <= 1e-13 max(1, max)."""
+    return float(mod.min()) <= 1e-13 * max(1.0, float(mod.max()))
+
+
 def wiener_inverse(a: FiniteSeq, grid: int, out_radius: int) -> WienerResult:
     """Invert a by reciprocal-symbol sampling.
 
@@ -290,7 +296,7 @@ def wiener_inverse(a: FiniteSeq, grid: int, out_radius: int) -> WienerResult:
     sym = symbol_on_grid(a, grid)
     mod = np.abs(sym)
     min_mod = float(mod.min())
-    if min_mod <= 1e-13 * max(1.0, float(mod.max())):
+    if symbol_vanishes(mod):
         raise SymbolVanishes(
             f"sampled symbol modulus {min_mod:.3e} is zero to machine precision", min_mod)
     coeffs = np.fft.fftn(1.0 / sym) / float(grid**a.c)

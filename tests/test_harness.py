@@ -37,7 +37,7 @@ from decayalg.cd_operator import CDOperator, NumericallySingular, decay_slope, i
 from decayalg.lattice import window_array, window_indices
 from decayalg.nuclear_blocks import trace_norm
 from decayalg.rng import Xoshiro256StarStar, lane_key
-from decayalg.seq_algebra import SymbolVanishes, symbol_on_grid, wiener_inverse
+from decayalg.seq_algebra import SymbolVanishes, symbol_on_grid, symbol_vanishes, wiener_inverse
 from decayalg.weights import Weight
 
 
@@ -994,6 +994,33 @@ def test_verify_report_rederives_a_vanishing_symbols_min_modulus(tmp_path):
     assert verify_report(path) == []
     assert tamper(path, lambda r: r.update(min_modulus=1.0)) == [
         "min_modulus does not match the symbol"]
+
+
+def test_verify_report_checks_a_wiener_error_against_the_symbol(tmp_path):
+    """An error on a symbol that does not vanish is a problem, and the report's
+    other scalars are still checked; so is a missing error on one that does."""
+    run_wiener({"symbol": "2+u", "grid": 128, "out_radius": 20}, out_dir=tmp_path)
+    path = tmp_path / "report.json"
+    assert tamper(path, lambda r: r.update(error="symbol_vanishes: edited", residual=7.0)) == [
+        "error disagrees with whether the symbol vanishes",
+        "residual does not match the stored inverse"]
+    run_wiener({"symbol": "1-u", "grid": 128, "out_radius": 10}, out_dir=tmp_path)
+    problems = tamper(path, lambda r: r.pop("error"))
+    assert problems[0] == "error disagrees with whether the symbol vanishes"
+    assert "wiener inverse not reconstructible" in problems[1]
+
+
+def test_wiener_inverse_and_the_verifier_share_the_vanishing_predicate():
+    assert symbol_vanishes(np.array([1e-13, 1.0])) and not symbol_vanishes(np.array([2e-13, 1.0]))
+    assert symbol_vanishes(np.array([2e-13, 2.0])) and not symbol_vanishes(np.array([3e-13, 2.0]))
+    for text, vanishes in (("1-u", True), ("2+u", False), ("1+1e-14*u", False)):
+        seq = parse_symbol(text)
+        assert symbol_vanishes(np.abs(symbol_on_grid(seq, 64))) == vanishes
+        if vanishes:
+            with pytest.raises(SymbolVanishes):
+                wiener_inverse(seq, 64, 4)
+        else:
+            wiener_inverse(seq, 64, 4)
 
 
 def test_verify_report_rederives_wiener_partial_sums_json(tmp_path):

@@ -355,6 +355,23 @@ def test_invert_reblocks_through_an_uncached_full_band_plan(c, N, d):
         assert not part.flags.writeable
 
 
+def test_gather_skips_only_an_in_order_route():
+    """A generated geometry's route takes every row in order, so gathering by it
+    hands back a C-contiguous stack itself; any other route or layout copies."""
+    rng = np.random.default_rng(11)
+    stack = rand_complex(rng, 2 * 25 * 9, 2, 2)  # 25 cells, 9 offsets, twice
+    dropping = band_plan(2, 2, 1, "dirichlet", tuple(range(9)))
+    shuffled = Plan(band_plan(2, 2, 1, "circulant", tuple(range(9))).keys[::-1].copy(),
+                    2, 1, "circulant")
+    for plan, in_order in ((band_plan(2, 2, 1, "circulant", tuple(range(9))), True),
+                           (dropping, False), (shuffled, False)):
+        assert plan.in_order is in_order
+        for s in (stack[:225], stack[::2]):  # a C-contiguous stack, then a strided one
+            got = plan.gather(s)
+            assert (got is s) == (in_order and s.flags.c_contiguous)
+            assert_bitwise(got, s[plan.route[0]])
+
+
 def test_store_is_read_only_and_validated_in_bulk():
     blk = np.eye(2, dtype=complex)
     op = CDOperator(1, 2, 1, 2, "circulant", {(0, 1): blk, ((1,), (0,)): 2 * blk})

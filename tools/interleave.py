@@ -10,9 +10,11 @@ Command i runs the perfbench workload's config at perfbench's seed for i
 never edited) in both trees; the tree that goes first alternates, and
 every file the two commands write is compared byte for byte.
 
-Prints trials/s and the src/ line count of each side, the median
-per-command change/parent wall ratio and the number of commands in which
-the change was faster; the last line is the same as one JSON object.  OPENBLAS_NUM_THREADS defaults
+Prints trials/s, minor page faults per command (from
+resource.getrusage of the process around each command, worker threads
+included) and the src/ line count of each side, the median per-command
+change/parent wall ratio and the number of commands in which the change
+was faster; the last line is the same as one JSON object.  OPENBLAS_NUM_THREADS defaults
 to 1 and DECAYALG_THREADS is the workload's, as in perfbench, unless
 --threads sets it for both trees: `--threads 1` compares the serial
 paths of a change to the trial pool, the workload's count its gain.
@@ -25,6 +27,7 @@ import importlib
 import importlib.util
 import json
 import os
+import resource
 import shutil
 import statistics
 import sys
@@ -86,18 +89,22 @@ def main(argv=None) -> int:
         config = work / "config.json"
         config.write_text(json.dumps(workload.config, sort_keys=True))
         walls = {side: [] for side in SIDES}
+        faults = {side: [] for side in SIDES}
         differing = []
         for i in range(-1, args.commands):  # command -1 warms both trees up, untimed
             argv = [workload.command, "--config", str(config),
                     "--seed", str(command_seed(args.seed, i))]
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 t0 = time.perf_counter()
                 code = mains[side](argv + ["--out", str(work / side)])
                 wall = time.perf_counter() - t0
+                fault = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
                 if code != 0:
                     raise SystemExit(f"command {i}: {side} exited {code}")
                 if i >= 0:
                     walls[side].append(wall)
+                    faults[side].append(fault)
             if files(work / "parent") != files(work / "change"):
                 differing.append(i)
             for side in SIDES:
@@ -113,6 +120,8 @@ def main(argv=None) -> int:
         "threads": threads,
         "trials_per_s": {side: round(workload.trials * args.commands / sum(walls[side]), 3)
                          for side in SIDES},
+        "minor_faults_per_command": {side: round(statistics.mean(faults[side]), 1)
+                                     for side in SIDES},
         "median_ratio": round(statistics.median(ratios), 4),
         "change_faster": sum(r < 1.0 for r in ratios),
         "outputs_identical": args.commands + 1 - len(differing),
@@ -124,6 +133,7 @@ def main(argv=None) -> int:
           "each tree first in every other one")
     for side in SIDES:
         print(f"  {side:6s} {summary['trials_per_s'][side]:.3f} trials/s, "
+              f"{summary['minor_faults_per_command'][side]:.1f} minor faults per command, "
               f"src/ {summary['src_lines'][side]} lines")
     print(f"  change/parent wall per command: median {summary['median_ratio']:.4f}, "
           f"change faster in {summary['change_faster']}/{args.commands}")
