@@ -74,7 +74,6 @@ __all__ = [
     "shift_decomposition",
     "laurent_symbol",
     "invert_one_plus",
-    "invert_stacked",
     "decay_slope",
 ]
 
@@ -90,7 +89,7 @@ class NotShiftInvariant(ValueError):
 
 
 class NumericallySingular(ArithmeticError):
-    """The dense system is too ill-conditioned to invert reliably."""
+    """The solve of the dense system certifies no condition number within the limit."""
 
 
 def _block_norms(stack: np.ndarray, kind: str) -> np.ndarray:
@@ -652,84 +651,92 @@ def decay_slope(env: Envelope, floor: float = 1e-14) -> float:
 
 @dataclass
 class InversionResult:
-    """(1 + T)^{-1} = 1 + T1 with the quality certificates of the solve."""
+    """(1 + T)^{-1} = 1 + T1 with the certificate of its own solve."""
 
-    t1: Optional[CDOperator]  # None when invert_stacked was asked not to keep it
-    residual: float
-    condition: float
+    t1: Optional[CDOperator]  # None when invert_one_plus was asked not to keep it
+    residual: float  # sqrt(||R||_1 ||R||_inf) of the computed R = (1+T)X - 1
+    condition: float  # a bound on ||1+T||_2 over sigma_min_lower
+    sigma_min_lower: float  # a lower bound on the smallest singular value of 1 + T
     envelope: Envelope  # nuclear envelope of t1
+    t_envelope: Envelope  # nuclear envelope of T
 
 
-def invert_one_plus(op: CDOperator, cond_limit: float = 1e12) -> InversionResult:
-    """Invert 1 + T on the circulant window: invert_stacked of one operator."""
-    (res,) = invert_stacked([op], cond_limit)
-    if isinstance(res, NumericallySingular):
-        raise res
-    return res
+def _norm_bound(m: np.ndarray) -> float:
+    """sqrt(||m||_1 ||m||_inf), a bound on ||m||_2 (Hoelder), exactly 0 for m = 0."""
+    a = np.abs(m)
+    return float(np.sqrt(a.sum(axis=0).max(initial=0.0) * a.sum(axis=1).max(initial=0.0)))
 
 
-def invert_stacked(ops: list, cond_limit: float = 1e12, keep_t1: bool = True) -> list:
-    """Invert each 1 + T: one InversionResult or NumericallySingular per operator.
+def _gamma(n: int) -> float:
+    """sqrt(2) gamma_{n+2}, gamma_k = k u / (1 - k u): the constant of a computed complex
+    inner product of length n, |fl(x^T y) - x^T y| <= sqrt(2) gamma_{n+2} |x|^T |y|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, section 3.6)."""
+    ku = (n + 2) * 2.0 ** -53
+    return 2.0 ** 0.5 * ku / (1.0 - ku)
 
-    Each system is solved by LU with partial pivoting, and the correction
-    (1+T)^{-1} - 1 is re-blocked over the full band W = N with its fitted
-    nuclear envelope (t1 itself only if keep_t1).  One stacked SVD of every
-    1 + T and (1+T)(1+T)^{-1} - 1 gives each condition number as
-    np.linalg.cond and each residual as operator_norm(., 2), bit for bit.
-    So the solve runs before the cond_limit check: a refused operator, or
-    one whose 1 + T the LU finds exactly singular, costs one inversion.
+
+def invert_one_plus(op: CDOperator, cond_limit: float = 1e12,
+                    keep_t1: bool = True) -> InversionResult:
+    """Invert 1 + T on the circulant window and certify the inverse from its solve.
+
+    The system A = 1 + T is solved by LU with partial pivoting, and the
+    correction X - 1 of the computed inverse X is re-blocked over the full
+    band W = N with its fitted nuclear envelope beta1 (t1 itself only if
+    keep_t1).  The certificate is a posteriori (Higham 2002, sections
+    3.5-3.6 and 14; Rump, Verification methods, Acta Numerica 19, 2010):
+    with R = AX - 1, ||R||_2 < 1 proves A invertible and
+    sigma_min(A) >= (1 - ||R||_2) / ||X||_2.  Every norm is bounded from
+    the dense matrices the solve holds, in O((nd)^2):
+
+    - residual = sqrt(||R||_1 ||R||_inf) of the computed R;
+    - e_round = gamma sqrt(||A||_1 ||A||_inf ||X||_1 ||X||_inf) bounds the
+      rounding of forming R, gamma = _gamma(nd);
+    - ||A||_2 <= min(sqrt(||A||_1 ||A||_inf), 1 + l1(beta)), beta the
+      fitted nuclear envelope of T;
+    - ||X||_2 <= min(sqrt(||X||_1 ||X||_inf), 1 + l1(beta1));
+    - sigma_min_lower = (1 - residual - e_round) / (the bound on ||X||_2),
+      and condition = (the bound on ||A||_2) / sigma_min_lower.
+
+    The inverse is accepted when residual + e_round < 1 and condition <=
+    cond_limit; else NumericallySingular, with condition inf where the
+    LU fails, the inverse is not finite or the residual certifies nothing.
+    The bounds are evaluated in floating point, without directed rounding,
+    and certify the circulant window operator, not the operator on Z^c.
     """
-    if any(op.boundary != "circulant" for op in ops):
+    if op.boundary != "circulant":
         raise ValueError("inversion is defined on the circulant window")
-    if not ops:
-        return []
-    nd = ops[0].n_cells * ops[0].local_dim  # a dimension of another op fails to broadcast
-    stack = np.zeros((2 * len(ops), nd, nd), dtype=np.complex128)
-    solved = [_solve_into(op, stack[2 * i], stack[2 * i + 1], keep_t1)
-              for i, op in enumerate(ops)]
-    s = np.linalg.svd(stack, compute_uv=False)
-    with np.errstate(all="ignore"):
-        condition = s[0::2, 0] / s[0::2, -1]
-    # svd raises on a NaN entry, so a NaN here is 0/0 or inf/inf, which
-    # np.linalg.cond reads as infinitely ill-conditioned
-    condition[np.isnan(condition)] = np.inf
-    out = []
-    for cond, residual, done in zip(condition.tolist(), s[1::2, 0].tolist(), solved):
-        if not np.isfinite(cond) or cond > cond_limit:
-            out.append(NumericallySingular(f"condition {cond:.3e} exceeds {cond_limit:.1e}"))
-        elif done is None:
-            out.append(NumericallySingular(f"LU failed at condition {cond:.3e}"))
-        else:
-            out.append(InversionResult(done[0], residual, cond, done[1]))
-    return out
-
-
-def _solve_into(op: CDOperator, a: np.ndarray, r: np.ndarray, keep_t1: bool) -> Optional[tuple]:
-    """Write 1 + T into a and (1+T)(1+T)^{-1} - 1 into r; (t1 or None, its envelope).
-
-    None, r left zero, if the LU fails or the inverse is not finite.
-    """
     n, d = op.n_cells, op.local_dim
-    a[...] = densify(op)  # densify never writes -0.0, so this is eye + dense bit for bit
-    a.reshape(-1)[:: n * d + 1] += 1
+    diagonal = slice(None, None, n * d + 1)
+    a = densify(op)  # densify never writes -0.0, so this is eye + dense bit for bit
+    a.reshape(-1)[diagonal] += 1
     try:
-        a_inv = np.linalg.inv(a)
+        x = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        a_inv = None
-    if a_inv is None or not np.isfinite(a_inv).all():
-        return None
-    np.matmul(a, a_inv, out=r)
-    r.reshape(-1)[:: n * d + 1] -= 1
-    a_inv.reshape(-1)[:: n * d + 1] -= 1  # the correction (1+T)^{-1} - 1
+        x = None
+    if x is None or not np.isfinite(x).all():
+        raise NumericallySingular(f"condition inf exceeds {cond_limit:.1e}")
+    r = a @ x
+    r.reshape(-1)[diagonal] -= 1
+    residual, a_norm, x_norm = _norm_bound(r), _norm_bound(a), _norm_bound(x)
+    del r, a
+    x.reshape(-1)[diagonal] -= 1  # the correction (1+T)^{-1} - 1
 
     # re-block the correction over the full band W = N, where each block (k, m)
     # has its own source cell; the plan is not cached, its route is as large as T1
     radius = op.window_radius
     plan = band_plan(op.c, radius, radius, "circulant", tuple(range(n)))
     _, cells, sources = plan.route  # rows 0..n^2-1: the keys come in route order
-    blocks = a_inv.reshape(n, d, n, d)[cells, :, sources]
+    blocks = x.reshape(n, d, n, d)[cells, :, sources]
     t1 = CDOperator.from_arrays(op.c, radius, radius, d, "circulant", plan.keys, blocks,
                                 plan=plan) if keep_t1 else None
-    del a_inv, plan, cells, sources  # freed before the fit, unless t1 keeps the plan
+    del x, plan, cells, sources  # freed before the fit, unless t1 keeps the plan
     # block i has flat offset i % n
-    return t1, _fitted(op.c, radius, np.tile(np.arange(n), n), blocks, "nuclear")
+    fitted = _fitted(op.c, radius, np.tile(np.arange(n), n), blocks, "nuclear")
+
+    t_envelope = fit_envelope(op, "nuclear")
+    e_round = _gamma(n * d) * a_norm * x_norm
+    lower = (1.0 - residual - e_round) / min(x_norm, 1.0 + fitted.l1())
+    condition = min(a_norm, 1.0 + t_envelope.l1()) / lower if lower > 0 else np.inf
+    if not condition <= cond_limit:
+        raise NumericallySingular(f"condition {condition:.3e} exceeds {cond_limit:.1e}")
+    return InversionResult(t1, residual, condition, lower, fitted, t_envelope)

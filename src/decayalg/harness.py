@@ -37,10 +37,9 @@ from .cd_operator import (
     NumericallySingular,
     apply,
     decay_slope,
-    densify,
     fit_envelope,
     geometry_plan,
-    invert_stacked,
+    invert_one_plus,
 )
 from .lattice import window_array, window_indices, window_size
 from .rng import box_muller, lane_keys, lanes, uniforms
@@ -64,7 +63,7 @@ __all__ = [
     "worker_count",
 ]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _PROFILE_KINDS = ("exponential", "polynomial", "table")
 
@@ -253,9 +252,9 @@ def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
     full Box-Muller pair) each.  So a block is a function of its key
     alone, the same in every window that holds it.  All lanes of a
     trial are drawn at once; blocks are then processed in chunks, with
-    one batched product and one batched `_trace_norms` per chunk.  The
-    operator gets the geometry's shared plan unless it has no blocks or
-    drops one.
+    block_rank outer-product passes and one batched `_trace_norms` per
+    chunk.  The operator gets the geometry's shared plan unless it has no
+    blocks or drops one.
     """
     d, rank = cfg.local_dim, cfg.block_rank
     beta = envelope_values(cfg).reshape(-1)  # in window_indices order
@@ -279,7 +278,9 @@ def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
         z = box_muller(words[part, 1:]).view(np.complex128)
         xs = z[:, :d * rank].reshape(-1, d, rank)
         ys = z[:, d * rank:].reshape(-1, rank, d)
-        g = np.matmul(xs, ys, out=stack[part])
+        g = np.multiply(xs[..., 0, None], ys[:, 0, None], out=stack[part])
+        for j in range(1, rank):  # outer-product passes beat a batched matmul of tiny blocks
+            g += xs[..., j, None] * ys[:, j, None]
         tn[part] = _trace_norms(g, xs, ys)
         scale = (targets[part] * r / tn[part])[:, None, None]
         g *= scale
@@ -302,14 +303,6 @@ def worker_count() -> int:
     except ValueError as exc:
         raise ConfigError(f"DECAYALG_THREADS must be an integer, got {raw!r}") from exc
     return max(1, n)
-
-
-def _group_size(dense_dim: int) -> int:
-    """Trials per invert group: the fewest whose 1 + T and residual matrices
-    have more than 500 singular values together; numpy releases the GIL in a
-    LAPACK call only above 500 output elements (CHANGES.md, the line on numpy
-    holding the GIL)."""
-    return 500 // (2 * dense_dim) + 1
 
 
 def _map_trials(fn, n_trials: int) -> list:
@@ -391,20 +384,15 @@ def _resolve_out_dir(cfg_output_dir, out_dir) -> Path:
     return path
 
 
-def _run_trials(kind: str, cfg: ExperimentConfig, out_dir, run_group,
-                group: int = 1) -> dict:
-    """The trial loop of every runner: map the trial groups, write the report.
+def _run_trials(kind: str, cfg: ExperimentConfig, out_dir, run_trial) -> dict:
+    """The trial loop of every runner: map the trials, write the report.
 
-    run_group(trials, out_path) runs a range of `group` consecutive trials
-    (the last range may be shorter), writes their sidecars into out_path and
-    returns their finished records.  Records are reported in trial order,
-    whatever the worker count.
+    run_trial(trial, out_path) runs one trial, writes its sidecars into
+    out_path and returns its finished record.  Records are reported in
+    trial order, whatever the worker count.
     """
     out_path = _resolve_out_dir(cfg.output_dir, out_dir)
-    trials = range(cfg.trials)
-    groups = _map_trials(lambda i: run_group(trials[i * group:(i + 1) * group], out_path),
-                         len(trials[::group]))
-    records = [rec for recs in groups for rec in recs]
+    records = _map_trials(lambda trial: run_trial(trial, out_path), cfg.trials)
     report = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -421,65 +409,46 @@ def _run_trials(kind: str, cfg: ExperimentConfig, out_dir, run_group,
 
 def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None,
                            fmt: str = "csv") -> dict:
-    """Generate, certify, invert, and measure decay, one record per trial.
+    """Generate, invert, certify, and measure decay, one record per trial.
 
-    The certified trials of a group are inverted by one invert_stacked call.
+    A trial with envelope l1 < 1 is invertible by its Neumann series
+    ("envelope_l1"); every other trial rests on the certificate of its own
+    solve ("residual").  Both are inverted, and refused when the solve's
+    certificate fails (see invert_one_plus).
     """
     if cfg.boundary != "circulant":
         raise ConfigError("invert needs the circulant boundary: inversion is "
                           "defined on the circulant window")
     beta = envelope_values(cfg)
 
-    def certify(trial: int) -> tuple:
-        """(record, operator): the record so far, and the operator if it is certified."""
-        op = generate_operator(cfg, trial)
-        fitted = fit_envelope(op, "nuclear")
-        env_l1 = fitted.l1()
-        if env_l1 < 1.0:
-            check = "envelope_l1"
-        else:
-            radius = float(np.abs(np.linalg.eigvals(densify(op))).max(initial=0.0))
-            if radius < 1.0:
-                check = "spectral_radius"
-            else:
-                return {
-                    "trial": trial,
-                    "error": "not certified invertible "
-                             f"(envelope l1 {env_l1:.3f}, spectral radius {radius:.3f})",
-                }, None
-        return {
+    def one_trial(trial: int, out_path: Path) -> dict:
+        try:
+            res = invert_one_plus(generate_operator(cfg, trial), keep_t1=False)
+        except NumericallySingular as exc:
+            return {"trial": trial, "error": str(exc)}
+        env_l1 = res.t_envelope.l1()
+        table = _envelope_table(res.envelope, cfg.weight)
+        rec = {
             "trial": trial,
             "envelope_l1": _json_float(env_l1),
-            "invertibility_check": check,
+            "invertibility_check": "envelope_l1" if env_l1 < 1.0 else "residual",
             # the fitted beta_m is the max over cells, so this bounds every block
-            "envelope_dominates": bool((fitted.values <= beta * (1.0 + 1e-12) + 1e-15).all()),
-        }, op
-
-    def finish(rec: dict, res, out_path: Path) -> dict:
-        if isinstance(res, NumericallySingular):
-            return {"trial": rec["trial"], "error": str(res)}
-        table = _envelope_table(res.envelope, cfg.weight)
-        rec.update(residual=_json_float(res.residual), condition=_json_float(res.condition),
-                   slope=_json_float(decay_slope(res.envelope)),
-                   **_totals(table[-1][-1], table[-1][-2]))
+            "envelope_dominates": bool(
+                (res.t_envelope.values <= beta * (1.0 + 1e-12) + 1e-15).all()),
+            "residual": _json_float(res.residual),
+            "condition": _json_float(res.condition),
+            "sigma_min_lower": _json_float(res.sigma_min_lower),
+            "slope": _json_float(decay_slope(res.envelope)),
+            **_totals(table[-1][-1], table[-1][-2]),
+        }
         if fmt == "csv":
-            rec["envelope_csv"] = f"envelope_trial_{rec['trial']:03d}.csv"
+            rec["envelope_csv"] = f"envelope_trial_{trial:03d}.csv"
             _write_csv(out_path / rec["envelope_csv"], _envelope_header(cfg.c), table)
         else:
             rec["envelope_rows"] = table
         return rec
 
-    def run_group(trials: range, out_path: Path) -> list:
-        certified = [certify(trial) for trial in trials]
-        results = iter(invert_stacked([op for _, op in certified if op is not None],
-                                      keep_t1=False))
-        return [rec if op is None else finish(rec, next(results), out_path)
-                for rec, op in certified]
-
-    # a group fewer trials where more would leave a worker without one
-    group = min(_group_size(window_size(cfg.window_radius, cfg.c) * cfg.local_dim),
-                -(-cfg.trials // worker_count()))
-    return _run_trials("inverse_closedness", cfg, out_dir, run_group, group)
+    return _run_trials("inverse_closedness", cfg, out_dir, one_trial)
 
 
 # ----------------------------------------------------------------- wiener
@@ -678,8 +647,7 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
             write_grid_function(f, out_path / rec["grid_file"])
         return rec
 
-    return _run_trials("kernel", cfg, out_dir,
-                       lambda trials, out_path: [one_trial(t, out_path) for t in trials])
+    return _run_trials("kernel", cfg, out_dir, one_trial)
 
 
 # -------------------------------------------------------------------- gen
@@ -699,8 +667,7 @@ def run_gen(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
         _write_json(out_path / name, op.to_json())
         return {"trial": trial, **_operator_fields(op), "operator_json": name}
 
-    return _run_trials("gen", cfg, out_dir,
-                       lambda trials, out_path: [one_trial(t, out_path) for t in trials])
+    return _run_trials("gen", cfg, out_dir, one_trial)
 
 
 # ---------------------------------------------------------------- verify

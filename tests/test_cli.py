@@ -2,8 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from decayalg import harness
+from decayalg.cd_operator import CDOperator
 from decayalg.cli import build_parser, main
 from decayalg.harness import verify_report
 
@@ -99,18 +102,16 @@ def test_invert_dirichlet_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_all_trials_failing_exits_3(tmp_path, capsys):
-    # envelope l1 >= 1 and spectral radius >= 1: no certification possible
-    cfg = write_config(
-        tmp_path / "cfg.json",
-        d=1,
-        block_rank=1,
-        envelope_profile={"kind": "table", "values": [0.0, 2.0, 0.0]},
-    )
+def test_all_trials_failing_exits_3(tmp_path, capsys, monkeypatch):
+    # T = -1: 1 + T is zero, the LU fails and no trial is certified
+    minus_one = CDOperator.shift_invariant(1, 3, 0, 1, "circulant",
+                                           {(0,): -np.eye(1, dtype=complex)})
+    monkeypatch.setattr(harness, "generate_operator", lambda cfg, trial: minus_one)
+    cfg = write_config(tmp_path / "cfg.json", d=1, block_rank=1)
     code = main(["invert", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 3
     err = capsys.readouterr().err
-    assert "trial 0" in err and "trial 1" in err
+    assert "trial 0: condition inf" in err and "trial 1: condition inf" in err
 
 
 def test_vanishing_symbol_exits_3(tmp_path):
@@ -211,6 +212,21 @@ def test_verify_report_version_2_report_exits_4(tmp_path, capsys):
     obj["format_version"] = 2  # blocks and grid cells draw from keyed lanes in version 3
     report.write_text(json.dumps(obj))
     assert_verify_problem(capsys, report, "unsupported format_version 2")
+
+
+def test_verify_report_version_3_report_exits_4(tmp_path, capsys):
+    report = invert_report(tmp_path, "csv")
+    obj = json.loads(report.read_text())
+    obj["format_version"] = 3  # residual and condition became norm bounds in version 4
+    report.write_text(json.dumps(obj))
+    assert_verify_problem(capsys, report, "unsupported format_version 3")
+
+
+@pytest.mark.parametrize("command", ["invert", "wiener"])
+def test_a_version_3_config_exits_2(tmp_path, capsys, command):
+    cfg = (write_config if command == "invert" else wiener_config)(tmp_path / "c.json",
+                                                                    format_version=3)
+    assert_config_error(tmp_path, capsys, [command, "--config", str(cfg)])
 
 
 @pytest.mark.parametrize("command", ["invert", "wiener"])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decayalg import cd_operator
-from decayalg.cd_operator import CDOperator, fit_envelope, invert_stacked
+from decayalg.cd_operator import CDOperator, fit_envelope, invert_one_plus
 from decayalg.harness import ExperimentConfig, generate_operator
 from decayalg.lattice import flat_offsets, window_array
 from decayalg.nuclear_blocks import trace_norm
@@ -113,7 +113,7 @@ def test_pruned_fit_takes_few_trace_norms(monkeypatch):
         "envelope_profile": {"kind": "exponential", "rate": 1.0, "l1": 0.5},
         "boundary": "circulant"})
     op = generate_operator(cfg, 0)
-    ops = (op, invert_stacked([op])[0].t1)
+    ops = (op, invert_one_plus(op).t1)
     wants = [full_fit(x) for x in ops]
     svd, counted = np.linalg.svd, []
 
@@ -129,7 +129,7 @@ def test_pruned_fit_takes_few_trace_norms(monkeypatch):
 
 
 def test_the_inversion_fits_t1_without_building_it():
-    """invert_stacked's envelope of T1 is the same with and without T1 kept, and
+    """invert_one_plus's envelope of T1 is the same with and without T1 kept, and
     equals the full maximum over T1's blocks."""
     rng = np.random.default_rng(5)
     for c, radius, d in ((1, 4, 3), (2, 1, 2)):
@@ -137,7 +137,7 @@ def test_the_inversion_fits_t1_without_building_it():
         blocks = {(tuple(k), tuple(m)): 0.1 * (rng.standard_normal((d, d)) + 1j)
                   for k in cells for m in window_array(1, c)}
         op = CDOperator(c, radius, 1, d, "circulant", blocks)
-        kept, bare = invert_stacked([op, op], keep_t1=True)[0], invert_stacked([op], keep_t1=False)[0]
+        kept, bare = invert_one_plus(op, keep_t1=True), invert_one_plus(op, keep_t1=False)
         assert bare.t1 is None
         assert_bitwise(bare.envelope.values, kept.envelope.values)
         assert_bitwise(kept.envelope.values, full_fit(kept.t1))

@@ -4,9 +4,11 @@
 of everything its CLI command writes, and records under "format_version"
 the version they were pinned at.  They were re-pinned once per format
 version: for version 2 (closed-form trace norms of rank <= 2 generated
-blocks, different in the last bits) and for version 3 (every operator
+blocks, different in the last bits), for version 3 (every operator
 block and grid cell drawn from its own keyed lane; wiener's `margin`
-gone, its values unchanged).  A change that alters any byte must bump
+gone, its values unchanged) and for version 4 (invert's `residual` and
+`condition` read off norm bounds, `sigma_min_lower` added; generated
+blocks summed from outer products, different in the last bits).  A change that alters any byte must bump
 harness.FORMAT_VERSION, explain why in CHANGES.md and show value-level
 agreement; the digests and the version travel together.
 Never regenerate the digests just to make this test pass.

@@ -205,7 +205,9 @@ def reference_operator(cfg, trial):
             r_km = rng.uniform_in(0.5, 1.0)
             x = draw(rng, d, rank)
             y = draw(rng, rank, d)
-            g = x @ y
+            g = x[:, 0, None] * y[0]  # the outer products of the terms, summed in term order
+            for j in range(1, rank):
+                g = g + x[:, j, None] * y[j]
             scale = target * r_km / _trace_norms(g[None], x[None], y[None])[0]
             blocks[(k, m)] = g * scale
             terms[(k, m)] = [(scale * y[i, :], x[:, i].copy()) for i in range(rank)]
@@ -484,6 +486,46 @@ def test_run_inverse_closedness_report(tmp_path):
     assert verify_report(tmp_path / "report.json") == []
 
 
+@pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+@settings(max_examples=30, deadline=None)
+@given(c=st.integers(1, 2), seed=st.integers(0, 2**32), l1=st.floats(0.2, 4.0),
+       window=st.integers(1, 5), band=st.integers(0, 2), d=st.integers(1, 3),
+       rank=st.integers(1, 3))
+def test_every_certificate_bounds_its_exact_value(c, seed, l1, window, band, d, rank):
+    # against test-side SVDs; the residual up to the SVD's own rounding
+    if c == 2:
+        window, d = min(window, 2), min(d, 2)
+    cfg = small_config(c=c, seed=seed, window_radius=window, band_radius=band, local_dim=d,
+                       block_rank=min(rank, d),
+                       envelope_profile={"kind": "exponential", "rate": 1.0, "l1": l1})
+    op = generate_operator(cfg, 0)
+    try:
+        res = invert_one_plus(op)
+    except NumericallySingular:
+        return
+    a = np.eye(len(densify(op))) + densify(op)
+    s = np.linalg.svd(a, compute_uv=False)
+    r = a @ np.linalg.inv(a) - np.eye(len(a))
+    assert res.residual >= np.linalg.svd(r, compute_uv=False)[0] * (1 - 1e-12)
+    assert res.condition >= np.linalg.cond(a)
+    assert 0 < res.sigma_min_lower <= s[-1]
+
+
+def test_trials_past_the_neumann_series_are_certified(tmp_path):
+    # envelope l1 3: the spectral radius of T passes 1, where the Neumann series
+    # diverges, yet 1 + T is invertible and its own solve certifies it
+    cfg = ExperimentConfig.from_json({
+        "seed": 7, "c": 1, "N": 16, "W": 4, "d": 4, "block_rank": 1, "trials": 2,
+        "envelope_profile": {"kind": "exponential", "rate": 1.0, "l1": 3.0}})
+    report = run_inverse_closedness(cfg, out_dir=tmp_path)
+    radii = [np.abs(np.linalg.eigvals(densify(generate_operator(cfg, t)))).max()
+             for t in range(cfg.trials)]
+    accepted = [rec for rec in report["records"] if "error" not in rec]
+    assert all(rec["invertibility_check"] == "residual" for rec in accepted)
+    assert any(radii[rec["trial"]] >= 1.0 for rec in accepted)
+    assert verify_report(tmp_path / "report.json") == []
+
+
 def test_run_inverse_closedness_json_format(tmp_path):
     cfg = small_config(trials=1)
     report = run_inverse_closedness(cfg, out_dir=tmp_path, fmt="json")
@@ -515,18 +557,9 @@ def test_run_inverse_closedness_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_group_size_is_the_fewest_trials_past_500_singular_values():
-    assert [harness._group_size(nd) for nd in (125, 126, 132, 250, 251, 1682)] == \
-        [3, 2, 2, 2, 1, 1]
-    for nd in range(1, 600):
-        g = harness._group_size(nd)
-        assert 2 * g * nd > 500 >= 2 * (g - 1) * nd
-
-
-@pytest.mark.parametrize("threads, trials, groups", [
-    ("1", 4, 2), ("2", 4, 2), ("2", 2, 2), ("2", 3, 2), ("4", 4, 4), ("2", 5, 3)])
-def test_every_worker_gets_a_group(tmp_path, monkeypatch, threads, trials, groups):
-    # n * d = 132 groups two trials, unless that would leave a worker idle
+@pytest.mark.parametrize("threads, trials", [
+    ("1", 4), ("2", 4), ("2", 2), ("2", 3), ("4", 4), ("2", 5)])
+def test_every_trial_is_one_pool_task(tmp_path, monkeypatch, threads, trials):
     mapped = []
     map_trials = harness._map_trials
     monkeypatch.setattr(harness, "_map_trials",
@@ -534,29 +567,16 @@ def test_every_worker_gets_a_group(tmp_path, monkeypatch, threads, trials, group
     monkeypatch.setenv("DECAYALG_THREADS", threads)
     cfg = small_config(window_radius=16, local_dim=4, trials=trials)
     run_inverse_closedness(cfg, out_dir=tmp_path)
-    assert mapped == [groups]
-
-
-def invert_one_at_a_time(ops, keep_t1):
-    """invert_stacked as one invert_one_plus call per operator."""
-    out = []
-    for op in ops:
-        try:
-            out.append(invert_one_plus(op))
-        except NumericallySingular as exc:
-            out.append(exc)
-    return out
+    assert mapped == [trials]
 
 
 @pytest.mark.parametrize("runner", [run_inverse_closedness, run_kernel, run_gen],
                          ids=["invert", "kernel", "gen"])
 def test_run_inverse_closedness_parallel_matches_serial(runner, tmp_path, monkeypatch):
-    # invert runs at group sizes 1 (n * d = 252) and 3 (n * d = 124), and
-    # every run must equal trials inverted one invert_one_plus call each
+    # every run, at any worker count, must equal the serial one
     geometries = [{}]
     if runner is run_inverse_closedness:
         geometries = [dict(window_radius=31, local_dim=4), dict(window_radius=15, local_dim=4)]
-        assert [harness._group_size(63 * 4), harness._group_size(31 * 4)] == [1, 3]
 
     def run(cfg, threads, out):
         geometry_plan.cache_clear()  # each run builds the geometry plan afresh
@@ -572,11 +592,7 @@ def test_run_inverse_closedness_parallel_matches_serial(runner, tmp_path, monkey
             for trials in (1, 2, 3, 5):
                 cfg = small_config(trials=trials, **geometry)
                 base = tmp_path / f"{cfg.window_radius}-{trials}"
-                with monkeypatch.context() as patched:
-                    if runner is run_inverse_closedness:
-                        patched.setattr(harness, "_group_size", lambda nd: 1)
-                        patched.setattr(harness, "invert_stacked", invert_one_at_a_time)
-                    want = run(cfg, "1", base / "reference")
+                want = run(cfg, "1", base / "reference")
                 assert len(want[0]) == trials and len(want[1]) > 1
                 assert all("error" not in rec for rec in want[0])
                 for threads in ("4", "2", "1"):
@@ -585,22 +601,21 @@ def test_run_inverse_closedness_parallel_matches_serial(runner, tmp_path, monkey
         sys.setswitchinterval(interval)
 
 
-def test_a_refused_trial_leaves_its_group_mates_records_alone(tmp_path, monkeypatch):
-    # trial 1 is certified (nilpotent, spectral radius 0) but refused for its
-    # condition; trial 0 shares its group and must read as when it runs alone
+def test_a_refused_trial_leaves_the_other_records_alone(tmp_path, monkeypatch):
+    # trial 1 is nilpotent and its inverse exact, but the rounding of a product
+    # of norms 1e13 certifies nothing; trial 0 must read as when it runs alone
     cfg = small_config(trials=2)
-    assert harness._group_size(14) >= 2
     alone = run_inverse_closedness(small_config(trials=1), out_dir=tmp_path / "alone")
     generate = harness.generate_operator
     nilpotent = CDOperator.shift_invariant(
         1, 3, 1, 2, "circulant", {(0,): np.array([[0, 1e13], [0, 0]], dtype=complex)})
     monkeypatch.setattr(harness, "generate_operator",
                         lambda cfg, trial: nilpotent if trial == 1 else generate(cfg, trial))
-    grouped = run_inverse_closedness(cfg, out_dir=tmp_path / "grouped")
-    assert grouped["records"] == alone["records"] + [
-        {"trial": 1, "error": "condition 1.000e+26 exceeds 1.0e+12"}]
+    both = run_inverse_closedness(cfg, out_dir=tmp_path / "both")
+    assert both["records"] == alone["records"] + [
+        {"trial": 1, "error": "condition inf exceeds 1.0e+12"}]
     name = "envelope_trial_000.csv"
-    assert (tmp_path / "grouped" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+    assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
 def test_worker_count_validation(monkeypatch):
