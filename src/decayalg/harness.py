@@ -35,6 +35,7 @@ from .cd_operator import (
     CDOperator,
     Envelope,
     NumericallySingular,
+    _squares,
     apply,
     decay_slope,
     fit_envelope,
@@ -201,7 +202,10 @@ def envelope_values(cfg: ExperimentConfig) -> np.ndarray:
         l1 = _positive(prof, "l1")
         if not vals.any():
             raise ConfigError("cannot rescale an all-zero envelope to an l1 target")
-        vals = vals * (l1 / vals.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = vals * (l1 / vals.sum())
+        if not np.isfinite(vals).all():
+            raise ConfigError(f"the profile rescaled to l1 {l1!r} is not finite")
     shape = (2 * cfg.band_radius + 1,) * cfg.c
     return vals.reshape(shape)
 
@@ -211,10 +215,6 @@ _CHUNK_WORDS = 1 << 14
 # the domain part of a lane key: the operator's blocks and the kernel run's grid cells
 _OPERATOR_DOMAIN = int.from_bytes(b"operator", "big")
 _GRID_DOMAIN = int.from_bytes(b"grid", "big")
-
-
-def _squares(z: np.ndarray) -> np.ndarray:
-    return (z.real ** 2 + z.imag ** 2).sum(axis=-1)
 
 
 def _gram_det(v: np.ndarray) -> np.ndarray:
@@ -254,7 +254,8 @@ def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
     trial are drawn at once; blocks are then processed in chunks, with
     block_rank outer-product passes and one batched `_trace_norms` per
     chunk.  The operator gets the geometry's shared plan unless it has no
-    blocks or drops one.
+    blocks or drops one, and keeps each block's nominal trace norm
+    fl(beta_m r) for fit_envelope.
     """
     d, rank = cfg.local_dim, cfg.block_rank
     beta = envelope_values(cfg).reshape(-1)  # in window_indices order
@@ -267,7 +268,7 @@ def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
     # term j of block i: functional a[i, j] (a row of Y), output y[i, j] (a column of X)
     a = np.empty((n, rank, d), dtype=np.complex128)
     y = np.empty_like(a)
-    tn = np.empty(n)
+    tn, nominal = np.empty(n), np.empty(n)
     stride = 1 + 4 * d * rank
     words = lanes(lane_keys((cfg.seed, _OPERATOR_DOMAIN, trial), keys.reshape(n, 2 * cfg.c)),
                   stride)
@@ -282,15 +283,18 @@ def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
         for j in range(1, rank):  # outer-product passes beat a batched matmul of tiny blocks
             g += xs[..., j, None] * ys[:, j, None]
         tn[part] = _trace_norms(g, xs, ys)
-        scale = (targets[part] * r / tn[part])[:, None, None]
+        nominal[part] = targets[part] * r
+        scale = (nominal[part] / tn[part])[:, None, None]
         g *= scale
         np.multiply(ys, scale, out=a[part])
         y[part] = xs.transpose(0, 2, 1)
     kept = tn != 0.0
     if not (n and kept.all()):  # no blocks, or a measure-zero draw dropped one
-        keys, stack, a, y, plan = keys[kept], stack[kept], a[kept], y[kept], None
+        keys, stack, a, y, nominal, plan = (keys[kept], stack[kept], a[kept], y[kept],
+                                            nominal[kept], None)
     return CDOperator.from_arrays(cfg.c, cfg.window_radius, cfg.band_radius, d,
-                                  cfg.boundary, keys, stack, factors=(a, y), plan=plan)
+                                  cfg.boundary, keys, stack, factors=(a, y), plan=plan,
+                                  nominal_norms=nominal)
 
 
 def worker_count() -> int:

@@ -302,6 +302,30 @@ def test_infinite_profile_parameter_exits_2(tmp_path, capsys, profile):
     assert_config_error(tmp_path, capsys, ["kernel", "--config", str(cfg)])
 
 
+@pytest.mark.parametrize("command", ["gen", "invert", "kernel"])
+def test_a_profile_that_rescales_to_non_finite_values_exits_2(tmp_path, capsys, command):
+    """l1 / sum overflows on a subnormal table: the rescaled values would be
+    [nan nan inf nan nan]."""
+    cfg = write_config(tmp_path / "cfg.json", N=4, W=2, d=2, block_rank=1, trials=2,
+                       envelope_profile={"kind": "table", "values": [0, 0, 1e-310, 0, 0],
+                                         "l1": 0.5})
+    assert_config_error(tmp_path, capsys, [command, "--config", str(cfg)])
+
+
+def test_an_underflowed_inverse_bound_refuses_the_trial(tmp_path, capsys):
+    """At l1 1e300 the inverse is about 1e-300, so ||X||_1 ||X||_inf underflows
+    to 0 and sigma_min_lower cannot be bounded: each trial is refused."""
+    cfg = write_config(tmp_path / "cfg.json", N=4, W=2, d=2, block_rank=1, trials=2,
+                       envelope_profile={"kind": "exponential", "rate": 1, "l1": 1e300})
+    out = tmp_path / "o"
+    assert main(["invert", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    records = json.loads((out / "report.json").read_text())["records"]
+    assert [r["error"] for r in records] == ["condition inf exceeds 1.0e+12"] * 2
+    assert verify_report(out / "report.json") == []
+
+
 @pytest.mark.parametrize("field", ["seed", "c", "N", "trials"])
 def test_infinite_integer_field_exits_2(tmp_path, capsys, field):
     cfg = write_config(tmp_path / "cfg.json", **{field: float("inf")})

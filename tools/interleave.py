@@ -12,7 +12,10 @@ every file the two commands write is compared byte for byte.
 
 Prints trials/s, minor page faults per command (from
 resource.getrusage of the process around each command, worker threads
-included) and the src/ line count of each side, the median per-command
+included), block-SVD matrices per command (numpy.linalg.svd is wrapped
+once and counts the matrices of every stack of blocks up to 16 x 16,
+credited to the command that runs) and the src/ line count of each
+side, the median per-command
 change/parent wall ratio and the number of commands in which the change
 was faster; the last line is the same as one JSON object.  OPENBLAS_NUM_THREADS defaults
 to 1 and DECAYALG_THREADS is the workload's, as in perfbench, unless
@@ -26,12 +29,14 @@ import argparse
 import importlib
 import importlib.util
 import json
+import math
 import os
 import resource
 import shutil
 import statistics
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -61,6 +66,24 @@ def src_lines(tree: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "decayalg").glob("*.py"))
 
 
+def count_block_svds() -> list:
+    """Wrap numpy.linalg.svd; item 0 of the returned list counts the matrices
+    of every call on blocks up to 16 x 16, from any thread."""
+    import numpy as np
+
+    svd, lock, count = np.linalg.svd, threading.Lock(), [0]
+
+    def counting(a, *args, **kwargs):
+        shape = np.shape(a)
+        if len(shape) >= 2 and max(shape[-2:]) <= 16:
+            with lock:
+                count[0] += math.prod(shape[:-2])
+        return svd(a, *args, **kwargs)
+
+    np.linalg.svd = counting
+    return count
+
+
 def files(out_dir: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
@@ -83,6 +106,7 @@ def main(argv=None) -> int:
     os.environ["DECAYALG_THREADS"] = str(threads)
     mains = {side: load_cli(tree.resolve(), f"decayalg_{side}").main
              for side, tree in zip(SIDES, (args.parent, args.change))}
+    block_svds = count_block_svds()
 
     work = Path(tempfile.mkdtemp(prefix="interleave-"))
     try:
@@ -90,21 +114,24 @@ def main(argv=None) -> int:
         config.write_text(json.dumps(workload.config, sort_keys=True))
         walls = {side: [] for side in SIDES}
         faults = {side: [] for side in SIDES}
+        svds = {side: [] for side in SIDES}
         differing = []
         for i in range(-1, args.commands):  # command -1 warms both trees up, untimed
             argv = [workload.command, "--config", str(config),
                     "--seed", str(command_seed(args.seed, i))]
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                f0, s0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, block_svds[0]
                 t0 = time.perf_counter()
                 code = mains[side](argv + ["--out", str(work / side)])
                 wall = time.perf_counter() - t0
                 fault = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+                svd_count = block_svds[0] - s0
                 if code != 0:
                     raise SystemExit(f"command {i}: {side} exited {code}")
                 if i >= 0:
                     walls[side].append(wall)
                     faults[side].append(fault)
+                    svds[side].append(svd_count)
             if files(work / "parent") != files(work / "change"):
                 differing.append(i)
             for side in SIDES:
@@ -122,6 +149,8 @@ def main(argv=None) -> int:
                          for side in SIDES},
         "minor_faults_per_command": {side: round(statistics.mean(faults[side]), 1)
                                      for side in SIDES},
+        "block_svds_per_command": {side: round(statistics.mean(svds[side]), 1)
+                                   for side in SIDES},
         "median_ratio": round(statistics.median(ratios), 4),
         "change_faster": sum(r < 1.0 for r in ratios),
         "outputs_identical": args.commands + 1 - len(differing),
@@ -133,7 +162,8 @@ def main(argv=None) -> int:
           "each tree first in every other one")
     for side in SIDES:
         print(f"  {side:6s} {summary['trials_per_s'][side]:.3f} trials/s, "
-              f"{summary['minor_faults_per_command'][side]:.1f} minor faults per command, "
+              f"{summary['minor_faults_per_command'][side]:.1f} minor faults and "
+              f"{summary['block_svds_per_command'][side]:.1f} block-SVD matrices per command, "
               f"src/ {summary['src_lines'][side]} lines")
     print(f"  change/parent wall per command: median {summary['median_ratio']:.4f}, "
           f"change faster in {summary['change_faster']}/{args.commands}")
