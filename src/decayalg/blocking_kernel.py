@@ -34,7 +34,7 @@ from .cd_operator import (
     lp_accumulate,
     sum_groups,
 )
-from .lattice import flat_offsets, window_indices, window_size
+from .lattice import as_number, flat_offsets, window_indices, window_size
 
 __all__ = [
     "GridFunction",
@@ -205,7 +205,7 @@ def read_grid_function(path) -> GridFunction:
         first = fh.readline()
         try:
             header = json.loads(first.decode("ascii"))
-            c, n, q = int(header["c"]), int(header["N"]), int(header["q"])
+            c, n, q = (as_number(header[key], int, key) for key in ("c", "N", "q"))
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"bad grid-function header: {exc}") from exc
         payload = fh.read()

@@ -49,6 +49,7 @@ import numpy as np
 
 from .lattice import (
     as_index,
+    as_number,
     flat_offsets,
     window_array,
     window_indices,
@@ -67,6 +68,8 @@ __all__ = [
     "ShapeMismatch",
     "NotShiftInvariant",
     "NumericallySingular",
+    "block_norms",
+    "factored_trace_norms",
     "fit_envelope",
     "apply",
     "compose",
@@ -92,16 +95,15 @@ class NumericallySingular(ArithmeticError):
     """The solve of the dense system certifies no condition number within the limit."""
 
 
-def _block_norms(stack: np.ndarray, kind: str) -> np.ndarray:
-    """The norm of every block of an (n, d, d) stack."""
-    if kind == "nuclear":
-        return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
-    if kind == "operator_1":
-        return np.abs(stack).sum(axis=-2).max(axis=-1, initial=0.0)
-    if kind == "operator_2":
-        return np.linalg.svd(stack, compute_uv=False)[:, 0]
-    if kind == "operator_inf":
-        return np.abs(stack).sum(axis=-1).max(axis=-1, initial=0.0)
+def block_norms(stack: np.ndarray, kind: str) -> np.ndarray:
+    """The norm of every block of an (n, d, d) stack, the one place a block norm is
+    taken: "nuclear" sums LAPACK's singular values; "operator_1", "operator_2" and
+    "operator_inf" are the induced p -> p norms.  A 0 x 0 block has norm 0."""
+    if kind in ("nuclear", "operator_2"):
+        s = np.linalg.svd(stack, compute_uv=False)
+        return s.sum(axis=-1) if kind == "nuclear" else s.max(axis=-1, initial=0.0)
+    if kind in ("operator_1", "operator_inf"):
+        return np.abs(stack).sum(axis=-2 if kind == "operator_1" else -1).max(axis=-1, initial=0.0)
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -329,26 +331,21 @@ class CDOperator(BlockStore):
 
     @classmethod
     def from_json(cls, obj: dict) -> "CDOperator":
-        """The operator of `to_json`; ValueError for a misshapen or non-finite block."""
+        """The operator of `to_json`; ValueError for a misshapen or non-finite block or
+        a number that is not a JSON number (an integer for an index or a size)."""
         blocks = {}
         for item in obj["blocks"]:
-            k = tuple(int(x) for x in item["k"])
-            m = tuple(int(x) for x in item["m"])
+            k, m = (tuple(as_number(x, int, "an index") for x in item[key]) for key in ("k", "m"))
             blk = item["block"]
-            re, im = (np.asarray(blk[part], dtype=float) for part in ("re", "im"))
-            if re.shape != im.shape or re.shape != (blk["d"], blk["d"]):
+            re, im = (np.array([[as_number(x, float, part) for x in row] for row in blk[part]])
+                      for part in ("re", "im"))
+            if re.shape != im.shape or re.shape != (as_number(blk["d"], int, "d"),) * 2:
                 raise ValueError("inconsistent block dimensions in JSON")
             if not (np.isfinite(re).all() and np.isfinite(im).all()):
                 raise ValueError("block entries must be finite")
             blocks[(k, m)] = re + 1j * im
-        return cls(
-            c=int(obj["c"]),
-            window_radius=int(obj["N"]),
-            band_radius=int(obj["W"]),
-            local_dim=int(obj["d"]),
-            boundary=obj["boundary"],
-            blocks=blocks,
-        )
+        c, n, w, d = (as_number(obj[key], int, key) for key in ("c", "N", "W", "d"))
+        return cls(c, n, w, d, obj["boundary"], blocks)
 
 
 # --------------------------------------------------------------- routing
@@ -585,7 +582,8 @@ class Envelope:
 
 
 def fit_envelope(op: CDOperator, norm_kind: str = "nuclear") -> Envelope:
-    """The tightest constant-in-k envelope: beta_m = max_k ||b_{k,m}||.
+    """The tightest constant-in-k envelope: beta_m = max_k ||b_{k,m}||, the norm
+    one of block_norms' kinds; the one envelope fit, T1's in invert_one_plus too.
 
     The nuclear maximum is exact, the float of the maximum of every block's
     LAPACK trace norm, yet it takes few of them.  At each offset one block,
@@ -599,10 +597,10 @@ def fit_envelope(op: CDOperator, norm_kind: str = "nuclear") -> Envelope:
       lies in [2^-1000, 2^1000]; the lead is the block with the largest.  The
       generator draws X (d x r) and Y (r x d), forms g = XY, takes a trace
       norm t of g (closed-form for r <= 2, LAPACK's above) and stores
-      G = fl(s g), s = fl(nu / t), nu = fl(beta_m r) the nominal norm.  To
-      first order in eps, with p(d) the modest constant of LAPACK's backward
-      stable SVD (Users' Guide, section 4.9) and c1 that of two-column
-      Gram-Schmidt (Higham 2002, theorem 19.13),
+      G = fl(s g), s = fl(nu / t), nu = fl(beta_m r) the nominal norm
+      (factored_trace_norms).  To first order in eps, with p(d) the modest
+      constant of LAPACK's backward stable SVD (Users' Guide, section 4.9)
+      and c1 that of two-column Gram-Schmidt (Higham 2002, theorem 19.13),
 
           |S1_lapack(G) - nu| <= (p(d) + d/4 + 4 kappa + c1 kappa^2 + 4) d eps nu,
 
@@ -635,33 +633,27 @@ def fit_envelope(op: CDOperator, norm_kind: str = "nuclear") -> Envelope:
     A non-finite entry takes every block's trace norm, which raises as LAPACK
     does.
     """
-    return _fitted(op.c, op.band_radius, flat_offsets(op.keys[:, 1], op.band_radius),
-                   op.stack, norm_kind, _nominal_estimates(op) if norm_kind == "nuclear" else None)
-
-
-_FIT_CHUNK = 1 << 13  # entries per chunk of the trace-norm bounds: caps their temporaries
-
-
-def _fitted(c: int, radius: int, offsets: np.ndarray, stack: np.ndarray, kind: str,
-            estimates: Optional[tuple] = None) -> Envelope:
-    """The largest norm of the blocks at each flat offset, as in fit_envelope;
-    nuclear estimates, if not given, are the trace-norm bounds."""
-    beta = np.zeros(window_size(radius, c))
-    if kind == "nuclear" and estimates is None:
-        estimates = _trace_norm_bounds(stack)
+    radius, stack = op.band_radius, op.stack
+    offsets = flat_offsets(op.keys[:, 1], radius)
+    beta = np.zeros(window_size(radius, op.c))
+    estimates = (_nominal_estimates(op) or _trace_norm_bounds(stack)) \
+        if norm_kind == "nuclear" else None
     if estimates is None:
-        np.maximum.at(beta, offsets, _block_norms(stack, kind))
+        np.maximum.at(beta, offsets, block_norms(stack, norm_kind))
     else:
         bound, lead_key, scale = estimates
         top = np.zeros(len(beta))
         np.maximum.at(top, offsets, lead_key)
         first = np.flatnonzero(lead_key == top[offsets])
         first = first[np.unique(offsets[first], return_index=True)[1]]  # one per offset
-        np.maximum.at(beta, offsets[first], _block_norms(stack[first], kind))
+        np.maximum.at(beta, offsets[first], block_norms(stack[first], norm_kind))
         rest = bound * (1.0 + 1e-12) > beta[offsets] * scale
         rest[first] = False
-        np.maximum.at(beta, offsets[rest], _block_norms(stack[rest], kind))
-    return Envelope(c, radius, beta.reshape((2 * radius + 1,) * c))
+        np.maximum.at(beta, offsets[rest], block_norms(stack[rest], norm_kind))
+    return Envelope(op.c, radius, beta.reshape((2 * radius + 1,) * op.c))
+
+
+_FIT_CHUNK = 1 << 13  # entries per chunk of the trace-norm bounds: caps their temporaries
 
 
 def _nominal_estimates(op: CDOperator) -> Optional[tuple]:
@@ -682,6 +674,29 @@ def _nominal_estimates(op: CDOperator) -> Optional[tuple]:
 def _squares(z: np.ndarray) -> np.ndarray:
     """Squared 2-norms along the last axis of a complex array."""
     return (z.real ** 2 + z.imag ** 2).sum(axis=-1)
+
+
+def _gram_det(v: np.ndarray) -> np.ndarray:
+    """det(v v^H) per pair of rows v0 = v[:, 0], v1 = v[:, 1], as
+    ||v0||^2 ||v1 - (v0^H v1 / ||v0||^2) v0||^2: no cancellation, unlike ad - bc."""
+    v0, v1 = v[:, 0], v[:, 1]
+    n0 = _squares(v0)
+    return n0 * _squares(v1 - ((v0.conj() * v1).sum(axis=-1) / n0)[:, None] * v0)
+
+
+def factored_trace_norms(g: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Trace norms of the blocks g = xs @ ys, xs of shape (n, d, r) and ys (n, r, d).
+
+    For r <= 2 in closed form, ||g||_S1^2 = ||g||_F^2 + 2 s1 s2 with (s1 s2)^2 =
+    det(X^H X) det(Y Y^H), no s1 s2 term for r = 1; larger r take block_norms.
+    fit_envelope bounds how far the closed form rounds from LAPACK's trace norm.
+    """
+    if xs.shape[-1] > 2:
+        return block_norms(g, "nuclear")
+    sq = _squares(g.reshape(len(g), -1))
+    if xs.shape[-1] == 2:
+        sq = sq + 2.0 * np.sqrt(_gram_det(xs.transpose(0, 2, 1)) * _gram_det(ys))
+    return np.sqrt(sq)
 
 
 def _trace_norm_bounds(stack: np.ndarray) -> Optional[tuple]:
@@ -707,10 +722,10 @@ def _trace_norm_bounds(stack: np.ndarray) -> Optional[tuple]:
     return bound, frob, scale
 
 
-def decay_slope(env: Envelope, floor: float = 1e-14) -> float:
-    """Least-squares slope of ln(beta_m) against |m|_inf, above the floor."""
+def decay_slope(env: Envelope) -> float:
+    """Least-squares slope of ln(beta_m) against |m|_inf, over the beta_m above 1e-14."""
     beta = env.values.reshape(-1)  # in window_array order
-    above = beta > floor
+    above = beta > 1e-14
     if above.sum() < 2:
         return float("nan")
     xs = np.abs(window_array(env.radius, env.c)[above]).max(axis=1).astype(float)
@@ -725,7 +740,7 @@ def decay_slope(env: Envelope, floor: float = 1e-14) -> float:
 class InversionResult:
     """(1 + T)^{-1} = 1 + T1 with the certificate of its own solve."""
 
-    t1: Optional[CDOperator]  # None when invert_one_plus was asked not to keep it
+    t1: CDOperator  # the correction (1+T)^{-1} - 1 over the full band W = N
     residual: float  # sqrt(||R||_1 ||R||_inf) of the computed R = (1+T)X - 1
     condition: float  # a bound on ||1+T||_2 over sigma_min_lower
     sigma_min_lower: float  # a lower bound on the smallest singular value of 1 + T
@@ -749,15 +764,15 @@ def _gamma(n: int) -> float:
     return 2.0 ** 0.5 * ku / (1.0 - ku)
 
 
-def invert_one_plus(op: CDOperator, cond_limit: float = 1e12,
-                    keep_t1: bool = True) -> InversionResult:
+def invert_one_plus(op: CDOperator) -> InversionResult:
     """Invert 1 + T on the circulant window and certify the inverse from its solve.
 
     The system A = 1 + T is solved by LU with partial pivoting, and the
     correction X - 1 of the computed inverse X is re-blocked over the full
-    band W = N with its fitted nuclear envelope beta1 (t1 itself only if
-    keep_t1).  The certificate is a posteriori (Higham 2002, sections
-    3.5-3.6 and 14; Rump, Verification methods, Acta Numerica 19, 2010):
+    band W = N as T1, which is always returned; its nuclear envelope beta1
+    is fit_envelope's, by the bound route, as T1 has no nominal norms.  The
+    certificate is a posteriori (Higham 2002, sections 3.5-3.6 and 14;
+    Rump, Verification methods, Acta Numerica 19, 2010):
     with R = AX - 1, ||R||_2 < 1 proves A invertible and
     sigma_min(A) >= (1 - ||R||_2) / ||X||_2.  Every norm is bounded from
     the dense matrices the solve holds, in O((nd)^2):
@@ -772,7 +787,7 @@ def invert_one_plus(op: CDOperator, cond_limit: float = 1e12,
       and condition = (the bound on ||A||_2) / sigma_min_lower.
 
     The inverse is accepted when residual + e_round < 1 and condition <=
-    cond_limit; else NumericallySingular, with condition inf where the
+    1e12; else NumericallySingular, with condition inf where the
     LU fails, the inverse is not finite, the bound on ||X||_2 underflows to
     0 or the residual certifies nothing.
     The bounds are evaluated in floating point, without directed rounding,
@@ -789,7 +804,7 @@ def invert_one_plus(op: CDOperator, cond_limit: float = 1e12,
     except np.linalg.LinAlgError:
         x = None
     if x is None or not np.isfinite(x).all():
-        raise NumericallySingular(f"condition inf exceeds {cond_limit:.1e}")
+        raise NumericallySingular("condition inf exceeds 1.0e+12")
     r = a @ x
     r.reshape(-1)[diagonal] -= 1
     residual, a_norm, x_norm = _norm_bound(r), _norm_bound(a), _norm_bound(x)
@@ -801,18 +816,16 @@ def invert_one_plus(op: CDOperator, cond_limit: float = 1e12,
     radius = op.window_radius
     plan = band_plan(op.c, radius, radius, "circulant", tuple(range(n)))
     _, cells, sources = plan.route  # rows 0..n^2-1: the keys come in route order
-    blocks = x.reshape(n, d, n, d)[cells, :, sources]
-    t1 = CDOperator.from_arrays(op.c, radius, radius, d, "circulant", plan.keys, blocks,
-                                plan=plan) if keep_t1 else None
-    del x, plan, cells, sources  # freed before the fit, unless t1 keeps the plan
-    # block i has flat offset i % n
-    fitted = _fitted(op.c, radius, np.tile(np.arange(n), n), blocks, "nuclear")
+    t1 = CDOperator.from_arrays(op.c, radius, radius, d, "circulant", plan.keys,
+                                x.reshape(n, d, n, d)[cells, :, sources], plan=plan)
+    del x  # freed before the fit
+    fitted = fit_envelope(t1)
 
     t_envelope = fit_envelope(op, "nuclear")
     e_round = _gamma(n * d) * a_norm * x_norm
     x_bound = min(x_norm, 1.0 + fitted.l1())  # 0 only where ||X||_1 ||X||_inf underflows
     lower = (1.0 - residual - e_round) / x_bound if x_bound > 0 else 0.0
     condition = min(a_norm, 1.0 + t_envelope.l1()) / lower if lower > 0 else np.inf
-    if not condition <= cond_limit:
-        raise NumericallySingular(f"condition {condition:.3e} exceeds {cond_limit:.1e}")
+    if not condition <= 1e12:
+        raise NumericallySingular(f"condition {condition:.3e} exceeds 1.0e+12")
     return InversionResult(t1, residual, condition, lower, fitted, t_envelope)

@@ -35,14 +35,14 @@ from .cd_operator import (
     CDOperator,
     Envelope,
     NumericallySingular,
-    _squares,
     apply,
     decay_slope,
+    factored_trace_norms,
     fit_envelope,
     geometry_plan,
     invert_one_plus,
 )
-from .lattice import window_array, window_indices, window_size
+from .lattice import as_number, window_array, window_indices, window_size
 from .rng import box_muller, lane_keys, lanes, uniforms
 from .seq_algebra import (FiniteSeq, SymbolVanishes, check_sizes, convolve, delta,
                           symbol_on_grid, symbol_vanishes, wiener_inverse)
@@ -73,17 +73,6 @@ class ConfigError(ValueError):
     """The experiment configuration is malformed or inconsistent."""
 
 
-def _integer(key: str, value) -> int:
-    """value as an int; ConfigError unless it is an integral number."""
-    try:
-        # int() alone would run 7.9 as 7, True as 1 and "4" as 4
-        if isinstance(value, (bool, np.bool_, str)) or value != int(value):
-            raise TypeError(f"{key} is {value!r}")
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"non-integer field: {exc}") from exc
-    return int(value)
-
-
 def _parsed(what: str, parse):
     """parse(), with any parsing error raised as a ConfigError naming `what`."""
     try:
@@ -111,7 +100,7 @@ def _config_object(obj, fields, required: tuple, what: str) -> None:
 
 
 def _positive(prof: dict, key: str) -> float:
-    value = _parsed(key, lambda: float(prof.get(key, 0)))
+    value = _parsed(key, lambda: as_number(prof.get(key, 0), float, key))
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{prof['kind']} profile needs a finite {key} > 0")
     return value
@@ -144,9 +133,12 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
-        for key in ("seed", "c", "N", "W", "d", "q", "block_rank", "trials"):
-            name = _CONFIG_FIELDS[key]
-            setattr(self, name, _integer(key, getattr(self, name)))
+        try:  # int() alone would run 7.9 as 7, True as 1 and "4" as 4
+            for key in ("seed", "c", "N", "W", "d", "q", "block_rank", "trials"):
+                name = _CONFIG_FIELDS[key]
+                setattr(self, name, as_number(getattr(self, name), int, key))
+        except ValueError as exc:
+            raise ConfigError(f"non-integer field: {exc}") from exc
         if not 0 <= self.seed < 1 << 64:  # lane keys read the seed mod 2^64
             raise ConfigError("seed must be an integer in [0, 2^64)")
         if self.c < 1:
@@ -191,7 +183,7 @@ def envelope_values(cfg: ExperimentConfig) -> np.ndarray:
         values, want = prof.get("values"), window_size(cfg.band_radius, cfg.c)
         if not isinstance(values, (list, tuple)) or len(values) != want:
             raise ConfigError(f"table profile needs exactly {want} values")
-        vals = np.array([_parsed("table value", lambda: float(v)) for v in values])
+        vals = _parsed("table value", lambda: np.array([as_number(v) for v in values]))
         if not (np.isfinite(vals).all() and (vals >= 0).all()):
             raise ConfigError("table values must be finite and nonnegative")
     else:  # exp or power of each offset's l1 size
@@ -217,28 +209,6 @@ _OPERATOR_DOMAIN = int.from_bytes(b"operator", "big")
 _GRID_DOMAIN = int.from_bytes(b"grid", "big")
 
 
-def _gram_det(v: np.ndarray) -> np.ndarray:
-    """det(v v^H) per pair of rows v0 = v[:, 0], v1 = v[:, 1], as
-    ||v0||^2 ||v1 - (v0^H v1 / ||v0||^2) v0||^2: no cancellation, unlike ad - bc."""
-    v0, v1 = v[:, 0], v[:, 1]
-    n0 = _squares(v0)
-    return n0 * _squares(v1 - ((v0.conj() * v1).sum(axis=-1) / n0)[:, None] * v0)
-
-
-def _trace_norms(g: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Trace norms of the blocks g = xs @ ys, xs of shape (n, d, r) and ys (n, r, d).
-
-    For r <= 2 in closed form, ||g||_S1^2 = ||g||_F^2 + 2 s1 s2 with (s1 s2)^2 =
-    det(X^H X) det(Y Y^H), no s1 s2 term for r = 1; larger r sum LAPACK's singular values.
-    """
-    if xs.shape[-1] > 2:
-        return np.linalg.svd(g, compute_uv=False).sum(axis=-1)
-    sq = _squares(g.reshape(len(g), -1))
-    if xs.shape[-1] == 2:
-        sq = sq + 2.0 * np.sqrt(_gram_det(xs.transpose(0, 2, 1)) * _gram_det(ys))
-    return np.sqrt(sq)
-
-
 def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
     """Draw the trial's operator: random rank-limited blocks under the envelope.
 
@@ -252,8 +222,8 @@ def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
     full Box-Muller pair) each.  So a block is a function of its key
     alone, the same in every window that holds it.  All lanes of a
     trial are drawn at once; blocks are then processed in chunks, with
-    block_rank outer-product passes and one batched `_trace_norms` per
-    chunk.  The operator gets the geometry's shared plan unless it has no
+    block_rank outer-product passes and one batched `factored_trace_norms`
+    per chunk.  The operator gets the geometry's shared plan unless it has no
     blocks or drops one, and keeps each block's nominal trace norm
     fl(beta_m r) for fit_envelope.
     """
@@ -282,7 +252,7 @@ def generate_operator(cfg: ExperimentConfig, trial: int) -> CDOperator:
         g = np.multiply(xs[..., 0, None], ys[:, 0, None], out=stack[part])
         for j in range(1, rank):  # outer-product passes beat a batched matmul of tiny blocks
             g += xs[..., j, None] * ys[:, j, None]
-        tn[part] = _trace_norms(g, xs, ys)
+        tn[part] = factored_trace_norms(g, xs, ys)
         nominal[part] = targets[part] * r
         scale = (nominal[part] / tn[part])[:, None, None]
         g *= scale
@@ -427,7 +397,7 @@ def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None,
 
     def one_trial(trial: int, out_path: Path) -> dict:
         try:
-            res = invert_one_plus(generate_operator(cfg, trial), keep_t1=False)
+            res = invert_one_plus(generate_operator(cfg, trial))
         except NumericallySingular as exc:
             return {"trial": trial, "error": str(exc)}
         env_l1 = res.t_envelope.l1()
@@ -529,7 +499,8 @@ def _wiener_inputs(cfg: dict) -> tuple:
         seq = _parsed("symbol", lambda: parse_symbol(cfg["symbol"]))
     if not np.isfinite(seq.data).all():
         raise ConfigError("wiener coefficients must be finite")
-    grid, out_radius = _integer("grid", cfg["grid"]), _integer("out_radius", cfg["out_radius"])
+    grid, out_radius = _parsed("grid or out_radius", lambda: [
+        as_number(cfg[key], int, key) for key in ("grid", "out_radius")])
     _parsed("grid or out_radius", lambda: check_sizes(grid, seq.radius, out_radius))
     weight = _parsed("weight", lambda: Weight.from_json(cfg["weight"]) if "weight" in cfg
                      else Weight())

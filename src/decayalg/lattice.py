@@ -8,11 +8,14 @@ every dense representation in this package.
 
 from __future__ import annotations
 
+import math
 from itertools import product
+from numbers import Integral, Real
 
 import numpy as np
 
 __all__ = [
+    "as_number",
     "as_index",
     "window_indices",
     "window_array",
@@ -21,6 +24,17 @@ __all__ = [
     "flat_offsets",
     "wrap_index",
 ]
+
+
+def as_number(value, kind: type = float, what: str = "value"):
+    """A JSON number as a `kind`, int or float; ValueError for a bool, a string or
+    another non-number, and for int also for a fraction or a non-finite float."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, Real):
+        raise ValueError(f"{what} is {value!r}, not a number")
+    if kind is int and not isinstance(value, Integral) and \
+            not (math.isfinite(value) and value == int(value)):
+        raise ValueError(f"{what} is {value!r}, not an integer")
+    return kind(value)
 
 
 def as_index(n, c: int | None = None) -> tuple[int, ...]:

@@ -28,6 +28,8 @@ from typing import Optional
 
 import numpy as np
 
+from .cd_operator import block_norms
+
 __all__ = [
     "NuclearFactorization",
     "HomotopyPath",
@@ -69,21 +71,19 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def trace_norm(a) -> float:
-    """Sum of singular values (the nuclear norm in l2 geometry)."""
-    return float(np.linalg.svd(_as_matrix(a), compute_uv=False).sum())
+    """Sum of singular values (the nuclear norm in l2 geometry): block_norms of one block."""
+    return float(block_norms(_as_matrix(a)[None], "nuclear")[0])
 
 
 def operator_norm(a, p) -> float:
-    """Induced p -> p norm for p in {1, 2, inf}."""
-    m = _as_matrix(a)
-    if p == 1:
-        return float(np.abs(m).sum(axis=0).max(initial=0.0))
-    if p == 2:
-        s = np.linalg.svd(m, compute_uv=False)
-        return float(s[0]) if s.size else 0.0
+    """Induced p -> p norm for p in {1, 2, inf}: block_norms of one block."""
     if p in (np.inf, float("inf"), "inf"):
-        return float(np.abs(m).sum(axis=1).max(initial=0.0))
-    raise ValueError(f"unsupported exponent {p!r}")
+        kind = "operator_inf"
+    elif p in (1, 2):
+        kind = f"operator_{int(p)}"
+    else:
+        raise ValueError(f"unsupported exponent {p!r}")
+    return float(block_norms(_as_matrix(a)[None], kind)[0])
 
 
 @dataclass

@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .lattice import as_index, window_indices
+from .lattice import as_index, as_number, window_indices
 from .weights import Weight
 
 __all__ = [
@@ -147,15 +147,16 @@ class FiniteSeq:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteSeq":
-        c, radius = int(obj["c"]), int(obj["radius"])
+        c, radius = (as_number(obj[key], int, key) for key in ("c", "radius"))
         if c < 1 or radius < 0:
             raise ValueError(f"need c >= 1 and radius >= 0, got c={c}, radius={radius}")
         seq = cls.zeros(c, radius)
         for e in obj["entries"]:
-            idx = as_index(e["index"], seq.c)
+            idx = as_index([as_number(i, int, "an index") for i in e["index"]], seq.c)
             if any(abs(i) > radius for i in idx):
                 raise ValueError(f"entry index {idx} outside radius {radius}")
-            seq.data[tuple(i + seq.radius for i in idx)] = complex(e["re"], e["im"])
+            seq.data[tuple(i + seq.radius for i in idx)] = complex(
+                as_number(e["re"], float, "re"), as_number(e["im"], float, "im"))
         return seq
 
 

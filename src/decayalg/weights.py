@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import as_index, window_indices
+from .lattice import as_index, as_number, window_indices
 
 __all__ = ["Weight", "AxiomCheck", "AxiomReport", "verify_axioms", "grs_sequence"]
 
@@ -121,10 +121,7 @@ class Weight:
     @classmethod
     def from_json(cls, obj: dict) -> "Weight":
         return cls(
-            a=float(obj.get("a", 0.0)),
-            b=float(obj.get("b", 0.0)),
-            s=float(obj.get("s", 0.0)),
-            t=float(obj.get("t", 0.0)),
+            **{key: as_number(obj.get(key, 0.0), float, key) for key in ("a", "b", "s", "t")},
             index_norm=str(obj.get("index_norm", "l1")),
         )
 

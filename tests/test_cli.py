@@ -272,6 +272,39 @@ def write_raw_config(path, profile_text):
     return path
 
 
+@pytest.mark.parametrize("edit", [
+    lambda op: op["blocks"][0].update(k=[3.4]),
+    lambda op: op["blocks"][0].update(m=["0"]),
+    lambda op: op.update(N=3.9),
+    lambda op: op.update(c=True),
+    lambda op: op["blocks"][0]["block"]["re"][0].__setitem__(0, "0.5"),
+], ids=["fractional-index", "string-index", "fractional-size", "boolean-size",
+        "string-entry"])
+def test_verify_report_operator_number_of_the_wrong_type_exits_4(tmp_path, capsys, edit):
+    """int() and float() would have read each edit as a number and passed the file."""
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "operator_trial_000.json"
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    assert_verify_problem(capsys, out / "report.json", "operator_trial_000.json: not an operator")
+
+
+@pytest.mark.parametrize("field, value", [("c", True), ("N", "3"), ("q", 2.5)])
+def test_verify_report_grid_header_number_of_the_wrong_type_exits_4(tmp_path, capsys,
+                                                                    field, value):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert main(["kernel", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "input_trial_000.grid"
+    header, payload = path.read_bytes().split(b"\n", 1)
+    edited = {**json.loads(header), field: value}
+    path.write_bytes(json.dumps(edited, sort_keys=True).encode("ascii") + b"\n" + payload)
+    assert_verify_problem(capsys, out / "report.json", "input_trial_000.grid: not a grid function")
+
+
 def assert_config_error(tmp_path, capsys, argv):
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 2
@@ -285,6 +318,11 @@ def assert_config_error(tmp_path, capsys, argv):
     '{"kind": "polynomial", "power": [2]}',
     '{"kind": "exponential", "rate": 1.0, "l1": "half"}',
     '{"kind": "table", "values": [0.1, "x", 0.1]}',
+    # strings and booleans that float() would have read as 0.5 and 1.0
+    '{"kind": "table", "values": [true, 0.5, 0.1]}',
+    '{"kind": "table", "values": [0.1, "0.5", 0.1]}',
+    '{"kind": "exponential", "rate": 1.0, "l1": "0.5"}',
+    '{"kind": "polynomial", "power": true}',
 ])
 def test_non_numeric_profile_parameter_exits_2(tmp_path, capsys, profile):
     cfg = write_raw_config(tmp_path / "cfg.json", profile)
@@ -378,13 +416,13 @@ def wiener_config(path, **fields):
     return path
 
 
-@pytest.mark.parametrize("weight", [{"b": 2.0}, "heavy", {"a": "x"}])
+@pytest.mark.parametrize("weight", [{"b": 2.0}, "heavy", {"a": "x"}, {"a": "0.5"}, {"s": True}])
 def test_wiener_bad_weight_exits_2(tmp_path, capsys, weight):
     cfg = wiener_config(tmp_path / "w.json", weight=weight)
     assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])
 
 
-@pytest.mark.parametrize("weight", [{"b": 2.0}, "heavy", None])
+@pytest.mark.parametrize("weight", [{"b": 2.0}, "heavy", None, {"a": "0.5"}, {"b": False}])
 def test_invert_bad_weight_exits_2(tmp_path, capsys, weight):
     cfg = write_config(tmp_path / "cfg.json", weight=weight)
     assert_config_error(tmp_path, capsys, ["invert", "--config", str(cfg)])
@@ -396,6 +434,15 @@ def test_invert_bad_weight_exits_2(tmp_path, capsys, weight):
     {"c": 1, "radius": 1, "entries": [{"index": [3], "re": 1.0, "im": 0.0}]},
     {"c": 0, "radius": 1, "entries": []},
     "2+u",
+    # indices, sizes and parts that int() and complex() would have read
+    {"c": 1, "radius": 1, "entries": [{"index": [0.5], "re": 2.0, "im": 0.0}]},
+    {"c": 1, "radius": 1, "entries": [{"index": [0], "re": 2.0, "im": 0.0},
+                                      {"index": [1.9], "re": 1.0, "im": 0.0}]},
+    {"c": 1, "radius": 1, "entries": [{"index": ["0"], "re": 2.0, "im": 0.0}]},
+    {"c": 1.7, "radius": 1, "entries": [{"index": [0], "re": 2.0, "im": 0.0}]},
+    {"c": 1, "radius": True, "entries": [{"index": [0], "re": 2.0, "im": 0.0}]},
+    {"c": 1, "radius": 1, "entries": [{"index": [0], "re": "2.0", "im": 0.0}]},
+    {"c": 1, "radius": 1, "entries": [{"index": [0], "re": 2.0, "im": False}]},
 ])
 def test_wiener_malformed_seq_exits_2(tmp_path, capsys, seq):
     cfg = tmp_path / "w.json"

@@ -45,14 +45,18 @@ def test_the_package_root_exports_only_its_version():
 
 
 
+def imports(tree) -> list:
+    """(node, alias) of every name a module's import statements bring in, past __future__."""
+    return [(node, alias) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names]
+
+
 def imported_but_unused(source: str) -> list:
     """Names a module imports (past __future__) that it never reads and does not export."""
     tree = ast.parse(source)
-    imported = [alias.asname or alias.name.split(".")[0]
-                for node in ast.walk(tree)
-                if isinstance(node, (ast.Import, ast.ImportFrom))
-                and getattr(node, "module", None) != "__future__"
-                for alias in node.names]
+    imported = [alias.asname or alias.name.split(".")[0] for _, alias in imports(tree)]
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     exported = set()
     for node in tree.body:
@@ -71,3 +75,23 @@ def test_every_imported_name_is_used_or_exported(name):
 def test_imported_but_unused_sees_a_stale_import():
     source = "from .a import Kept, Stale\nimport numpy as np\n__all__ = ['Kept']\nnp.zeros(1)\n"
     assert imported_but_unused(source) == ["Stale"]
+
+
+def private_imports(source: str) -> list:
+    """Underscore names a module imports from another decayalg module: each private
+    name has one owner, the module that defines it."""
+    return [alias.name for node, alias in imports(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and alias.name.startswith("_")
+            and (node.level or (node.module or "").split(".")[0] == "decayalg")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_a_private_name_of_another(name):
+    module = importlib.import_module(name)
+    assert private_imports(Path(module.__file__).read_text()) == []
+
+
+def test_private_imports_sees_a_private_name():
+    source = ("from .cd_operator import _squares, apply\nfrom decayalg.rng import _mix\n"
+              "from numpy import _core\n")
+    assert private_imports(source) == ["_squares", "_mix"]

@@ -14,6 +14,7 @@ from decayalg.cd_operator import (
     Plan,
     ShapeMismatch,
     densify,
+    factored_trace_norms,
     fit_envelope,
     geometry_plan,
 )
@@ -21,7 +22,6 @@ from decayalg.harness import (
     FORMAT_VERSION,
     ConfigError,
     ExperimentConfig,
-    _trace_norms,
     envelope_values,
     generate_operator,
     kernel_input,
@@ -175,14 +175,14 @@ def test_trace_norms_closed_form_matches_svd(d, rank, seed, parallel, scales):
     ys *= 10.0 ** scales[1]
     g = xs @ ys
     want = np.linalg.svd(g, compute_uv=False).sum(axis=-1)
-    np.testing.assert_allclose(_trace_norms(g, xs, ys), want, rtol=4e-15, atol=0)
+    np.testing.assert_allclose(factored_trace_norms(g, xs, ys), want, rtol=4e-15, atol=0)
 
 
 def reference_operator(cfg, trial):
     """Block-by-block generation from the scalar draws: the spec of the bulk path.
 
     Each block reads the scalar generator opened at its own lane key.  The
-    trace norm comes from `_trace_norms` on a one-block stack, which
+    trace norm comes from `factored_trace_norms` on a one-block stack, which
     `test_trace_norms_closed_form_matches_svd` checks against LAPACK.
     """
     beta = envelope_values(cfg)
@@ -208,7 +208,7 @@ def reference_operator(cfg, trial):
             g = x[:, 0, None] * y[0]  # the outer products of the terms, summed in term order
             for j in range(1, rank):
                 g = g + x[:, j, None] * y[j]
-            scale = target * r_km / _trace_norms(g[None], x[None], y[None])[0]
+            scale = target * r_km / factored_trace_norms(g[None], x[None], y[None])[0]
             blocks[(k, m)] = g * scale
             terms[(k, m)] = [(scale * y[i, :], x[:, i].copy()) for i in range(rank)]
     return blocks, terms
@@ -359,7 +359,7 @@ def test_a_dropped_block_gives_the_operator_its_own_plan(monkeypatch):
     calls = []
 
     def one_zero(g, xs, ys):
-        tn = _trace_norms(g, xs, ys)
+        tn = factored_trace_norms(g, xs, ys)
         if not calls:
             tn[1] = 0.0
         calls.append(len(tn))
@@ -367,7 +367,7 @@ def test_a_dropped_block_gives_the_operator_its_own_plan(monkeypatch):
 
     cfg = small_config()
     full = generate_operator(cfg, 4)
-    monkeypatch.setattr(harness, "_trace_norms", one_zero)
+    monkeypatch.setattr(harness, "factored_trace_norms", one_zero)
     with np.errstate(divide="ignore", invalid="ignore"):
         op = generate_operator(cfg, 4)
     assert op.n_blocks == full.n_blocks - 1 and op.plan is not full.plan

@@ -28,6 +28,7 @@ from decayalg.cd_operator import (
     ShapeMismatch,
     apply,
     band_plan,
+    block_norms,
     compose,
     densify,
     fit_envelope,
@@ -103,11 +104,12 @@ def ref_compose(a, b):
     return out
 
 
+# one block's norm by numpy directly, independent of block_norms
 _NORMS = {
-    "nuclear": trace_norm,
-    "operator_1": lambda b: operator_norm(b, 1),
-    "operator_2": lambda b: operator_norm(b, 2),
-    "operator_inf": lambda b: operator_norm(b, np.inf),
+    "nuclear": lambda b: float(np.linalg.svd(b, compute_uv=False).sum()),
+    "operator_1": lambda b: float(np.abs(b).sum(axis=0).max(initial=0.0)),
+    "operator_2": lambda b: float(np.linalg.svd(b, compute_uv=False).max(initial=0.0)),
+    "operator_inf": lambda b: float(np.abs(b).sum(axis=1).max(initial=0.0)),
 }
 
 
@@ -245,6 +247,31 @@ def test_fit_envelope_equals_block_by_block(geom, d):
     _, op = build(geom, d)
     for kind in _NORMS:
         assert_bitwise(fit_envelope(op, kind).values, ref_fit_envelope(op, kind))
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 5])
+def test_block_norms_equal_numpy_block_by_block(d):
+    """The one norm table against numpy on each block, bit for bit, d = 0 included;
+    trace_norm and operator_norm are its one-block case."""
+    rng = np.random.default_rng(d)
+    stack = rand_complex(rng, 7, d, d)
+    stack[1] = 0.0
+    for kind, norm in _NORMS.items():
+        want = np.array([norm(blk) for blk in stack])
+        assert_bitwise(block_norms(stack, kind), want)
+        assert_bitwise(block_norms(stack[:0], kind), np.zeros(0))
+        assert [fit_envelope(CDOperator(1, 0, 0, d, "circulant", {((0,), (0,)): blk}),
+                             kind).values[0] for blk in stack] == list(want)
+    for blk in stack:
+        assert trace_norm(blk) == _NORMS["nuclear"](blk)
+        for p, kind in ((1, "operator_1"), (2, "operator_2"), (np.inf, "operator_inf"),
+                        (float("inf"), "operator_inf"), ("inf", "operator_inf")):
+            assert operator_norm(blk, p) == _NORMS[kind](blk)
+    for p in (0, 3, 1.5, -np.inf, "1", "2", None):
+        with pytest.raises(ValueError):
+            operator_norm(stack[0], p)
+    with pytest.raises(ValueError):
+        block_norms(stack, "frobenius")
 
 
 @settings(max_examples=30, deadline=None)

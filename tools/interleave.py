@@ -16,8 +16,10 @@ included), block-SVD matrices per command (numpy.linalg.svd is wrapped
 once and counts the matrices of every stack of blocks up to 16 x 16,
 credited to the command that runs) and the src/ line count of each
 side, the median per-command
-change/parent wall ratio and the number of commands in which the change
-was faster; the last line is the same as one JSON object.  OPENBLAS_NUM_THREADS defaults
+change/parent wall ratio, the number of commands in which the change
+was faster and, if some command's outputs differ, the names of the files
+that differ in the first such command; the last line is the same as one
+JSON object.  OPENBLAS_NUM_THREADS defaults
 to 1 and DECAYALG_THREADS is the workload's, as in perfbench, unless
 --threads sets it for both trees: `--threads 1` compares the serial
 paths of a change to the trial pool, the workload's count its gain.
@@ -115,7 +117,7 @@ def main(argv=None) -> int:
         walls = {side: [] for side in SIDES}
         faults = {side: [] for side in SIDES}
         svds = {side: [] for side in SIDES}
-        differing = []
+        differing, differing_files = [], []
         for i in range(-1, args.commands):  # command -1 warms both trees up, untimed
             argv = [workload.command, "--config", str(config),
                     "--seed", str(command_seed(args.seed, i))]
@@ -132,7 +134,11 @@ def main(argv=None) -> int:
                     walls[side].append(wall)
                     faults[side].append(fault)
                     svds[side].append(svd_count)
-            if files(work / "parent") != files(work / "change"):
+            parent, change = (files(work / side) for side in SIDES)
+            if parent != change:
+                if not differing:
+                    differing_files = sorted(name for name in parent.keys() | change.keys()
+                                             if parent.get(name) != change.get(name))
                 differing.append(i)
             for side in SIDES:
                 shutil.rmtree(work / side)
@@ -155,6 +161,7 @@ def main(argv=None) -> int:
         "change_faster": sum(r < 1.0 for r in ratios),
         "outputs_identical": args.commands + 1 - len(differing),
         "differing_commands": differing,
+        "first_differing_files": differing_files,
         "src_lines": {side: src_lines(tree)
                       for side, tree in zip(SIDES, (args.parent, args.change))},
     }
@@ -169,6 +176,8 @@ def main(argv=None) -> int:
           f"change faster in {summary['change_faster']}/{args.commands}")
     print(f"  outputs identical in {summary['outputs_identical']}/{args.commands + 1} commands"
           " (the warm-up included)")
+    if differing:
+        print(f"  files that differ in command {differing[0]}: {', '.join(differing_files)}")
     print(json.dumps(summary, sort_keys=True))
     return 1 if differing else 0
 
