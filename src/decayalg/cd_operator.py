@@ -335,7 +335,7 @@ class CDOperator(BlockStore):
         a number that is not a JSON number (an integer for an index or a size)."""
         blocks = {}
         for item in obj["blocks"]:
-            k, m = (tuple(as_number(x, int, "an index") for x in item[key]) for key in ("k", "m"))
+            k, m = (as_index(list(item[key])) for key in ("k", "m"))
             blk = item["block"]
             re, im = (np.array([[as_number(x, float, part) for x in row] for row in blk[part]])
                       for part in ("re", "im"))

@@ -155,6 +155,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown boundary {self.boundary!r}")
         if not isinstance(self.weight, Weight):
             raise ConfigError("weight must be a Weight")
+        if not isinstance(self.output_dir, (str, type(None))):
+            raise ConfigError("output_dir must be a string")
         envelope_values(self)  # validates the profile
 
     def to_json(self) -> dict:
@@ -493,6 +495,8 @@ def _wiener_inputs(cfg: dict) -> tuple:
     _config_object(cfg, _WIENER_FIELDS, ("grid", "out_radius"), "wiener config")
     if ("seq" in cfg) == ("symbol" in cfg):
         raise ConfigError("wiener config needs exactly one of 'symbol' and 'seq'")
+    if not isinstance(cfg.get("output_dir"), (str, type(None))):
+        raise ConfigError("output_dir must be a string")
     if "seq" in cfg:
         seq = _parsed("seq", lambda: FiniteSeq.from_json(cfg["seq"]))
     else:
@@ -718,7 +722,8 @@ def _compare_rows(rows: list, want: list, header: list) -> list:
 
 
 def _verify_envelope_table(rows: list, rec: dict, cfg: ExperimentConfig) -> list:
-    """Rebuild T1's envelope on |m| <= N from the (m, beta) columns; re-derive table and totals."""
+    """Rebuild T1's envelope on |m| <= N from the (m, beta) columns; re-derive table, totals
+    and slope, and the invertibility_check from the record's envelope_l1."""
     trial, c, radius = rec.get("trial"), cfg.c, cfg.window_radius
     if len(rows) != window_size(radius, c):
         return [f"trial {trial}: {len(rows)} envelope rows, want {window_size(radius, c)}"]
@@ -733,10 +738,18 @@ def _verify_envelope_table(rows: list, rec: dict, cfg: ExperimentConfig) -> list
             values[tuple(x + radius for x in m)] = beta
     if problems:
         return problems
-    want = _envelope_table(Envelope(c, radius, values), cfg.weight)
-    return _compare_rows(rows, want, _envelope_header(c)) + [
+    envelope = Envelope(c, radius, values)
+    want = _envelope_table(envelope, cfg.weight)
+    derived = {**_totals(want[-1][-1], want[-1][-2]),
+               "slope": _json_float(decay_slope(envelope))}
+    problems = _compare_rows(rows, want, _envelope_header(c)) + [
         f"trial {trial}: {key} does not match its envelope table"
-        for key, value in _totals(want[-1][-1], want[-1][-2]).items() if rec.get(key) != value]
+        for key, value in derived.items() if rec.get(key) != value]
+    l1 = rec.get("envelope_l1")  # the runner writes a float, or null for a non-finite sum
+    if rec.get("invertibility_check") != (
+            "envelope_l1" if isinstance(l1, float) and l1 < 1.0 else "residual"):
+        problems.append(f"trial {trial}: invertibility_check does not match its envelope_l1")
+    return problems
 
 
 def _verify_wiener(report: dict, out_dir: Path) -> list:

@@ -9,6 +9,7 @@ every dense representation in this package.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from itertools import product
 from numbers import Integral, Real
 
@@ -38,11 +39,10 @@ def as_number(value, kind: type = float, what: str = "value"):
 
 
 def as_index(n, c: int | None = None) -> tuple[int, ...]:
-    """Normalize ``n`` to a tuple of ints, optionally checking its length."""
-    if isinstance(n, (int, np.integer)):
-        idx = (int(n),)
-    else:
-        idx = tuple(int(v) for v in n)
+    """Normalize ``n`` (a sequence, or one number) to a tuple of ints, each read by
+    as_number, optionally checking its length."""
+    idx = tuple(as_number(v, int, "an index")
+                for v in (n if isinstance(n, Iterable) else (n,)))
     if c is not None and len(idx) != c:
         raise ValueError(f"index {idx!r} does not have dimension {c}")
     return idx

@@ -23,7 +23,7 @@ reciprocals of J's eigenvalues, where the resolvent blows up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,6 @@ import numpy as np
 from .cd_operator import block_norms
 
 __all__ = [
-    "NuclearFactorization",
     "HomotopyPath",
     "HomotopyResult",
     "NotContractive",
@@ -40,7 +39,6 @@ __all__ = [
     "PathHitsSpectrum",
     "trace_norm",
     "operator_norm",
-    "svd_factorization",
     "neumann_inverse",
     "build_path",
     "homotopy_inverse",
@@ -84,45 +82,6 @@ def operator_norm(a, p) -> float:
     else:
         raise ValueError(f"unsupported exponent {p!r}")
     return float(block_norms(_as_matrix(a)[None], kind)[0])
-
-
-@dataclass
-class NuclearFactorization:
-    """A rank-one decomposition A = sum_i y_i a_i^T.
-
-    Each term is a pair (a, y): the functional a acts by the bilinear
-    pairing a(x) = sum_s a_s x_s, and y is the output direction, so the
-    assembled matrix has entries sum_i y[r] a[s].  The cost
-    sum_i ||a_i||_2 ||y_i||_2 is an upper bound for the nuclear norm of
-    the assembled matrix, with equality for the SVD decomposition.
-    """
-
-    dim: int
-    terms: list = field(default_factory=list)  # [(a, y), ...]
-
-    def cost(self) -> float:
-        return float(
-            sum(np.linalg.norm(a) * np.linalg.norm(y) for a, y in self.terms)
-        )
-
-    def assemble(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for a, y in self.terms:
-            out += np.outer(y, a)
-        return out
-
-
-def svd_factorization(a) -> NuclearFactorization:
-    """The minimal-cost decomposition: terms (sigma_i conj(v_i), u_i) from the SVD."""
-    m = _as_matrix(a)
-    u, s, vh = np.linalg.svd(m)
-    fact = NuclearFactorization(dim=m.shape[0])
-    for i, sigma in enumerate(s):
-        if sigma > 0.0:
-            # vh rows are already the conjugated right singular vectors,
-            # which is exactly the bilinear functional A x needs
-            fact.terms.append((sigma * vh[i, :].copy(), u[:, i].copy()))
-    return fact
 
 
 def neumann_inverse(a_inv, b, tol: float = 1e-12, max_terms: int = 200) -> np.ndarray:
@@ -197,16 +156,15 @@ def _resolvent_norm(J: np.ndarray, z: complex) -> float:
     return operator_norm(np.linalg.inv(eye - z * J), 2)
 
 
-def build_path(J, mu: Optional[complex], nu: complex, probe_points: int = 33,
-               safety: float = 0.5) -> HomotopyPath:
+def build_path(J, mu: Optional[complex], nu: complex) -> HomotopyPath:
     """Construct a certified straight path of multipliers from mu to nu.
 
     With mu=None a starting point is chosen on the ray toward nu such
     that the bootstrap series in mu*J converges outright.  The segment
     must avoid the reciprocals of J's eigenvalues by at least 1e-8; the
-    resolvent bound M is estimated on probe points and then re-taken over
-    the final samples, and steps are subdivided until
-    max_step * ||J||_1 < safety / M.
+    resolvent bound M is estimated on 33 probe points and then re-taken
+    over the final samples, and steps are subdivided until
+    max_step * ||J||_1 < 0.5 / M.
     """
     Jm = _as_matrix(J)
     nu = complex(nu)
@@ -234,18 +192,18 @@ def build_path(J, mu: Optional[complex], nu: complex, probe_points: int = 33,
             f"segment [{mu}, {nu}] passes within {margin:.3e} of a reciprocal eigenvalue"
         )
 
-    ts = np.linspace(0.0, 1.0, max(2, probe_points))
+    ts = np.linspace(0.0, 1.0, 33)
     M = max(_resolvent_norm(Jm, mu + (nu - mu) * t) for t in ts)
 
     if mu == nu:
         return HomotopyPath(samples=[nu], resolvent_bound=M, margin=margin)
 
     length = abs(nu - mu)
-    steps = max(1, int(np.ceil(length * tn * M / safety)))
+    steps = max(1, int(np.ceil(length * tn * M / 0.5)))
     while True:
         zs = [mu + (nu - mu) * t for t in np.linspace(0.0, 1.0, steps + 1)]
         M = max(M, max(_resolvent_norm(Jm, z) for z in zs))
-        if (length / steps) * tn < safety / M:
+        if (length / steps) * tn < 0.5 / M:
             return HomotopyPath(samples=zs, resolvent_bound=M, margin=margin)
         steps *= 2
         if steps > (1 << 22):

@@ -152,7 +152,7 @@ class FiniteSeq:
             raise ValueError(f"need c >= 1 and radius >= 0, got c={c}, radius={radius}")
         seq = cls.zeros(c, radius)
         for e in obj["entries"]:
-            idx = as_index([as_number(i, int, "an index") for i in e["index"]], seq.c)
+            idx = as_index(list(e["index"]), seq.c)
             if any(abs(i) > radius for i in idx):
                 raise ValueError(f"entry index {idx} outside radius {radius}")
             seq.data[tuple(i + seq.radius for i in idx)] = complex(

@@ -23,9 +23,9 @@ from decayalg.cd_operator import (
     shift_decomposition,
 )
 from decayalg.harness import _envelope_header, _envelope_table, _write_csv
-from decayalg.lattice import window_indices, window_size
+from decayalg.lattice import as_index, window_indices, window_size
 from decayalg.nuclear_blocks import operator_norm, trace_norm
-from decayalg.seq_algebra import TorusPoint
+from decayalg.seq_algebra import FiniteSeq, TorusPoint
 from decayalg.weights import Weight
 
 
@@ -410,6 +410,36 @@ def test_cd_operator_validation():
     with pytest.raises(ShapeMismatch):
         CDOperator(1, 2, 1, 2, "circulant",
                    blocks={((0,), (0,)): np.eye(3, dtype=complex)})
+
+
+@pytest.mark.parametrize("read", [
+    lambda: as_index([0.5]),
+    lambda: as_index([1.9]),
+    lambda: as_index(True),
+    lambda: as_index("0"),
+    lambda: CDOperator(1, 2, 1, 1, "circulant", {((0.7,), (1.2,)): np.eye(1)}),
+    lambda: FiniteSeq.from_entries({(0.5,): 1.0}),
+    lambda: Envelope(1, 1, np.ones(3)).beta([True]),
+    lambda: Weight(s=1.0).eval([1.9]),
+], ids=["fraction", "fraction-above-1", "bool", "string", "operator-key", "seq-entry",
+        "envelope-beta", "weight-eval"])
+def test_an_index_that_is_no_integer_raises(read):
+    # int() would have truncated each of these to an integer index
+    with pytest.raises(ValueError, match="an index is"):
+        read()
+
+
+def test_numpy_integers_and_integral_floats_read_as_indices():
+    assert as_index(np.int64(3)) == (3,)
+    assert as_index([2.0, np.int64(-1)], 2) == (2, -1)
+    assert all(type(x) is int for x in as_index(np.array([1, 2])))
+    op = CDOperator(1, 2, 1, 1, "circulant", {((np.int64(1),), (-1.0,)): np.eye(1)})
+    assert list(op.blocks) == [((1,), (-1,))]
+    # an operator file's index must still be a list, never a bare number
+    obj = op.to_json()
+    obj["blocks"][0]["k"] = 1
+    with pytest.raises(TypeError):
+        CDOperator.from_json(obj)
 
 
 # ------------------------------------------------------------ block vectors

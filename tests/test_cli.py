@@ -371,9 +371,11 @@ def test_infinite_integer_field_exits_2(tmp_path, capsys, field):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("seed", 7.9), ("trials", 2.5), ("trials", True), ("N", "4"), ("W", None)])
+    ("seed", 7.9), ("trials", 2.5), ("trials", True), ("N", "4"), ("W", None),
+    ("output_dir", 5), ("output_dir", ["x"])])
 def test_non_integer_integer_field_exits_2(tmp_path, capsys, field, value):
-    # int() alone would have run the first four as seed 7, 2 trials, 1 trial and N = 4
+    # int() alone would have run the first four as seed 7, 2 trials, 1 trial and N = 4;
+    # an output_dir that is no string is refused like them, not by a TypeError
     cfg = write_config(tmp_path / "cfg.json", **{field: value})
     assert_config_error(tmp_path, capsys, ["invert", "--config", str(cfg)])
 
@@ -480,6 +482,8 @@ def test_wiener_negative_out_radius_exits_2(tmp_path, capsys):
     {"out_radius": True},  # would run as 1
     {"out_radius": 20.5},
     {"c": 1.5},
+    {"output_dir": ["x"]},  # no string: refused up front, not by a TypeError
+    {"output_dir": 5},
     # a seq beside the symbol: the run would compute from one and echo the other
     {"seq": {"c": 1, "radius": 1, "entries": [{"index": [0], "re": 2.0, "im": 0.0},
                                               {"index": [1], "re": 1.0, "im": 0.0}]}},

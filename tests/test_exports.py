@@ -95,3 +95,33 @@ def test_private_imports_sees_a_private_name():
     source = ("from .cd_operator import _squares, apply\nfrom decayalg.rng import _mix\n"
               "from numpy import _core\n")
     assert private_imports(source) == ["_squares", "_mix"]
+
+
+def decayalg_imports(source: str) -> list:
+    """The import statements, one name each, that bring a name in from decayalg."""
+    return [f"from {node.module} import {alias.name}" if isinstance(node, ast.ImportFrom)
+            else f"import {alias.name}"
+            for node, alias in imports(ast.parse(source))
+            if (getattr(node, "module", None) or alias.name).split(".")[0] == "decayalg"
+            and not getattr(node, "level", 0)]
+
+
+def unresolved(statements: list) -> list:
+    """The import statements that raise ImportError."""
+    failed = []
+    for statement in statements:
+        try:
+            exec(statement, {})
+        except ImportError:
+            failed.append(statement)
+    return failed
+
+
+def test_every_name_the_benchmark_imports_from_decayalg_resolves():
+    # perfbench/layers.py imports these inside Tracer.install(); an ImportError
+    # there would stop the benchmark's traced run
+    source = (Path(__file__).resolve().parent.parent / "perfbench" / "layers.py").read_text()
+    statements = decayalg_imports(source)
+    assert "from decayalg.rng import Xoshiro256StarStar" in statements
+    assert unresolved(statements) == []
+    assert unresolved(["from decayalg.rng import Moved"]) == ["from decayalg.rng import Moved"]

@@ -847,8 +847,32 @@ def test_verify_report_catches_kernel_round_trip_aggregate(tmp_path):
     assert any("all_round_trips_exact" in p for p in problems)
 
 
+def edit_records(edits):
+    """An edit of records' fields, {trial: {field: value}}, that recomputes the
+    aggregates, so only the records' own checks can see it."""
+    def edit(report):
+        for trial, fields in edits.items():
+            report["records"][trial].update(fields)
+        report["aggregates"] = harness._aggregates(report["kind"], report["records"])
+    return edit
+
+
+def assert_slope_and_invertibility_check_rederived(path):
+    original = path.read_text()
+    problems = tamper(path, edit_records({0: {"slope": 5.0},
+                                          1: {"invertibility_check": "residual"}}))
+    assert problems == ["trial 0: slope does not match its envelope table",
+                        "trial 1: invertibility_check does not match its envelope_l1"]
+    path.write_text(original)
+    # a null envelope_l1 (a non-finite sum) asks for the residual check
+    problems = tamper(path, edit_records({0: {"envelope_l1": None}}))
+    assert problems == ["trial 0: invertibility_check does not match its envelope_l1"]
+    path.write_text(original)
+
+
 def test_verify_report_checks_weighted_total_against_csv(tmp_path):
     run_inverse_closedness(small_config(), out_dir=tmp_path)
+    assert_slope_and_invertibility_check_rederived(tmp_path / "report.json")
     problems = tamper(tmp_path / "report.json",
                       lambda r: r["records"][1].update(weighted_total=123.0))
     assert problems == ["trial 1: weighted_total does not match its envelope table"]
@@ -856,6 +880,7 @@ def test_verify_report_checks_weighted_total_against_csv(tmp_path):
 
 def test_verify_report_checks_final_increment_against_embedded_rows(tmp_path):
     run_inverse_closedness(small_config(), out_dir=tmp_path, fmt="json")
+    assert_slope_and_invertibility_check_rederived(tmp_path / "report.json")
     problems = tamper(tmp_path / "report.json",
                       lambda r: r["records"][0].update(final_increment=0.5))
     assert problems == ["trial 0: final_increment does not match its envelope table"]

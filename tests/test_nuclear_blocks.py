@@ -1,4 +1,4 @@
-"""Tests for trace norms, factorizations, and the continuation inverse."""
+"""Tests for trace norms and the continuation inverse."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from decayalg.nuclear_blocks import (
     homotopy_inverse,
     neumann_inverse,
     operator_norm,
-    svd_factorization,
     trace_norm,
 )
 
@@ -98,36 +97,6 @@ def test_ideal_property():
         tn_ab = trace_norm(a @ b)
         assert tn_ab <= trace_norm(a) * operator_norm(b, 2) * (1 + 1e-10)
         assert tn_ab <= operator_norm(a, 2) * trace_norm(b) * (1 + 1e-10)
-
-
-# ------------------------------------------------------- factorizations
-
-
-def test_svd_factorization_reassembles():
-    rng = np.random.default_rng(19)
-    for _ in range(25):
-        d = int(rng.integers(1, 7))
-        a = rand_complex(rng, d, d)
-        fact = svd_factorization(a)
-        np.testing.assert_allclose(fact.assemble(), a, atol=1e-12)
-        assert fact.cost() == pytest.approx(trace_norm(a), rel=1e-12)
-
-
-def test_svd_factorization_rank_one():
-    y = np.array([1.0, 2.0, 0.0])
-    a = np.array([0.0, 3.0, 4.0])
-    m = np.outer(y, a)
-    fact = svd_factorization(m)
-    assert len(fact.terms) == 1
-    assert fact.cost() == pytest.approx(np.linalg.norm(y) * np.linalg.norm(a))
-    np.testing.assert_allclose(fact.assemble(), m, atol=1e-12)
-
-
-def test_svd_factorization_zero_matrix():
-    fact = svd_factorization(np.zeros((4, 4)))
-    assert fact.terms == []
-    assert fact.cost() == 0.0
-    np.testing.assert_allclose(fact.assemble(), np.zeros((4, 4)))
 
 
 # ------------------------------------------------------- Neumann series

@@ -37,7 +37,7 @@ from decayalg.cd_operator import (
     laurent_symbol,
 )
 from decayalg.lattice import flat_offset, window_indices, window_size, wrap_index
-from decayalg.nuclear_blocks import operator_norm, svd_factorization, trace_norm
+from decayalg.nuclear_blocks import operator_norm, trace_norm
 from decayalg.seq_algebra import TorusPoint
 
 
@@ -121,14 +121,21 @@ def ref_fit_envelope(op, kind):
     return vals
 
 
-def ref_assemble_kernel(op, q, facts):
+def ref_svd_terms(blk):
+    """(a, y) terms of one block's SVD from numpy, zero singular values dropped."""
+    u, s, vh = np.linalg.svd(blk)
+    return [(sigma * vh[i], u[:, i]) for i, sigma in enumerate(s) if sigma > 0.0]
+
+
+def ref_assemble_kernel(op, q, terms):
     h_pow = q ** (-op.c)
+    zero = np.zeros((op.local_dim, op.local_dim), dtype=np.complex128)
     blocks = {}
     for (k, m) in sorted(op.blocks):
         src = ref_source(op, k, m)
         if src is None:
             continue
-        contrib = facts[(k, m)].assemble() / h_pow
+        contrib = sum((np.outer(y, a) for a, y in terms[(k, m)]), zero) / h_pow
         if (k, src) in blocks:
             blocks[(k, src)] += contrib
         else:
@@ -295,11 +302,11 @@ def test_kernel_paths_equal_block_by_block(geom, q):
     rng = np.random.default_rng(seed)
     W = N + extra if extra else N // 2
     op = low_rank_op(rng, c, N, W, q, boundary, density, shuffle)
-    # the reference factorizations drop zero singular values; the stored
-    # terms keep them as zero terms, which add exactly nothing
-    facts = {key: svd_factorization(blk) for key, blk in op.blocks.items()}
+    # the reference terms drop zero singular values; the stored terms keep
+    # them as zero terms, which add exactly nothing
+    terms = {key: ref_svd_terms(blk) for key, blk in op.blocks.items()}
     kern = assemble_kernel(op, q)
-    want = ref_assemble_kernel(op, q, facts)
+    want = ref_assemble_kernel(op, q, terms)
     assert set(kern.blocks) == set(want)
     for key, blk in want.items():
         assert_bitwise(kern.blocks[key], blk)

@@ -23,6 +23,14 @@ JSON object.  OPENBLAS_NUM_THREADS defaults
 to 1 and DECAYALG_THREADS is the workload's, as in perfbench, unless
 --threads sets it for both trees: `--threads 1` compares the serial
 paths of a change to the trial pool, the workload's count its gain.
+
+    python3 tools/interleave.py PARENT CHANGE --workload invert-1d --setup 60
+
+measures setup_s instead: N fresh interpreters per tree, the trees
+alternating and each warmed once, untimed, run perfbench/run.py's setup
+child (import the CLI, load the workload's config) against the tree's
+src/.  It prints each tree's median and quartiles of those wall times;
+the last line is the same as one JSON object.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import os
 import resource
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import threading
@@ -86,6 +95,29 @@ def count_block_svds() -> list:
     return count
 
 
+def setup_main(args, trees: dict, child: str, config: Path) -> int:
+    """Time args.setup fresh interpreters per tree, each running `child` (perfbench's
+    setup child) on the tree's src/ and `config`; the tree that goes first
+    alternates, and one untimed run per tree warms its caches."""
+    times = {side: [] for side in SIDES}
+    for i in range(-1, args.setup):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            argv = [sys.executable, "-c", child, str(trees[side] / "src"), str(config)]
+            t0 = time.perf_counter()
+            subprocess.run(argv, check=True, cwd=trees[side])
+            if i >= 0:
+                times[side].append(time.perf_counter() - t0)
+    summary = {"workload": args.workload, "setup_runs": args.setup, "setup_s": {}}
+    print(f"{args.workload}: setup_s over {args.setup} fresh interpreters per tree, alternating")
+    for side in SIDES:
+        q1, median, q3 = statistics.quantiles(times[side], n=4, method="inclusive")
+        summary["setup_s"][side] = {"median": round(median, 4), "q1": round(q1, 4),
+                                    "q3": round(q3, 4)}
+        print(f"  {side:6s} median {median:.4f} s, quartiles {q1:.4f}-{q3:.4f} s")
+    print(json.dumps(summary, sort_keys=True))
+    return 0
+
+
 def files(out_dir: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
@@ -99,28 +131,32 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--threads", type=int, default=None,
                         help="DECAYALG_THREADS for both trees (default: the workload's)")
+    parser.add_argument("--setup", type=int, default=0, metavar="N",
+                        help="time N setup-child interpreters per tree instead of commands")
     args = parser.parse_args(argv)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     workloads = load("_perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    command_seed = load("_perfbench_run", ROOT / "perfbench" / "run.py").command_seed
+    run = load("_perfbench_run", ROOT / "perfbench" / "run.py")
     workload = workloads.WORKLOADS[args.workload]
+    trees = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
     threads = workload.threads if args.threads is None else args.threads
     os.environ["DECAYALG_THREADS"] = str(threads)
-    mains = {side: load_cli(tree.resolve(), f"decayalg_{side}").main
-             for side, tree in zip(SIDES, (args.parent, args.change))}
-    block_svds = count_block_svds()
 
     work = Path(tempfile.mkdtemp(prefix="interleave-"))
     try:
         config = work / "config.json"
         config.write_text(json.dumps(workload.config, sort_keys=True))
+        if args.setup:
+            return setup_main(args, trees, run._SETUP_CHILD, config)
+        mains = {side: load_cli(tree, f"decayalg_{side}").main for side, tree in trees.items()}
+        block_svds = count_block_svds()
         walls = {side: [] for side in SIDES}
         faults = {side: [] for side in SIDES}
         svds = {side: [] for side in SIDES}
         differing, differing_files = [], []
         for i in range(-1, args.commands):  # command -1 warms both trees up, untimed
             argv = [workload.command, "--config", str(config),
-                    "--seed", str(command_seed(args.seed, i))]
+                    "--seed", str(run.command_seed(args.seed, i))]
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 f0, s0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, block_svds[0]
                 t0 = time.perf_counter()
@@ -162,8 +198,7 @@ def main(argv=None) -> int:
         "outputs_identical": args.commands + 1 - len(differing),
         "differing_commands": differing,
         "first_differing_files": differing_files,
-        "src_lines": {side: src_lines(tree)
-                      for side, tree in zip(SIDES, (args.parent, args.change))},
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
     }
     print(f"{args.workload}: {args.commands} commands at {threads} thread(s), "
           "each tree first in every other one")
