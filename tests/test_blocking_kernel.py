@@ -129,22 +129,6 @@ def test_kernel_block_values_rank_one():
     np.testing.assert_allclose(
         kern.blocks[((0,), (0,))], np.outer(y, a) * 2.0, atol=1e-15
     )
-    # the attached SVD terms reassemble each block, and their cost
-    # sum_j ||a_j|| ||y_j|| is its trace norm; a rank-one block has one
-    # nonzero term, a zero block only zero terms
-    rng = np.random.default_rng(19)
-    for d in range(1, 7):
-        blocks = {((k,), (0,)): rand_complex(rng, d, d) for k in (-2, -1, 0)}
-        blocks[((1,), (0,))] = np.outer(rand_complex(rng, d), rand_complex(rng, d))
-        blocks[((2,), (0,))] = np.zeros((d, d))
-        op = attach_svd_factorizations(CDOperator(1, 2, 0, d, "circulant", blocks))
-        a, y = op.factors
-        np.testing.assert_allclose(np.einsum("njr,njs->nrs", y, a), op.stack, atol=1e-12)
-        costs = np.linalg.norm(a, axis=2) * np.linalg.norm(y, axis=2)
-        traces = np.linalg.svd(op.stack, compute_uv=False).sum(axis=1)
-        np.testing.assert_allclose(costs.sum(axis=1), traces, rtol=1e-12)
-        assert np.count_nonzero(costs[-2] > 1e-12 * traces[-2]) == 1  # the rank-one block
-        assert not a[-1].any()  # the zero block
 
 
 def test_kernel_requires_factorizations():

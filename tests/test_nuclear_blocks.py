@@ -1,8 +1,10 @@
-"""Tests for trace norms and the continuation inverse."""
+"""Tests for trace norms, factor terms, and the continuation inverse."""
 
 import numpy as np
 import pytest
 
+from decayalg.blocking_kernel import attach_svd_factorizations
+from decayalg.cd_operator import CDOperator
 from decayalg.nuclear_blocks import (
     Diverged,
     HomotopyPath,
@@ -97,6 +99,47 @@ def test_ideal_property():
         tn_ab = trace_norm(a @ b)
         assert tn_ab <= trace_norm(a) * operator_norm(b, 2) * (1 + 1e-10)
         assert tn_ab <= operator_norm(a, 2) * trace_norm(b) * (1 + 1e-10)
+
+
+# ------------------------------------------------------- factor terms
+
+
+def svd_terms(block):
+    """The (a, y) terms that attach_svd_factorizations sets for one block."""
+    d = len(block)
+    op = attach_svd_factorizations(CDOperator(1, 0, 0, d, "circulant", {((0,), (0,)): block}))
+    a, y = op.factors
+    return a[0], y[0]
+
+
+def test_svd_factorization_reassembles():
+    # the terms reassemble the block, and their cost sum_j ||a_j|| ||y_j||
+    # is its trace norm
+    rng = np.random.default_rng(19)
+    for _ in range(25):
+        d = int(rng.integers(1, 7))
+        m = rand_complex(rng, d, d)
+        a, y = svd_terms(m)
+        np.testing.assert_allclose(np.einsum("jr,js->rs", y, a), m, atol=1e-12)
+        cost = (np.linalg.norm(a, axis=1) * np.linalg.norm(y, axis=1)).sum()
+        assert cost == pytest.approx(np.linalg.svd(m, compute_uv=False).sum(), rel=1e-12)
+
+
+def test_svd_factorization_rank_one():
+    y0 = np.array([1.0, 2.0, 0.0])
+    a0 = np.array([0.0, 3.0, 4.0])
+    m = np.outer(y0, a0)
+    a, y = svd_terms(m)
+    costs = np.linalg.norm(a, axis=1) * np.linalg.norm(y, axis=1)
+    assert np.count_nonzero(costs > 1e-12 * costs.max()) == 1
+    assert costs.sum() == pytest.approx(np.linalg.norm(y0) * np.linalg.norm(a0))
+    np.testing.assert_allclose(np.einsum("jr,js->rs", y, a), m, atol=1e-12)
+
+
+def test_svd_factorization_zero_matrix():
+    a, y = svd_terms(np.zeros((4, 4)))
+    assert not a.any()
+    np.testing.assert_allclose(np.einsum("jr,js->rs", y, a), np.zeros((4, 4)))
 
 
 # ------------------------------------------------------- Neumann series
