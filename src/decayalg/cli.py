@@ -39,10 +39,7 @@ def _add_run_flags(sub: argparse.ArgumentParser, seeded: bool = True) -> None:
     if seeded:  # wiener draws nothing: it has no seed and no trials
         sub.add_argument("--seed", type=int, default=None, help="override config seed")
         sub.add_argument("--trials", type=int, default=None, help="override trial count")
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv",
-                     help="csv: sidecar tables next to report.json; "
-                          "json: tables embedded in the report")
+    sub.add_argument("--out", default=None, help="output directory (default: .)")
 
 
 @functools.lru_cache(maxsize=1)
@@ -87,7 +84,7 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def _run_report_command(args) -> int:
     if args.command == "wiener":
-        report = run_wiener(_load_json(args.config), out_dir=args.out, fmt=args.format)
+        report = run_wiener(_load_json(args.config), out_dir=args.out)
         return _EXIT_NUMERICAL if "error" in report else _EXIT_OK
     cfg = _experiment_config(args)
     runner = {
@@ -95,7 +92,7 @@ def _run_report_command(args) -> int:
         "invert": run_inverse_closedness,
         "kernel": run_kernel,
     }[args.command]
-    report = runner(cfg, out_dir=args.out, fmt=args.format)
+    report = runner(cfg, out_dir=args.out)
     records = report.get("records", [])
     failed = [r for r in records if "error" in r]
     if records and len(failed) == len(records):

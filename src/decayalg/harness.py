@@ -111,7 +111,6 @@ _CONFIG_FIELDS = {
     "seed": "seed", "c": "c", "N": "window_radius", "W": "band_radius",
     "d": "local_dim", "q": "q", "weight": "weight", "envelope_profile": "envelope_profile",
     "block_rank": "block_rank", "trials": "trials", "boundary": "boundary",
-    "output_dir": "output_dir",
 }
 
 
@@ -130,7 +129,6 @@ class ExperimentConfig:
     block_rank: int = 1
     trials: int = 1
     boundary: str = "circulant"
-    output_dir: Optional[str] = None
 
     def __post_init__(self):
         try:  # int() alone would run 7.9 as 7, True as 1 and "4" as 4
@@ -155,15 +153,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown boundary {self.boundary!r}")
         if not isinstance(self.weight, Weight):
             raise ConfigError("weight must be a Weight")
-        if not isinstance(self.output_dir, (str, type(None))):
-            raise ConfigError("output_dir must be a string")
         envelope_values(self)  # validates the profile
 
     def to_json(self) -> dict:
         out = {key: getattr(self, name) for key, name in _CONFIG_FIELDS.items()}
         out.update(format_version=FORMAT_VERSION, weight=self.weight.to_json())
-        if self.output_dir is None:
-            del out["output_dir"]
         return out
 
     @classmethod
@@ -354,9 +348,13 @@ def _aggregates(kind: str, records: list) -> dict:
     return out
 
 
-def _resolve_out_dir(cfg_output_dir, out_dir) -> Path:
-    path = Path(out_dir if out_dir is not None else (cfg_output_dir or "."))
-    path.mkdir(parents=True, exist_ok=True)
+def _resolve_out_dir(out_dir) -> Path:
+    """The output directory (default "."), made if absent; ConfigError if it cannot be."""
+    path = Path(out_dir if out_dir is not None else ".")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, say
+        raise ConfigError(f"cannot make output directory {str(path)!r}: {exc}") from exc
     return path
 
 
@@ -367,7 +365,8 @@ def _run_trials(kind: str, cfg: ExperimentConfig, out_dir, run_trial) -> dict:
     out_path and returns its finished record.  Records are reported in
     trial order, whatever the worker count.
     """
-    out_path = _resolve_out_dir(cfg.output_dir, out_dir)
+    worker_count()  # a bad DECAYALG_THREADS is refused before the directory is made
+    out_path = _resolve_out_dir(out_dir)
     records = _map_trials(lambda trial: run_trial(trial, out_path), cfg.trials)
     report = {
         "format_version": FORMAT_VERSION,
@@ -383,8 +382,7 @@ def _run_trials(kind: str, cfg: ExperimentConfig, out_dir, run_trial) -> dict:
 # ------------------------------------------------------ inverse closedness
 
 
-def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None,
-                           fmt: str = "csv") -> dict:
+def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Generate, invert, certify, and measure decay, one record per trial.
 
     A trial with envelope l1 < 1 is invertible by its Neumann series
@@ -416,12 +414,9 @@ def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None,
             "sigma_min_lower": _json_float(res.sigma_min_lower),
             "slope": _json_float(decay_slope(res.envelope)),
             **_totals(table[-1][-1], table[-1][-2]),
+            "envelope_csv": f"envelope_trial_{trial:03d}.csv",
         }
-        if fmt == "csv":
-            rec["envelope_csv"] = f"envelope_trial_{trial:03d}.csv"
-            _write_csv(out_path / rec["envelope_csv"], _envelope_header(cfg.c), table)
-        else:
-            rec["envelope_rows"] = table
+        _write_csv(out_path / rec["envelope_csv"], _envelope_header(cfg.c), table)
         return rec
 
     return _run_trials("inverse_closedness", cfg, out_dir, one_trial)
@@ -487,7 +482,7 @@ def _geometric_closed_form_error(seq: FiniteSeq, inverse: FiniteSeq) -> Optional
     return worst
 
 
-_WIENER_FIELDS = ("symbol", "seq", "grid", "out_radius", "weight", "output_dir")
+_WIENER_FIELDS = ("symbol", "seq", "grid", "out_radius", "weight")
 
 
 def _wiener_inputs(cfg: dict) -> tuple:
@@ -495,8 +490,6 @@ def _wiener_inputs(cfg: dict) -> tuple:
     _config_object(cfg, _WIENER_FIELDS, ("grid", "out_radius"), "wiener config")
     if ("seq" in cfg) == ("symbol" in cfg):
         raise ConfigError("wiener config needs exactly one of 'symbol' and 'seq'")
-    if not isinstance(cfg.get("output_dir"), (str, type(None))):
-        raise ConfigError("output_dir must be a string")
     if "seq" in cfg:
         seq = _parsed("seq", lambda: FiniteSeq.from_json(cfg["seq"]))
     else:
@@ -532,10 +525,10 @@ def _wiener_partial_sums(inverse: FiniteSeq, weight: Weight, out_radius: int) ->
     return partial
 
 
-def run_wiener(cfg: dict, out_dir=None, fmt: str = "csv") -> dict:
+def run_wiener(cfg: dict, out_dir=None) -> dict:
     """Invert a scalar symbol on the torus and report coefficient decay."""
     seq, grid, out_radius, weight = _wiener_inputs(cfg)
-    out_path = _resolve_out_dir(cfg.get("output_dir"), out_dir)
+    out_path = _resolve_out_dir(out_dir)
 
     report: dict = {
         "format_version": FORMAT_VERSION,
@@ -562,17 +555,10 @@ def run_wiener(cfg: dict, out_dir=None, fmt: str = "csv") -> dict:
     report["residual"] = _json_float(result.residual)
     if closed is not None:
         report["closed_form_max_err"] = _json_float(closed)
-    report.update(_totals(partial[-1][1], partial[-1][2]))
-
-    inverse_json = result.inverse.to_json()
-    if fmt == "csv":
-        _write_json(out_path / "inverse.json", inverse_json)
-        _write_csv(out_path / "partial_sums.csv", _PARTIAL_SUMS_HEADER, partial)
-        report["inverse_json"] = "inverse.json"
-        report["partial_sums_csv"] = "partial_sums.csv"
-    else:
-        report["inverse"] = inverse_json
-        report["partial_sums"] = partial
+    report.update(_totals(partial[-1][1], partial[-1][2]),
+                  inverse_json="inverse.json", partial_sums_csv="partial_sums.csv")
+    _write_json(out_path / "inverse.json", result.inverse.to_json())
+    _write_csv(out_path / "partial_sums.csv", _PARTIAL_SUMS_HEADER, partial)
     _write_json(out_path / "report.json", report)
     return report
 
@@ -588,7 +574,7 @@ def kernel_input(cfg: ExperimentConfig, trial: int) -> GridFunction:
     return GridFunction(cfg.c, cfg.window_radius, cfg.q, values)
 
 
-def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
+def run_kernel(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Blocking isometry + kernel consistency experiment."""
     if cfg.q ** cfg.c != cfg.local_dim:
         raise ConfigError(
@@ -615,7 +601,7 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
             "isometry_exact": isometry,
             "round_trip_exact": bool(np.array_equal(unblock(blocked, cfg.q).values, f.values)),
         }
-        if trial == 0 and fmt == "csv":
+        if trial == 0:
             center = np.flatnonzero(~kern.keys.any(axis=(1, 2)))  # the block at (0, 0)
             if center.size:  # a zero centre offset assembles no block
                 name, blk = "kernel_block_trial_000.csv", kern.stack[center[0]].tolist()
@@ -637,7 +623,7 @@ def _operator_fields(op: CDOperator) -> dict:
     return {"n_blocks": op.n_blocks, "envelope_l1": _json_float(fit_envelope(op, "nuclear").l1())}
 
 
-def run_gen(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
+def run_gen(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Write the trial operators themselves (JSON) plus a manifest."""
 
     def one_trial(trial: int, out_path: Path) -> dict:
@@ -652,62 +638,37 @@ def run_gen(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv") -> dict:
 # ---------------------------------------------------------------- verify
 
 
-def _table_cell(cell, kind, text: bool):
-    """One table cell as `kind` (int for an index, float for a value).
-
-    A CSV cell (text) is parsed; an embedded cell must already be a JSON
-    number (an int for an index, never a bool).  Anything else raises
-    ValueError.
-    """
-    if text:
-        return kind(cell)
-    if isinstance(cell, bool) or not isinstance(cell, int if kind is int else (int, float)):
-        raise ValueError(f"{cell!r} is not a JSON {kind.__name__}")
-    return kind(cell)
-
-
 def _named_file(out_dir: Path, name) -> Optional[Path]:
     """The file a report names in its directory; None for a non-string name or no file."""
     path = out_dir / name if isinstance(name, str) else None
     return path if path is not None and path.is_file() else None
 
 
-def _read_table(out_dir: Path, csv_name, embedded, header: list, k: int,
-                absent: str, row: str) -> tuple:
-    """(rows, problems) of a report table: the CSV `csv_name`, or else the embedded rows.
+def _read_table(out_dir: Path, csv_name, header: list, k: int) -> tuple:
+    """(rows, problems) of the CSV table `csv_name` that a report names.
 
-    Its columns are `header`: k integer ones, then floats, every cell read
-    through _table_cell.  Rows are (label, ints, *floats); a label names
-    the row in messages ("{row} {i}" for an embedded row).  Problems are
-    structural: `absent` (no table), a missing or unreadable CSV, a bad
-    header, a row of the wrong length or with a cell that is no number.
+    Its columns are `header`: k integer ones, then floats.  Rows are
+    (label, ints, *floats), a label naming the file and line in messages.
+    Problems are structural: a missing or unreadable file, a bad header,
+    a row of the wrong length or with a cell that is no number.
     """
-    if csv_name is None:
-        if not isinstance(embedded, list):
-            return [], [absent]
-        labelled = [(f"{row} {i}", cells) for i, cells in enumerate(embedded)]
-        text = False
-    else:
-        path = _named_file(out_dir, csv_name)
-        if path is None:
-            return [], [f"missing CSV {csv_name}"]
-        try:
-            lines = path.read_text().splitlines()
-        except (OSError, ValueError) as exc:
-            return [], [f"{csv_name}: unreadable: {exc}"]
-        if not lines or lines[0] != ",".join(header):
-            return [], [f"{csv_name}: bad header"]
-        labelled = [(f"{csv_name}:{ln}", line.split(","))
-                    for ln, line in enumerate(lines[1:], start=2)]
-        text = True
+    path = _named_file(out_dir, csv_name)
+    if path is None:
+        return [], [f"missing CSV {csv_name}"]
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, ValueError) as exc:
+        return [], [f"{csv_name}: unreadable: {exc}"]
+    if not lines or lines[0] != ",".join(header):
+        return [], [f"{csv_name}: bad header"]
     rows, problems = [], []
-    for label, cells in labelled:
-        if not isinstance(cells, list) or len(cells) != len(header):
+    for ln, line in enumerate(lines[1:], start=2):
+        label, cells = f"{csv_name}:{ln}", line.split(",")
+        if len(cells) != len(header):
             problems.append(f"{label}: wrong column count")
             continue
         try:
-            ints = tuple(_table_cell(x, int, text) for x in cells[:k])
-            rows.append((label, ints, *(_table_cell(x, float, text) for x in cells[k:])))
+            rows.append((label, tuple(map(int, cells[:k])), *map(float, cells[k:])))
         except ValueError as exc:
             problems.append(f"{label}: bad cell: {exc}")
     return rows, problems
@@ -756,7 +717,7 @@ def _verify_wiener(report: dict, out_dir: Path) -> list:
     """Re-derive min_modulus, and whether an error belongs, from the echoed symbol and
     grid, and residual, closed_form_max_err and the partial sums from the stored inverse."""
     try:
-        seq, grid, out_radius, weight = _wiener_inputs(report["config"])
+        seq, grid, out_radius, weight = _wiener_inputs(report.get("config"))
     except ConfigError as exc:
         return [f"wiener config not reconstructible: {exc}"]
     mod = np.abs(symbol_on_grid(seq, grid))
@@ -767,11 +728,7 @@ def _verify_wiener(report: dict, out_dir: Path) -> list:
     elif "error" in report:
         return problems
     try:
-        if report.get("inverse_json") is not None:
-            inverse = json.loads((out_dir / report["inverse_json"]).read_text())
-        else:
-            inverse = report["inverse"]
-        inverse = FiniteSeq.from_json(inverse)
+        inverse = FiniteSeq.from_json(json.loads((out_dir / report["inverse_json"]).read_text()))
     except (OSError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         return problems + [f"wiener inverse not reconstructible: {exc!r}"]
     closed = _geometric_closed_form_error(seq, inverse)
@@ -779,10 +736,11 @@ def _verify_wiener(report: dict, out_dir: Path) -> list:
                "closed_form_max_err": None if closed is None else _json_float(closed)}
     problems += [f"{key} does not match the stored inverse"
                  for key, value in derived.items() if report.get(key) != value]
+    if report.get("partial_sums_csv") is None:
+        return problems + ["wiener report has no partial sums"]
     want = _wiener_partial_sums(inverse, weight, out_radius)
-    rows, table_problems = _read_table(
-        out_dir, report.get("partial_sums_csv"), report.get("partial_sums"),
-        _PARTIAL_SUMS_HEADER, 1, "wiener report has no partial sums", "embedded partial sum")
+    rows, table_problems = _read_table(out_dir, report["partial_sums_csv"],
+                                       _PARTIAL_SUMS_HEADER, 1)
     if not table_problems and len(rows) != len(want):
         table_problems = [f"{len(rows)} partial sum rows, want {len(want)}"]
     return problems + (table_problems or _compare_rows(rows, want, _PARTIAL_SUMS_HEADER) + [
@@ -835,40 +793,38 @@ def verify_report(path) -> list:
     if report.get("format_version") != FORMAT_VERSION:
         return [f"unsupported format_version {report.get('format_version')}"]
     kind = report.get("kind")
-    records = report.get("records", [])
-    aggregates = report.get("aggregates", {})
-    cfg = report.get("config")
+    if kind == "wiener":
+        return _verify_wiener(report, path.parent)
+    if kind not in ("inverse_closedness", "kernel", "gen"):
+        return [f"unknown report kind {kind!r}"]
+    records, aggregates = report.get("records"), report.get("aggregates")
     if not (isinstance(records, list) and all(isinstance(r, dict) for r in records)):
         return ["records is not a list of objects"]
-    if not isinstance(aggregates, dict) or not isinstance(cfg, dict):
-        return ["aggregates or config is not an object"]
-
-    problems = []
-    if "records" in report:
-        try:
-            derived = _aggregates(kind, records)
-        except (AttributeError, KeyError, TypeError) as exc:
-            return [f"aggregates not derivable from the records: {exc!r}"]
-        for key, value in derived.items():
-            if aggregates.get(key) != value:
-                problems.append(f"aggregate {key} does not match records")
-    if kind == "wiener":
-        return problems + _verify_wiener(report, path.parent)
-    if kind not in ("inverse_closedness", "kernel", "gen"):
-        return problems + [f"unknown report kind {kind!r}"]
+    if not isinstance(aggregates, dict):
+        return ["aggregates is not an object"]
+    try:
+        derived = _aggregates(kind, records)
+    except (AttributeError, KeyError, TypeError) as exc:
+        return [f"aggregates not derivable from the records: {exc!r}"]
+    problems = [f"aggregate {key} does not match records"
+                for key, value in derived.items() if aggregates.get(key) != value]
     try:  # the parser of the command line, so the checks below see a valid config
-        cfg = ExperimentConfig.from_json(cfg)
+        cfg = ExperimentConfig.from_json(report.get("config"))
     except ConfigError as exc:
         return problems + [f"config not reconstructible: {exc}"]
+    trials = [r.get("trial") for r in records]  # compared as JSON text: true or 1.0 is no 1
+    if len(trials) != cfg.trials or json.dumps(trials) != json.dumps(list(range(cfg.trials))):
+        problems.append(f"records are not trials 0 to {cfg.trials - 1} in order")
     if kind == "inverse_closedness":
         header = _envelope_header(cfg.c)
         for r in (r for r in records if "error" not in r):
             trial = r.get("trial")
             if not r.get("envelope_dominates", False):
                 problems.append(f"trial {trial}: envelope domination violated")
-            rows, table_problems = _read_table(
-                path.parent, r.get("envelope_csv"), r.get("envelope_rows"), header, cfg.c,
-                f"trial {trial}: no envelope table", f"trial {trial}: embedded row")
+            if r.get("envelope_csv") is None:
+                problems.append(f"trial {trial}: no envelope table")
+                continue
+            rows, table_problems = _read_table(path.parent, r["envelope_csv"], header, cfg.c)
             problems.extend(table_problems or _verify_envelope_table(rows, r, cfg))
     elif kind == "gen":
         problems.extend(_read_back(
@@ -876,6 +832,8 @@ def verify_report(path) -> list:
             lambda p: CDOperator.from_json(json.loads(p.read_text())), ("an operator", "operator"),
             ("c", "N", "W", "d", "boundary"), _operator_fields))
     else:
+        if records and "grid_file" not in records[0]:  # trial 0 always writes one
+            problems.append("trial 0: names no grid_file")
         problems.extend(_read_back(records, cfg, path.parent, "kernel_block_csv"))
         problems.extend(_read_back(records, cfg, path.parent, "grid_file", read_grid_function,
                                    ("a grid function", "grid"), ("c", "N", "q")))

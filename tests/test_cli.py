@@ -1,4 +1,4 @@
-"""End-to-end command-line tests: exit codes, overrides, output formats."""
+"""End-to-end command-line tests: exit codes, overrides, outputs."""
 
 import json
 
@@ -64,16 +64,6 @@ def test_seed_and_trials_overrides(tmp_path):
     other = json.loads((b / "report.json").read_text())
     assert other["config"]["seed"] == 99
     assert other["records"][0]["residual"] != report["records"][0]["residual"]
-
-
-def test_json_format_embeds_tables(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", trials=1)
-    out = tmp_path / "out"
-    assert main(["invert", "--config", str(cfg), "--out", str(out),
-                 "--format", "json"]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert "envelope_rows" in report["records"][0]
-    assert not list(out.glob("*.csv"))
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -142,10 +132,10 @@ def test_verify_report_missing_file_exits_4(tmp_path, capsys):
     assert "cannot load" in capsys.readouterr().err
 
 
-def invert_report(tmp_path, fmt):
+def invert_report(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "out"
-    assert main(["invert", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
+    assert main(["invert", "--config", str(cfg), "--out", str(out)]) == 0
     return out / "report.json"
 
 
@@ -157,7 +147,7 @@ def assert_verify_problem(capsys, report, message):
 
 
 def test_verify_report_non_numeric_csv_cell_exits_4(tmp_path, capsys):
-    report = invert_report(tmp_path, "csv")
+    report = invert_report(tmp_path)
     csv_path = report.parent / "envelope_trial_000.csv"
     lines = csv_path.read_text().splitlines()
     lines[1] = ",".join(["x"] + lines[1].split(",")[1:])  # the m_1 cell
@@ -166,7 +156,7 @@ def test_verify_report_non_numeric_csv_cell_exits_4(tmp_path, capsys):
 
 
 def test_verify_report_offset_outside_the_band_exits_4(tmp_path, capsys):
-    report = invert_report(tmp_path, "csv")
+    report = invert_report(tmp_path)
     csv_path = report.parent / "envelope_trial_000.csv"
     lines = csv_path.read_text().splitlines()
     lines[2] = ",".join(["-7"] + lines[2].split(",")[1:])  # -7 + N would wrap as an index
@@ -199,7 +189,7 @@ def test_verify_report_operator_index_beyond_the_window_exits_4(tmp_path, capsys
 
 
 def test_verify_report_version_1_report_exits_4(tmp_path, capsys):
-    report = invert_report(tmp_path, "csv")
+    report = invert_report(tmp_path)
     obj = json.loads(report.read_text())
     obj["format_version"] = 1  # trace norms of rank <= 2 blocks changed in version 2
     report.write_text(json.dumps(obj))
@@ -207,7 +197,7 @@ def test_verify_report_version_1_report_exits_4(tmp_path, capsys):
 
 
 def test_verify_report_version_2_report_exits_4(tmp_path, capsys):
-    report = invert_report(tmp_path, "csv")
+    report = invert_report(tmp_path)
     obj = json.loads(report.read_text())
     obj["format_version"] = 2  # blocks and grid cells draw from keyed lanes in version 3
     report.write_text(json.dumps(obj))
@@ -215,7 +205,7 @@ def test_verify_report_version_2_report_exits_4(tmp_path, capsys):
 
 
 def test_verify_report_version_3_report_exits_4(tmp_path, capsys):
-    report = invert_report(tmp_path, "csv")
+    report = invert_report(tmp_path)
     obj = json.loads(report.read_text())
     obj["format_version"] = 3  # residual and condition became norm bounds in version 4
     report.write_text(json.dumps(obj))
@@ -238,19 +228,20 @@ def test_a_version_2_config_exits_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda rows: rows[0].__setitem__(0, "x"), "bad cell"),
-    (lambda rows: rows[0].__setitem__(0, 1.5), "bad cell"),  # an index must be an int
-    (lambda rows: rows[0].__setitem__(1, True), "bad cell"),
-    (lambda rows: rows[0].__setitem__(3, None), "bad cell"),
-    (lambda rows: rows[0].__setitem__(4, "0.5"), "bad cell"),
+    (lambda rows: rows[0].__setitem__(0, "1.5"), "bad cell"),  # an index must be an int
+    (lambda rows: rows[0].__setitem__(3, ""), "bad cell"),
     (lambda rows: rows[0].pop(), "wrong column count"),
-    (lambda rows: rows.__setitem__(0, "x"), "wrong column count"),
+    (lambda rows: rows.__setitem__(0, ["x"]), "wrong column count"),
 ])
 def test_verify_report_malformed_embedded_row_exits_4(tmp_path, capsys, edit, message):
-    report = invert_report(tmp_path, "json")
-    obj = json.loads(report.read_text())
-    edit(obj["records"][1]["envelope_rows"])
-    report.write_text(json.dumps(obj))
-    assert_verify_problem(capsys, report, f"trial 1: embedded row 0: {message}")
+    """The first data row of trial 1's envelope CSV, edited cell by cell."""
+    report = invert_report(tmp_path)
+    csv_path = report.parent / "envelope_trial_001.csv"
+    header, *lines = csv_path.read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    edit(rows)
+    csv_path.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+    assert_verify_problem(capsys, report, f"envelope_trial_001.csv:2: {message}")
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -263,6 +254,35 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # one output layout: no --format
+        main(["invert", "--config", "c.json", "--format", "csv"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["invert", "wiener"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_an_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command, below):
+    cfg = (write_config if command == "invert" else wiener_config)(tmp_path / "c.json")
+    blocker = tmp_path / "f"
+    blocker.write_text("")
+    out = blocker / "x" if below else blocker
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: cannot make output directory" in err and "Traceback" not in err
+
+
+def test_a_bad_thread_count_makes_no_output_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DECAYALG_THREADS", "abc")
+    cfg = write_config(tmp_path / "cfg.json")
+    assert_config_error(tmp_path, capsys, ["invert", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("command", ["invert", "wiener"])
+def test_output_dir_is_an_unknown_config_key(tmp_path, capsys, command):
+    cfg = (write_config if command == "invert" else wiener_config)(tmp_path / "c.json",
+                                                                    output_dir="runs")
+    assert_config_error(tmp_path, capsys, [command, "--config", str(cfg)])
+    assert not (tmp_path / "runs").exists()
 
 
 def write_raw_config(path, profile_text):
@@ -375,7 +395,7 @@ def test_infinite_integer_field_exits_2(tmp_path, capsys, field):
     ("output_dir", 5), ("output_dir", ["x"])])
 def test_non_integer_integer_field_exits_2(tmp_path, capsys, field, value):
     # int() alone would have run the first four as seed 7, 2 trials, 1 trial and N = 4;
-    # an output_dir that is no string is refused like them, not by a TypeError
+    # output_dir is no config key at all, whatever its value: --out sets the directory
     cfg = write_config(tmp_path / "cfg.json", **{field: value})
     assert_config_error(tmp_path, capsys, ["invert", "--config", str(cfg)])
 
@@ -400,16 +420,16 @@ def test_one_parser_and_independent_main_calls(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["kernel", "--config", str(cfg), "--out", str(a), "--seed", "5",
-                 "--trials", "1", "--format", "json"]) == 0
+                 "--trials", "1"]) == 0
     assert main(["kernel", "--config", str(cfg), "--out", str(b)]) == 0
     first = json.loads((a / "report.json").read_text())
     second = json.loads((b / "report.json").read_text())
     assert (first["config"]["seed"], first["config"]["trials"]) == (5, 1)
     assert (second["config"]["seed"], second["config"]["trials"]) == (21, 2)
-    assert "kernel_block_csv" not in first["records"][0]
+    assert [r["trial"] for r in second["records"]] == [0, 1]
     assert (b / second["records"][0]["kernel_block_csv"]).exists()
     args = build_parser().parse_args(["gen", "--config", str(cfg)])
-    assert (args.seed, args.trials, args.out, args.format) == (None, None, None, "csv")
+    assert (args.seed, args.trials, args.out) == (None, None, None)
 
 def wiener_config(path, **fields):
     obj = {"symbol": "3+u+u^{-1}", "grid": 256, "out_radius": 20}
@@ -482,7 +502,7 @@ def test_wiener_negative_out_radius_exits_2(tmp_path, capsys):
     {"out_radius": True},  # would run as 1
     {"out_radius": 20.5},
     {"c": 1.5},
-    {"output_dir": ["x"]},  # no string: refused up front, not by a TypeError
+    {"output_dir": ["x"]},  # no config key: --out sets the directory
     {"output_dir": 5},
     # a seq beside the symbol: the run would compute from one and echo the other
     {"seq": {"c": 1, "radius": 1, "entries": [{"index": [0], "re": 2.0, "im": 0.0},
@@ -511,6 +531,62 @@ def test_wiener_has_no_seed_or_trials_flag(tmp_path, flag):
         main(["wiener", "--config", str(cfg), flag, "3", "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert not (tmp_path / "o").exists()
+
+
+def run_and_edit(tmp_path, command, edit):
+    """Run `command` on the default config of its kind, edit its report in place; the report's path."""
+    cfg = (wiener_config if command == "wiener" else write_config)(tmp_path / "c.json")
+    path = tmp_path / "out" / "report.json"
+    assert main([command, "--config", str(cfg), "--out", str(path.parent)]) == 0
+    report = json.loads(path.read_text())
+    edit(report)
+    path.write_text(json.dumps(report))
+    return path
+
+
+def drop_sidecar_names(report):
+    """The report as the deleted `--format json` layout wrote it: no record or
+    report names a table file (its tables were embedded instead)."""
+    for rec in report.get("records", []):
+        for key in ("envelope_csv", "kernel_block_csv", "grid_file"):
+            rec.pop(key, None)
+    report.pop("inverse_json", None)
+    report.pop("partial_sums_csv", None)
+
+
+@pytest.mark.parametrize("command, message", [
+    ("invert", "trial 0: no envelope table"),
+    ("kernel", "trial 0: names no grid_file"),
+    ("wiener", "wiener inverse not reconstructible"),
+])
+def test_a_version_4_report_of_the_json_layout_exits_4(tmp_path, capsys, command, message):
+    assert_verify_problem(capsys, run_and_edit(tmp_path, command, drop_sidecar_names), message)
+
+
+@pytest.mark.parametrize("command", ["gen", "invert", "kernel"])
+def test_a_report_whose_config_names_output_dir_exits_4(tmp_path, capsys, command):
+    path = run_and_edit(tmp_path, command, lambda r: r["config"].update(output_dir="runs"))
+    assert_verify_problem(capsys, path, "unknown config fields: ['output_dir']")
+
+
+def recompute_aggregates(report):
+    report["aggregates"] = harness._aggregates(report["kind"], report["records"])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r.pop("records"),
+    lambda r: r.pop("records") and r.update(aggregates={}),
+    lambda r: r.update(records=[]) or recompute_aggregates(r),
+    lambda r: r["records"].pop(1) and recompute_aggregates(r),
+    lambda r: r["records"].reverse() or recompute_aggregates(r),
+], ids=["no-records", "no-records-no-aggregates", "empty-records", "record-1-dropped",
+        "records-reversed"])
+def test_verify_report_without_every_record_exits_4(tmp_path, capsys, edit):
+    path = run_and_edit(tmp_path, "invert", edit)  # two trials
+    capsys.readouterr()
+    assert main(["verify-report", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.strip() and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, edit", [

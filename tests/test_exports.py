@@ -7,13 +7,17 @@ package root exports nothing but its version.
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import decayalg
+from decayalg import harness
 
 MODULES = ["decayalg"] + sorted(
     f"decayalg.{info.name}" for info in pkgutil.iter_modules(decayalg.__path__)
@@ -125,3 +129,18 @@ def test_every_name_the_benchmark_imports_from_decayalg_resolves():
     assert "from decayalg.rng import Xoshiro256StarStar" in statements
     assert unresolved(statements) == []
     assert unresolved(["from decayalg.rng import Moved"]) == ["from decayalg.rng import Moved"]
+
+
+def test_the_benchmark_tracer_patches_every_layer(monkeypatch):
+    # the tracer wraps the runners and the trial pool by name: after a rename
+    # the traced run only prints "not traced (missing)" and its counters read 0
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, layers)  # dataclasses look it up by name
+    spec.loader.exec_module(layers)
+    svd, map_trials = np.linalg.svd, harness._map_trials
+    with layers.Tracer() as t:
+        assert t.missing == []
+        assert harness._map_trials is not map_trials
+    assert np.linalg.svd is svd and harness._map_trials is map_trials

@@ -51,10 +51,7 @@ _KERNEL_C2 = {
 # case name -> (subcommand, config, extra CLI flags)
 CASES = {
     "invert-criterion7-csv": ("invert", _CRITERION_7, ["--trials", "2"]),
-    "invert-criterion7-json": ("invert", _CRITERION_7,
-                               ["--trials", "2", "--format", "json"]),
     "kernel-c2-q2-d4": ("kernel", _KERNEL_C2, []),
-    "kernel-c2-q2-d4-json": ("kernel", _KERNEL_C2, ["--format", "json"]),
     "gen-table-zeros": ("gen", {
         "seed": 3, "c": 1, "N": 3, "W": 1, "d": 3, "block_rank": 1, "trials": 2,
         "envelope_profile": {"kind": "table", "values": [0.25, 0.0, 0.5]},

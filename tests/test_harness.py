@@ -526,17 +526,6 @@ def test_trials_past_the_neumann_series_are_certified(tmp_path):
     assert verify_report(tmp_path / "report.json") == []
 
 
-def test_run_inverse_closedness_json_format(tmp_path):
-    cfg = small_config(trials=1)
-    report = run_inverse_closedness(cfg, out_dir=tmp_path, fmt="json")
-    rec = report["records"][0]
-    assert "envelope_csv" not in rec
-    rows = rec["envelope_rows"]
-    assert len(rows) == 2 * cfg.window_radius + 1  # full band after inversion
-    assert not list(tmp_path.glob("*.csv"))
-    assert verify_report(tmp_path / "report.json") == []
-
-
 def test_run_inverse_closedness_zero_envelope(tmp_path):
     # a zero operator inverts to zero; the slope is not applicable
     cfg = small_config(envelope_profile={"kind": "table", "values": [0.0, 0.0, 0.0]})
@@ -832,6 +821,16 @@ def tamper(path, edit):
     return verify_report(path)
 
 
+def tamper_csv(path, edit):
+    """Apply edit to the data rows (lists of cells) of the CSV table at path;
+    return verify_report of the report beside it."""
+    header, *lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    edit(rows)
+    path.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+    return verify_report(path.parent / "report.json")
+
+
 def test_verify_report_catches_max_condition(tmp_path):
     run_inverse_closedness(small_config(), out_dir=tmp_path)
     problems = tamper(tmp_path / "report.json",
@@ -879,33 +878,23 @@ def test_verify_report_checks_weighted_total_against_csv(tmp_path):
 
 
 def test_verify_report_checks_final_increment_against_embedded_rows(tmp_path):
-    run_inverse_closedness(small_config(), out_dir=tmp_path, fmt="json")
-    assert_slope_and_invertibility_check_rederived(tmp_path / "report.json")
+    run_inverse_closedness(small_config(), out_dir=tmp_path)
     problems = tamper(tmp_path / "report.json",
                       lambda r: r["records"][0].update(final_increment=0.5))
     assert problems == ["trial 0: final_increment does not match its envelope table"]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_verify_report_rederives_the_offsets_of_an_envelope_table(tmp_path, fmt):
+def test_verify_report_rederives_the_offsets_of_an_envelope_table(tmp_path):
     # the row of m = 1 claims m = -1: the weight (1+|m|) is symmetric, so only
     # re-deriving the table from its (m, beta) columns sees it
-    run_inverse_closedness(small_config(trials=1), out_dir=tmp_path, fmt=fmt)
-    path = tmp_path / "report.json"
-    if fmt == "csv":
-        csv_path = tmp_path / "envelope_trial_000.csv"
-        lines = csv_path.read_text().splitlines()
-        row = next(i for i, line in enumerate(lines) if line.startswith("1,"))
-        lines[row] = "-1" + lines[row][1:]
-        csv_path.write_text("\n".join(lines) + "\n")
-        label = f"envelope_trial_000.csv:{row + 1}"
-        problems = verify_report(path)
-    else:
-        rows = json.loads(path.read_text())["records"][0]["envelope_rows"]
-        row = next(i for i, cells in enumerate(rows) if cells[0] == 1)
-        problems = tamper(path, lambda r: r["records"][0]["envelope_rows"][row].__setitem__(0, -1))
-        label = f"trial 0: embedded row {row}"
-    assert f"{label}: m_1 mismatch" in problems
+    run_inverse_closedness(small_config(trials=1), out_dir=tmp_path)
+    csv_path = tmp_path / "envelope_trial_000.csv"
+    lines = csv_path.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("1,"))
+    lines[row] = "-1" + lines[row][1:]
+    csv_path.write_text("\n".join(lines) + "\n")
+    assert f"envelope_trial_000.csv:{row + 1}: m_1 mismatch" in verify_report(
+        tmp_path / "report.json")
 
 
 @pytest.mark.parametrize("column, value, message", [
@@ -914,15 +903,15 @@ def test_verify_report_rederives_the_offsets_of_an_envelope_table(tmp_path, fmt)
     (1, -0.5, "negative beta"),
 ])
 def test_verify_report_lists_an_impossible_envelope_row(tmp_path, column, value, message):
-    run_inverse_closedness(small_config(trials=1), out_dir=tmp_path, fmt="json")
-    problems = tamper(tmp_path / "report.json",
-                      lambda r: r["records"][0]["envelope_rows"][2].__setitem__(column, value))
-    assert problems == [f"trial 0: embedded row 2: {message}"]
+    run_inverse_closedness(small_config(trials=1), out_dir=tmp_path)
+    problems = tamper_csv(tmp_path / "envelope_trial_000.csv",
+                          lambda rows: rows[2].__setitem__(column, repr(value)))
+    assert problems == [f"envelope_trial_000.csv:4: {message}"]
 
 
 def test_verify_report_counts_the_envelope_rows(tmp_path):
-    run_inverse_closedness(small_config(trials=1), out_dir=tmp_path, fmt="json")
-    problems = tamper(tmp_path / "report.json", lambda r: r["records"][0]["envelope_rows"].pop())
+    run_inverse_closedness(small_config(trials=1), out_dir=tmp_path)
+    problems = tamper_csv(tmp_path / "envelope_trial_000.csv", lambda rows: rows.pop())
     assert problems == ["trial 0: 6 envelope rows, want 7"]
 
 
@@ -1065,15 +1054,23 @@ def test_wiener_inverse_and_the_verifier_share_the_vanishing_predicate():
 
 def test_verify_report_rederives_wiener_partial_sums_json(tmp_path):
     run_wiener({"symbol": "3+u+u^{-1}", "grid": 128, "out_radius": 8, "weight": {"s": 1.0}},
-               out_dir=tmp_path, fmt="json")
-    path = tmp_path / "report.json"
-    original = path.read_text()
+               out_dir=tmp_path)
+    path, csv_path = tmp_path / "report.json", tmp_path / "partial_sums.csv"
+    original, table = path.read_text(), csv_path.read_text()
     assert verify_report(path) == []
-    problems = tamper(path, lambda r: r["partial_sums"][2].__setitem__(1, 0.25))
-    assert problems == ["embedded partial sum 2: partial_sum mismatch"]
-    path.write_text(original)
+    problems = tamper_csv(csv_path, lambda rows: rows[2].__setitem__(1, "0.25"))
+    assert problems == ["partial_sums.csv:4: partial_sum mismatch"]
+    csv_path.write_text(table)
     problems = tamper(path, lambda r: r.update(weighted_total=1.0))
     assert problems == ["weighted_total does not match the partial sums"]
     path.write_text(original)
-    problems = tamper(path, lambda r: r["inverse"]["entries"][0].update(im=0.5))
+    inverse_path = tmp_path / "inverse.json"
+    stored = inverse_path.read_text()
+    inverse = json.loads(stored)
+    inverse["entries"][0].update(im=0.5)
+    inverse_path.write_text(json.dumps(inverse))
+    problems = verify_report(path)
     assert problems and all("mismatch" in p or "match" in p for p in problems)
+    inverse_path.write_text(stored)
+    assert tamper(path, lambda r: r.pop("partial_sums_csv")) == [
+        "wiener report has no partial sums"]
