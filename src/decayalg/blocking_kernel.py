@@ -34,7 +34,7 @@ from .cd_operator import (
     lp_accumulate,
     sum_groups,
 )
-from .lattice import as_number, flat_offsets, window_indices, window_size
+from .lattice import flat_offsets, window_indices, window_size
 
 __all__ = [
     "GridFunction",
@@ -45,8 +45,7 @@ __all__ = [
     "assemble_kernel",
     "apply_kernel",
     "attach_svd_factorizations",
-    "write_grid_function",
-    "read_grid_function",
+    "grid_bytes",
 ]
 
 
@@ -186,35 +185,12 @@ def apply_kernel(kernel: Kernel, f: GridFunction) -> GridFunction:
 # ----------------------------------------------------------------- files
 
 
-def write_grid_function(f: GridFunction, path) -> None:
-    """One JSON header line, then the samples as little-endian complex128.
+def grid_bytes(f: GridFunction) -> bytes:
+    """The grid file: one JSON header line, then the samples as little-endian complex128.
 
     The payload is laid out cell-major (cells in lexicographic order,
     raster order inside each cell); each sample is a little-endian pair
     of 64-bit floats (re, im).
     """
-    header = {"c": f.c, "N": f.window_radius, "q": f.q}
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii"))
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(f.values).astype("<c16").tobytes())
-
-
-def read_grid_function(path) -> GridFunction:
-    with open(path, "rb") as fh:
-        first = fh.readline()
-        try:
-            header = json.loads(first.decode("ascii"))
-            c, n, q = (as_number(header[key], int, key) for key in ("c", "N", "q"))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"bad grid-function header: {exc}") from exc
-        payload = fh.read()
-    n_cells = window_size(n, c)
-    expected = n_cells * (q ** c) * 16
-    if len(payload) != expected:
-        raise ValueError(
-            f"payload is {len(payload)} bytes, expected {expected}"
-        )
-    vals = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
-    return GridFunction(c, n, q, vals.reshape(n_cells, q ** c))
-
+    header = json.dumps({"c": f.c, "N": f.window_radius, "q": f.q}, sort_keys=True)
+    return header.encode("ascii") + b"\n" + f.values.astype("<c16").tobytes()

@@ -343,7 +343,8 @@ class CDOperator(BlockStore):
                 raise ValueError("inconsistent block dimensions in JSON")
             if not (np.isfinite(re).all() and np.isfinite(im).all()):
                 raise ValueError("block entries must be finite")
-            blocks[(k, m)] = re + 1j * im
+            blocks[(k, m)] = z = np.empty(re.shape, dtype=np.complex128)
+            z.real, z.imag = re, im  # re + 1j * im would turn a -0.0 real part into 0.0
         c, n, w, d = (as_number(obj[key], int, key) for key in ("c", "N", "W", "d"))
         return cls(c, n, w, d, obj["boundary"], blocks)
 

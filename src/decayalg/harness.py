@@ -4,8 +4,11 @@ Experiments are fully deterministic: every block of a trial's operator,
 and every cell of a kernel run's grid, draws from its own xoshiro256**
 lane keyed by (seed, domain, trial, cell[, offset]).  Trials may run in
 parallel (capped by the DECAYALG_THREADS environment variable) but are
-merged in trial order, and all emitted JSON/CSV, written and read back
-only here, is byte-stable — sorted keys, repr'd floats, no timestamps.
+merged in trial order, and every output file is byte-stable: sorted keys,
+repr'd floats, no timestamps.  Each file has one renderer here, a function
+returning its content and the record fields read off it; the runner writes
+that content, and verify_report calls the same renderer on the evidence the
+report holds and compares text and fields exactly.
 """
 
 from __future__ import annotations
@@ -22,15 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .blocking_kernel import (
-    GridFunction,
-    apply_kernel,
-    assemble_kernel,
-    block,
-    read_grid_function,
-    unblock,
-    write_grid_function,
-)
+from .blocking_kernel import (GridFunction, apply_kernel, assemble_kernel, block, grid_bytes,
+                              unblock)
 from .cd_operator import (
     CDOperator,
     Envelope,
@@ -42,7 +38,7 @@ from .cd_operator import (
     geometry_plan,
     invert_one_plus,
 )
-from .lattice import as_number, window_array, window_indices, window_size
+from .lattice import as_number, only_keys, window_array, window_indices, window_size
 from .rng import box_muller, lane_keys, lanes, uniforms
 from .seq_algebra import (FiniteSeq, SymbolVanishes, check_sizes, convolve, delta,
                           symbol_on_grid, symbol_vanishes, wiener_inverse)
@@ -66,7 +62,8 @@ __all__ = [
 
 FORMAT_VERSION = 4
 
-_PROFILE_KINDS = ("exponential", "polynomial", "table")
+# each envelope profile kind and its parameter; every kind may also take an l1 target
+_PROFILES = {"exponential": "rate", "polynomial": "power", "table": "values"}
 
 
 class ConfigError(ValueError):
@@ -172,9 +169,10 @@ class ExperimentConfig:
 def envelope_values(cfg: ExperimentConfig) -> np.ndarray:
     """The target envelope beta_m over the band, from the profile; ConfigError if malformed."""
     prof = cfg.envelope_profile
-    if not isinstance(prof, dict) or prof.get("kind") not in _PROFILE_KINDS:
-        raise ConfigError(f"envelope_profile needs a 'kind' among {_PROFILE_KINDS}")
-    kind = prof["kind"]
+    if not isinstance(prof, dict) or prof.get("kind") not in list(_PROFILES):
+        raise ConfigError(f"envelope_profile needs a 'kind' among {tuple(_PROFILES)}")
+    kind, param = prof["kind"], _PROFILES[prof["kind"]]
+    _parsed("envelope_profile", lambda: only_keys(prof, ("kind", param, "l1"), f"{kind} profile"))
     if kind == "table":
         values, want = prof.get("values"), window_size(cfg.band_radius, cfg.c)
         if not isinstance(values, (list, tuple)) or len(values) != want:
@@ -183,7 +181,7 @@ def envelope_values(cfg: ExperimentConfig) -> np.ndarray:
         if not (np.isfinite(vals).all() and (vals >= 0).all()):
             raise ConfigError("table values must be finite and nonnegative")
     else:  # exp or power of each offset's l1 size
-        p = _positive(prof, "rate" if kind == "exponential" else "power")
+        p = _positive(prof, param)
         sizes = np.abs(window_array(cfg.band_radius, cfg.c)).sum(axis=1)
         vals = np.exp(-p * sizes) if kind == "exponential" else (1.0 + sizes) ** -p
     if "l1" in prof:
@@ -292,33 +290,31 @@ def _json_float(x) -> Optional[float]:
 # ----------------------------------------------------------------- tables
 
 
-def _write_json(path: Path, obj) -> None:
+def _json_text(obj) -> str:
     """A JSON file: sorted keys, two-space indent, one trailing newline."""
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
+def _csv_text(header: list, rows) -> str:
     """A CSV table: the header, then each row's values by repr (shortest round trip)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    return ",".join(header) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
-def _envelope_header(c: int) -> list:
-    """Columns of an envelope table: the offset m_1..m_c, then its values."""
-    return [f"m_{i + 1}" for i in range(c)] + ["beta", "weight", "weighted_beta", "cumsum"]
+def _write(path: Path, content) -> None:
+    """A renderer's content as the file at path: text (ASCII) or bytes."""
+    path.write_bytes(content.encode("ascii") if isinstance(content, str) else content)
+
+
+def _shells(radius: int, c: int) -> list:
+    """The offsets |m| <= radius by shells of |m|, lexicographic within: a table's rows."""
+    return sorted(window_indices(radius, c), key=lambda m: (max(abs(x) for x in m), m))
 
 
 def _envelope_table(env: Envelope, weight: Weight) -> list:
-    """Rows [*m, beta_m, g(m), g(m) beta_m, running sum]: radius shells, lexicographic within.
-
-    The runner writes these rows and verify_report re-derives them.
-    """
-    order = sorted(window_indices(env.radius, env.c),
-                   key=lambda m: (max(abs(x) for x in m), m))
+    """Rows [*m, beta_m, g(m), g(m) beta_m, running sum] in `_shells` order."""
+    order = _shells(env.radius, env.c)
     gvals = weight.eval_many(np.array(order, dtype=float).reshape(len(order), env.c))
-    rows = []
-    running = 0.0
+    rows, running = [], 0.0
     for m, g in zip(order, gvals):
         beta = env.beta(m)
         weighted = float(g) * beta
@@ -327,9 +323,15 @@ def _envelope_table(env: Envelope, weight: Weight) -> list:
     return rows
 
 
-def _totals(total, increment) -> dict:
-    """A record's weighted_total and final_increment, read off its table's last row."""
-    return {"weighted_total": _json_float(total), "final_increment": _json_float(increment)}
+def _envelope_csv(env: Envelope, weight: Weight) -> tuple:
+    """An envelope table file, columns m_1..m_c, beta, weight, weighted_beta and cumsum,
+    and its record's weighted_total, final_increment and slope."""
+    header = [f"m_{i + 1}" for i in range(env.c)] + ["beta", "weight", "weighted_beta", "cumsum"]
+    table = _envelope_table(env, weight)
+    return _csv_text(header, table), {
+        "weighted_total": _json_float(table[-1][-1]),
+        "final_increment": _json_float(table[-1][-2]),
+        "slope": _json_float(decay_slope(env))}
 
 
 def _aggregates(kind: str, records: list) -> dict:
@@ -375,7 +377,7 @@ def _run_trials(kind: str, cfg: ExperimentConfig, out_dir, run_trial) -> dict:
         "records": records,
         "aggregates": _aggregates(kind, records),
     }
-    _write_json(out_path / "report.json", report)
+    _write(out_path / "report.json", _json_text(report))
     return report
 
 
@@ -401,7 +403,7 @@ def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None) -> dict:
         except NumericallySingular as exc:
             return {"trial": trial, "error": str(exc)}
         env_l1 = res.t_envelope.l1()
-        table = _envelope_table(res.envelope, cfg.weight)
+        table, fields = _envelope_csv(res.envelope, cfg.weight)
         rec = {
             "trial": trial,
             "envelope_l1": _json_float(env_l1),
@@ -412,11 +414,10 @@ def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None) -> dict:
             "residual": _json_float(res.residual),
             "condition": _json_float(res.condition),
             "sigma_min_lower": _json_float(res.sigma_min_lower),
-            "slope": _json_float(decay_slope(res.envelope)),
-            **_totals(table[-1][-1], table[-1][-2]),
+            **fields,
             "envelope_csv": f"envelope_trial_{trial:03d}.csv",
         }
-        _write_csv(out_path / rec["envelope_csv"], _envelope_header(cfg.c), table)
+        _write(out_path / rec["envelope_csv"], table)
         return rec
 
     return _run_trials("inverse_closedness", cfg, out_dir, one_trial)
@@ -504,25 +505,20 @@ def _wiener_inputs(cfg: dict) -> tuple:
     return seq, grid, out_radius, weight
 
 
-_PARTIAL_SUMS_HEADER = ["radius", "partial_sum", "increment"]
-
-
-def _wiener_partial_sums(inverse: FiniteSeq, weight: Weight, out_radius: int) -> list:
-    """(radius, partial_sum, increment) rows: weighted |coefficient| mass, shell by shell.
-
-    The runner writes these rows and verify_report re-derives them.
-    """
+def _partial_sums_csv(inverse: FiniteSeq, weight: Weight, out_radius: int) -> tuple:
+    """The partial sums file, rows (radius, partial_sum, increment) of the weighted
+    |coefficient| mass shell by shell, and the report's weighted_total and final_increment."""
     increments = [0.0] * (out_radius + 1)
     for pos, val in sorted(inverse.support()):  # each shell adds in index order
         r = max(abs(x) for x in pos)
         if r <= out_radius:
             increments[r] += float(weight.eval_many(np.array([pos], dtype=float))[0]) * abs(val)
-    partial = []
-    running = 0.0
+    partial, running = [], 0.0
     for r, increment in enumerate(increments):
         running += increment
         partial.append([r, running, increment])
-    return partial
+    return _csv_text(["radius", "partial_sum", "increment"], partial), {
+        "weighted_total": _json_float(running), "final_increment": _json_float(increments[-1])}
 
 
 def run_wiener(cfg: dict, out_dir=None) -> dict:
@@ -545,21 +541,20 @@ def run_wiener(cfg: dict, out_dir=None) -> dict:
         result = wiener_inverse(seq, grid, out_radius)
     except SymbolVanishes as exc:
         report.update(min_modulus=_json_float(exc.min_modulus), error=f"symbol_vanishes: {exc}")
-        _write_json(out_path / "report.json", report)
+        _write(out_path / "report.json", _json_text(report))
         return report
 
     closed = _geometric_closed_form_error(seq, result.inverse)
-    partial = _wiener_partial_sums(result.inverse, weight, out_radius)
+    partial, fields = _partial_sums_csv(result.inverse, weight, out_radius)
 
     report["min_modulus"] = _json_float(result.min_modulus)
     report["residual"] = _json_float(result.residual)
     if closed is not None:
         report["closed_form_max_err"] = _json_float(closed)
-    report.update(_totals(partial[-1][1], partial[-1][2]),
-                  inverse_json="inverse.json", partial_sums_csv="partial_sums.csv")
-    _write_json(out_path / "inverse.json", result.inverse.to_json())
-    _write_csv(out_path / "partial_sums.csv", _PARTIAL_SUMS_HEADER, partial)
-    _write_json(out_path / "report.json", report)
+    report.update(fields, inverse_json="inverse.json", partial_sums_csv="partial_sums.csv")
+    _write(out_path / "inverse.json", _json_text(result.inverse.to_json()))
+    _write(out_path / "partial_sums.csv", partial)
+    _write(out_path / "report.json", _json_text(report))
     return report
 
 
@@ -572,6 +567,12 @@ def kernel_input(cfg: ExperimentConfig, trial: int) -> GridFunction:
     cells = lane_keys((cfg.seed, _GRID_DOMAIN, trial), window_array(cfg.window_radius, cfg.c))
     values = box_muller(lanes(cells, 2 * cfg.q ** cfg.c)).view(np.complex128)
     return GridFunction(cfg.c, cfg.window_radius, cfg.q, values)
+
+
+def _kernel_block_csv(blk: np.ndarray) -> str:
+    """A kernel block file: rows (i, j, re, im) in raster order."""
+    return _csv_text(["i", "j", "re", "im"], ([i, j, z.real, z.imag]
+                     for i, row in enumerate(blk.tolist()) for j, z in enumerate(row)))
 
 
 def run_kernel(cfg: ExperimentConfig, out_dir=None) -> dict:
@@ -604,12 +605,10 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None) -> dict:
         if trial == 0:
             center = np.flatnonzero(~kern.keys.any(axis=(1, 2)))  # the block at (0, 0)
             if center.size:  # a zero centre offset assembles no block
-                name, blk = "kernel_block_trial_000.csv", kern.stack[center[0]].tolist()
-                _write_csv(out_path / name, ["i", "j", "re", "im"], ([i, j, z.real, z.imag]
-                           for i, row in enumerate(blk) for j, z in enumerate(row)))
-                rec["kernel_block_csv"] = name
+                rec["kernel_block_csv"] = name = "kernel_block_trial_000.csv"
+                _write(out_path / name, _kernel_block_csv(kern.stack[center[0]]))
             rec["grid_file"] = "input_trial_000.grid"
-            write_grid_function(f, out_path / rec["grid_file"])
+            _write(out_path / rec["grid_file"], grid_bytes(f))
         return rec
 
     return _run_trials("kernel", cfg, out_dir, one_trial)
@@ -618,9 +617,10 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None) -> dict:
 # -------------------------------------------------------------------- gen
 
 
-def _operator_fields(op: CDOperator) -> dict:
-    """A gen record's fields of its operator; run_gen writes them, verify_report re-derives them."""
-    return {"n_blocks": op.n_blocks, "envelope_l1": _json_float(fit_envelope(op, "nuclear").l1())}
+def _operator_json(op: CDOperator) -> tuple:
+    """A gen operator file, and its record's n_blocks and envelope_l1."""
+    return _json_text(op.to_json()), {
+        "n_blocks": op.n_blocks, "envelope_l1": _json_float(fit_envelope(op, "nuclear").l1())}
 
 
 def run_gen(cfg: ExperimentConfig, out_dir=None) -> dict:
@@ -629,8 +629,9 @@ def run_gen(cfg: ExperimentConfig, out_dir=None) -> dict:
     def one_trial(trial: int, out_path: Path) -> dict:
         op = generate_operator(cfg, trial)
         name = f"operator_trial_{trial:03d}.json"
-        _write_json(out_path / name, op.to_json())
-        return {"trial": trial, **_operator_fields(op), "operator_json": name}
+        text, fields = _operator_json(op)
+        _write(out_path / name, text)
+        return {"trial": trial, **fields, "operator_json": name}
 
     return _run_trials("gen", cfg, out_dir, one_trial)
 
@@ -638,74 +639,85 @@ def run_gen(cfg: ExperimentConfig, out_dir=None) -> dict:
 # ---------------------------------------------------------------- verify
 
 
-def _named_file(out_dir: Path, name) -> Optional[Path]:
-    """The file a report names in its directory; None for a non-string name or no file."""
-    path = out_dir / name if isinstance(name, str) else None
-    return path if path is not None and path.is_file() else None
-
-
-def _read_table(out_dir: Path, csv_name, header: list, k: int) -> tuple:
-    """(rows, problems) of the CSV table `csv_name` that a report names.
-
-    Its columns are `header`: k integer ones, then floats.  Rows are
-    (label, ints, *floats), a label naming the file and line in messages.
-    Problems are structural: a missing or unreadable file, a bad header,
-    a row of the wrong length or with a cell that is no number.
-    """
-    path = _named_file(out_dir, csv_name)
-    if path is None:
-        return [], [f"missing CSV {csv_name}"]
+def _read(out_dir: Path, name, missing: str) -> tuple:
+    """(content, problems) of the file a report names in its directory: the bytes of a grid
+    file, the ASCII text of any other; without one, (None, [missing])."""
+    if not (isinstance(name, str) and (out_dir / name).is_file()):
+        return None, [missing]
     try:
-        lines = path.read_text().splitlines()
+        data = (out_dir / name).read_bytes()
+        return (data if name.endswith(".grid") else data.decode("ascii")), []
     except (OSError, ValueError) as exc:
-        return [], [f"{csv_name}: unreadable: {exc}"]
-    if not lines or lines[0] != ",".join(header):
-        return [], [f"{csv_name}: bad header"]
-    rows, problems = [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        label, cells = f"{csv_name}:{ln}", line.split(",")
-        if len(cells) != len(header):
-            problems.append(f"{label}: wrong column count")
-            continue
-        try:
-            rows.append((label, tuple(map(int, cells[:k])), *map(float, cells[k:])))
-        except ValueError as exc:
-            problems.append(f"{label}: bad cell: {exc}")
-    return rows, problems
+        return None, [f"{name}: unreadable: {exc}"]
 
 
-def _compare_rows(rows: list, want: list, header: list) -> list:
-    """A problem for every cell of the read rows that differs from the re-derived ones."""
-    return [f"{label}: {name} mismatch"
-            for (label, ints, *floats), expected in zip(rows, want)
-            for name, got, w in zip(header, (*ints, *floats), expected)
-            if got != w]
+def _cell(line: str, col: int) -> float:
+    """Column `col` of a CSV line as a float; NaN if it holds none, so its re-rendering differs."""
+    try:
+        return float(line.split(",")[col])
+    except (IndexError, ValueError):
+        return math.nan
 
 
-def _verify_envelope_table(rows: list, rec: dict, cfg: ExperimentConfig) -> list:
-    """Rebuild T1's envelope on |m| <= N from the (m, beta) columns; re-derive table, totals
-    and slope, and the invertibility_check from the record's envelope_l1."""
-    trial, c, radius = rec.get("trial"), cfg.c, cfg.window_radius
-    if len(rows) != window_size(radius, c):
-        return [f"trial {trial}: {len(rows)} envelope rows, want {window_size(radius, c)}"]
-    values = np.zeros((2 * radius + 1,) * c)
+def _diff(name: str, got, want) -> list:
+    """Where the file `name`, read as `got`, differs from its re-rendering `want`: for a
+    CSV table by line and column, for any other file as a whole."""
+    if got == want:
+        return []
     problems = []
-    for label, m, beta, *_ in rows:
-        if max(abs(x) for x in m) > radius:  # a negative index would wrap silently
-            problems.append(f"{label}: offset {m} outside the band |m| <= {radius}")
-        elif beta < 0:
-            problems.append(f"{label}: negative beta")
-        else:
-            values[tuple(x + radius for x in m)] = beta
-    if problems:
+    if name.endswith(".csv") and isinstance(want, str):
+        got_lines, want_lines = got.splitlines(), want.splitlines()
+        header = want_lines[0].split(",")
+        for ln, (g, w) in enumerate(zip(got_lines, want_lines), start=1):
+            g, w = g.split(","), w.split(",")
+            problems += ([f"{name}:{ln}: wrong column count"] if len(g) != len(w) else
+                         [f"{name}:{ln}: {col} mismatch"
+                          for col, a, b in zip(header, g, w) if a != b])
+        if len(got_lines) != len(want_lines):
+            problems.append(f"{name}: {len(got_lines)} lines, want {len(want_lines)}")
+    return problems or [f"{name}: differs from its re-derivation"]
+
+
+def _check_file(out_dir: Path, rec: dict, key: str, rerender, what: str) -> list:
+    """Problems of the file that `rec` (a record or a wiener report) names under `key`:
+    missing or unreadable, refused by rerender (a ValueError naming why), or unlike
+    rerender(content), its re-rendering from the evidence it holds, in its text or in
+    the fields of `rec` read off it; `what` names the file in a field's problem."""
+    prefix, name = (f"trial {rec['trial']}: " if "trial" in rec else ""), rec.get(key)
+    got, problems = _read(out_dir, name, f"{prefix}missing {key} {name!r}")
+    if got is None:
         return problems
-    envelope = Envelope(c, radius, values)
-    want = _envelope_table(envelope, cfg.weight)
-    derived = {**_totals(want[-1][-1], want[-1][-2]),
-               "slope": _json_float(decay_slope(envelope))}
-    problems = _compare_rows(rows, want, _envelope_header(c)) + [
-        f"trial {trial}: {key} does not match its envelope table"
-        for key, value in derived.items() if rec.get(key) != value]
+    try:
+        want, fields = rerender(got)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        return [f"{name}: {exc}"]
+    return _diff(name, got, want) + [f"{prefix}{field} does not match {what}"
+                                     for field, value in fields.items() if rec.get(field) != value]
+
+
+def _table_envelope(text: str, cfg: ExperimentConfig) -> Envelope:
+    """T1's envelope on |m| <= N from an envelope table's beta column, its rows in
+    `_shells` order; ValueError for a table of another size or a negative beta."""
+    c, radius = cfg.c, cfg.window_radius
+    lines, size = text.splitlines()[1:], window_size(radius, c)
+    if len(lines) != size:  # counted first: the window is built only for a table of its size
+        raise ValueError(f"{len(lines)} envelope rows, want {size}")
+    values = np.zeros((2 * radius + 1,) * c)
+    for m, line in zip(_shells(radius, c), lines):
+        values[tuple(x + radius for x in m)] = _cell(line, c)
+    return Envelope(c, radius, values)
+
+
+def _verify_invert_record(out_dir: Path, rec: dict, cfg: ExperimentConfig) -> list:
+    """Re-render the record's envelope table and the fields read off it, and re-derive its
+    invertibility_check from its envelope_l1."""
+    trial = rec.get("trial")
+    problems = ([] if rec.get("envelope_dominates", False)
+                else [f"trial {trial}: envelope domination violated"])
+    if rec.get("envelope_csv") is None:
+        return problems + [f"trial {trial}: no envelope table"]
+    problems += _check_file(out_dir, rec, "envelope_csv", lambda text: _envelope_csv(
+        _table_envelope(text, cfg), cfg.weight), "its envelope table")
     l1 = rec.get("envelope_l1")  # the runner writes a float, or null for a non-finite sum
     if rec.get("invertibility_check") != (
             "envelope_l1" if isinstance(l1, float) and l1 < 1.0 else "residual"):
@@ -715,7 +727,8 @@ def _verify_envelope_table(rows: list, rec: dict, cfg: ExperimentConfig) -> list
 
 def _verify_wiener(report: dict, out_dir: Path) -> list:
     """Re-derive min_modulus, and whether an error belongs, from the echoed symbol and
-    grid, and residual, closed_form_max_err and the partial sums from the stored inverse."""
+    grid; re-render the stored inverse, and derive residual, closed_form_max_err and the
+    partial sums from it."""
     try:
         seq, grid, out_radius, weight = _wiener_inputs(report.get("config"))
     except ConfigError as exc:
@@ -727,58 +740,43 @@ def _verify_wiener(report: dict, out_dir: Path) -> list:
         problems.append("error disagrees with whether the symbol vanishes")
     elif "error" in report:
         return problems
+    name = report.get("inverse_json")
+    text, found = _read(out_dir, name, f"wiener inverse not reconstructible: no file {name!r}")
     try:
-        inverse = FiniteSeq.from_json(json.loads((out_dir / report["inverse_json"]).read_text()))
-    except (OSError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        return problems + [f"wiener inverse not reconstructible: {exc!r}"]
+        inverse = FiniteSeq.from_json(json.loads(text))
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        return problems + (found or [f"wiener inverse not reconstructible: {exc!r}"])
     closed = _geometric_closed_form_error(seq, inverse)
     derived = {"residual": _json_float((convolve(seq, inverse) - delta(seq.c)).l1_norm()),
                "closed_form_max_err": None if closed is None else _json_float(closed)}
-    problems += [f"{key} does not match the stored inverse"
-                 for key, value in derived.items() if report.get(key) != value]
+    problems += _diff(name, text, _json_text(inverse.to_json())) + [
+        f"{key} does not match the stored inverse"
+        for key, value in derived.items() if report.get(key) != value]
     if report.get("partial_sums_csv") is None:
         return problems + ["wiener report has no partial sums"]
-    want = _wiener_partial_sums(inverse, weight, out_radius)
-    rows, table_problems = _read_table(out_dir, report["partial_sums_csv"],
-                                       _PARTIAL_SUMS_HEADER, 1)
-    if not table_problems and len(rows) != len(want):
-        table_problems = [f"{len(rows)} partial sum rows, want {len(want)}"]
-    return problems + (table_problems or _compare_rows(rows, want, _PARTIAL_SUMS_HEADER) + [
-        f"{key} does not match the partial sums"
-        for key, value in _totals(want[-1][1], want[-1][2]).items() if report.get(key) != value])
+    return problems + _check_file(out_dir, report, "partial_sums_csv", lambda _: _partial_sums_csv(
+        inverse, weight, out_radius), "the partial sums")
 
 
-def _read_back(records: list, cfg: ExperimentConfig, out_dir: Path, key: str, read=None,
-               what: tuple = (), geometry: tuple = (), fields=None) -> list:
-    """Problems of the file each record names under `key`.
+def _file_operator(text: str, cfg: ExperimentConfig) -> CDOperator:
+    """The operator of a gen operator file; ValueError unless it is one of the config's
+    geometry."""
+    try:
+        op = CDOperator.from_json(json.loads(text))
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"not an operator: {exc!r}") from exc
+    geometry = ("c", "window_radius", "band_radius", "local_dim", "boundary")
+    if [getattr(op, key) for key in geometry] != [getattr(cfg, key) for key in geometry]:
+        raise ValueError("operator does not match the config's (c, N, W, d, boundary)")
+    return op
 
-    A file a record names must exist; with `fields`, every record must
-    name one.  `read(path)` reads the file back as what[0] (say "a grid
-    function"); its `geometry` config fields, by their JSON names, must
-    equal the config's, and `fields(obj)` re-derives the record's fields.
-    what[1] names the object in messages.
-    """
-    attrs = [_CONFIG_FIELDS[name] for name in geometry]
-    want = [getattr(cfg, attr) for attr in attrs]
-    problems = []
-    for r in records:
-        trial, path = r.get("trial"), _named_file(out_dir, r.get(key))
-        if path is None and (key in r or fields is not None):
-            problems.append(f"trial {trial}: missing {key} {r.get(key)!r}")
-        if path is None or read is None:
-            continue
-        try:
-            obj = read(path)
-        except (OSError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-            problems.append(f"{path.name}: not {what[0]}: {exc!r}")
-            continue
-        if [getattr(obj, attr) for attr in attrs] != want:
-            problems.append(f"{path.name}: {what[1]} does not match the config's "
-                            f"({', '.join(geometry)})")
-        elif fields is not None:
-            problems.extend(f"trial {trial}: {name} does not match its {what[1]} file"
-                            for name, value in fields(obj).items() if r.get(name) != value)
-    return problems
+
+def _file_block(text: str, d: int) -> np.ndarray:
+    """A kernel block file's d x d block, read off its own re, im columns in raster order."""
+    lines = text.splitlines()[1:]
+    if len(lines) != d * d:  # counted first: a block is built only from a table of its size
+        raise ValueError(f"{len(lines)} block rows, want {d * d}")
+    return np.reshape([complex(_cell(line, 2), _cell(line, 3)) for line in lines], (d, d))
 
 
 def verify_report(path) -> list:
@@ -816,25 +814,21 @@ def verify_report(path) -> list:
     if len(trials) != cfg.trials or json.dumps(trials) != json.dumps(list(range(cfg.trials))):
         problems.append(f"records are not trials 0 to {cfg.trials - 1} in order")
     if kind == "inverse_closedness":
-        header = _envelope_header(cfg.c)
         for r in (r for r in records if "error" not in r):
-            trial = r.get("trial")
-            if not r.get("envelope_dominates", False):
-                problems.append(f"trial {trial}: envelope domination violated")
-            if r.get("envelope_csv") is None:
-                problems.append(f"trial {trial}: no envelope table")
-                continue
-            rows, table_problems = _read_table(path.parent, r["envelope_csv"], header, cfg.c)
-            problems.extend(table_problems or _verify_envelope_table(rows, r, cfg))
-    elif kind == "gen":
-        problems.extend(_read_back(
-            records, cfg, path.parent, "operator_json",
-            lambda p: CDOperator.from_json(json.loads(p.read_text())), ("an operator", "operator"),
-            ("c", "N", "W", "d", "boundary"), _operator_fields))
-    else:
+            problems.extend(_verify_invert_record(path.parent, r, cfg))
+    elif kind == "gen":  # a gen file's values are checked through n_blocks and envelope_l1
+        for r in records:
+            problems += _check_file(path.parent, r, "operator_json", lambda text: _operator_json(
+                _file_operator(text, cfg)), "its operator file")
+    else:  # the grid file re-derived from the lanes; the kernel block's values not recomputed
         if records and "grid_file" not in records[0]:  # trial 0 always writes one
             problems.append("trial 0: names no grid_file")
-        problems.extend(_read_back(records, cfg, path.parent, "kernel_block_csv"))
-        problems.extend(_read_back(records, cfg, path.parent, "grid_file", read_grid_function,
-                                   ("a grid function", "grid"), ("c", "N", "q")))
+        payload = window_size(cfg.window_radius, cfg.c) * cfg.q ** cfg.c * 16  # bytes
+        for trial, r in enumerate(records):
+            if "grid_file" in r:  # built only for a file that can hold its payload
+                problems += _check_file(path.parent, r, "grid_file", lambda got: (grid_bytes(
+                    kernel_input(cfg, trial)) if len(got) > payload else None, {}), "its grid file")
+            if "kernel_block_csv" in r:
+                problems += _check_file(path.parent, r, "kernel_block_csv", lambda text: (
+                    _kernel_block_csv(_file_block(text, cfg.local_dim)), {}), "its block")
     return problems

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "as_number",
     "as_index",
+    "only_keys",
     "window_indices",
     "window_array",
     "window_size",
@@ -46,6 +47,13 @@ def as_index(n, c: int | None = None) -> tuple[int, ...]:
     if c is not None and len(idx) != c:
         raise ValueError(f"index {idx!r} does not have dimension {c}")
     return idx
+
+
+def only_keys(obj, keys, what: str) -> None:
+    """ValueError if the JSON object obj has a key outside `keys`: it would go unread."""
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def window_indices(radius: int, c: int) -> list[tuple[int, ...]]:

@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .lattice import as_index, as_number, window_indices
+from .lattice import as_index, as_number, only_keys, window_indices
 from .weights import Weight
 
 __all__ = [
@@ -147,11 +147,13 @@ class FiniteSeq:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteSeq":
+        only_keys(obj, ("c", "radius", "entries"), "seq")
         c, radius = (as_number(obj[key], int, key) for key in ("c", "radius"))
         if c < 1 or radius < 0:
             raise ValueError(f"need c >= 1 and radius >= 0, got c={c}, radius={radius}")
         seq = cls.zeros(c, radius)
         for e in obj["entries"]:
+            only_keys(e, ("index", "re", "im"), "seq entry")
             idx = as_index(list(e["index"]), seq.c)
             if any(abs(i) > radius for i in idx):
                 raise ValueError(f"entry index {idx} outside radius {radius}")

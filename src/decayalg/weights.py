@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import as_index, as_number, window_indices
+from .lattice import as_index, as_number, only_keys, window_indices
 
 __all__ = ["Weight", "AxiomCheck", "AxiomReport", "verify_axioms", "grs_sequence"]
 
@@ -120,6 +120,7 @@ class Weight:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Weight":
+        only_keys(obj, ("a", "b", "s", "t", "index_norm"), "weight")
         return cls(
             **{key: as_number(obj.get(key, 0.0), float, key) for key in ("a", "b", "s", "t")},
             index_norm=str(obj.get("index_norm", "l1")),

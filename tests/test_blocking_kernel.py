@@ -11,9 +11,8 @@ from decayalg.blocking_kernel import (
     assemble_kernel,
     attach_svd_factorizations,
     block,
-    read_grid_function,
+    grid_bytes,
     unblock,
-    write_grid_function,
 )
 from decayalg.cd_operator import (
     BlockVector,
@@ -164,35 +163,17 @@ def test_kernel_validation():
 # ------------------------------------------------------------------ files
 
 
-def test_grid_function_file_round_trip(tmp_path):
+def test_grid_function_file_round_trip():
     rng = np.random.default_rng(101)
     f = random_grid_function(rng, c=2, N=1, q=2)
-    path = tmp_path / "grid.bin"
-    write_grid_function(f, path)
-    raw = path.read_bytes()
+    raw = grid_bytes(f)
     header, _, payload = raw.partition(b"\n")
     assert header == b'{"N": 1, "c": 2, "q": 2}'
     assert len(payload) == 9 * 4 * 16
-    back = read_grid_function(path)
-    assert np.array_equal(back.values, f.values)
-    # writing the same function twice gives identical bytes
-    path2 = tmp_path / "grid2.bin"
-    write_grid_function(f, path2)
-    assert path2.read_bytes() == raw
-
-
-def test_grid_function_file_rejects_corruption(tmp_path):
-    rng = np.random.default_rng(103)
-    f = random_grid_function(rng, c=1, N=1, q=2)
-    path = tmp_path / "grid.bin"
-    write_grid_function(f, path)
-    raw = path.read_bytes()
-    (tmp_path / "short.bin").write_bytes(raw[:-8])
-    with pytest.raises(ValueError):
-        read_grid_function(tmp_path / "short.bin")
-    (tmp_path / "junk.bin").write_bytes(b"not json\n" + raw)
-    with pytest.raises(ValueError):
-        read_grid_function(tmp_path / "junk.bin")
+    back = np.frombuffer(payload, "<c16").reshape(f.values.shape)
+    assert np.array_equal(back, f.values)
+    # rendering the same function twice gives identical bytes
+    assert grid_bytes(f) == raw
 
 
 def test_kernel_block_csv(tmp_path):

@@ -22,7 +22,7 @@ from decayalg.cd_operator import (
     lp_accumulate,
     shift_decomposition,
 )
-from decayalg.harness import _envelope_header, _envelope_table, _write_csv
+from decayalg.harness import _envelope_csv, _envelope_table
 from decayalg.lattice import as_index, window_indices, window_size
 from decayalg.nuclear_blocks import operator_norm, trace_norm
 from decayalg.seq_algebra import FiniteSeq, TorusPoint
@@ -239,12 +239,10 @@ def test_envelope_report_order_and_cumsum():
     assert rows[-1][-2] == pytest.approx(1.0)
 
 
-def test_envelope_report_csv(tmp_path):
+def test_envelope_report_csv():
     env = Envelope(1, 1, np.array([0.25, 1.0, 0.5]))
     rows = _envelope_table(env, Weight(s=1.0))
-    path = tmp_path / "env.csv"
-    _write_csv(path, _envelope_header(1), rows)
-    lines = path.read_text().splitlines()
+    lines = _envelope_csv(env, Weight(s=1.0))[0].splitlines()
     assert lines[0] == "m_1,beta,weight,weighted_beta,cumsum"
     assert len(lines) == 4
     first = lines[1].split(",")
@@ -380,6 +378,21 @@ def test_cd_operator_json_round_trip():
     # entries are sorted by (cell, offset) for reproducible files
     keys = [(tuple(it["k"]), tuple(it["m"])) for it in obj["blocks"]]
     assert keys == sorted(keys)
+
+
+def test_cd_operator_json_round_trip_keeps_the_sign_of_zero():
+    # re + 1j * im would read a -0.0 real part back as 0.0
+    parts = [(-0.0, 2.0), (2.0, -0.0), (-0.0, -0.0)]
+    stack = np.empty((3, 2, 2), dtype=np.complex128)
+    stack.real, stack.imag = 1.0, 1.0
+    for blk, (re, im) in zip(stack, parts):
+        blk[0, 0] = complex(re, im)
+    op = CDOperator.shift_invariant(1, 2, 1, 2, "circulant",
+                                    {(m,): blk for m, blk in zip((-1, 0, 1), stack)})
+    back = CDOperator.from_json(json.loads(json.dumps(op.to_json())))
+    assert set(back.blocks) == set(op.blocks)
+    for key, blk in op.blocks.items():
+        assert np.array_equal(back.blocks[key].view(np.uint64), blk.view(np.uint64))
 
 
 def test_cd_operator_from_json_rejects_bad_blocks():

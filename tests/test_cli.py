@@ -152,7 +152,7 @@ def test_verify_report_non_numeric_csv_cell_exits_4(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     lines[1] = ",".join(["x"] + lines[1].split(",")[1:])  # the m_1 cell
     csv_path.write_text("\n".join(lines) + "\n")
-    assert_verify_problem(capsys, report, "envelope_trial_000.csv:2: bad cell")
+    assert_verify_problem(capsys, report, "envelope_trial_000.csv:2: m_1 mismatch")
 
 
 def test_verify_report_offset_outside_the_band_exits_4(tmp_path, capsys):
@@ -161,7 +161,7 @@ def test_verify_report_offset_outside_the_band_exits_4(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     lines[2] = ",".join(["-7"] + lines[2].split(",")[1:])  # -7 + N would wrap as an index
     csv_path.write_text("\n".join(lines) + "\n")
-    assert_verify_problem(capsys, report, "envelope_trial_000.csv:3: offset (-7,) outside the band")
+    assert_verify_problem(capsys, report, "envelope_trial_000.csv:3: m_1 mismatch")
 
 
 def test_verify_report_junk_operator_file_exits_4(tmp_path, capsys):
@@ -227,12 +227,13 @@ def test_a_version_2_config_exits_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda rows: rows[0].__setitem__(0, "x"), "bad cell"),
-    (lambda rows: rows[0].__setitem__(0, "1.5"), "bad cell"),  # an index must be an int
-    (lambda rows: rows[0].__setitem__(3, ""), "bad cell"),
+    (lambda rows: rows[0].__setitem__(0, "x"), "m_1 mismatch"),
+    (lambda rows: rows[0].__setitem__(0, "1.5"), "m_1 mismatch"),  # an index must be an int
+    (lambda rows: rows[0].__setitem__(3, ""), "weighted_beta mismatch"),
     (lambda rows: rows[0].pop(), "wrong column count"),
     (lambda rows: rows.__setitem__(0, ["x"]), "wrong column count"),
-])
+], ids=["<lambda>-bad cell0", "<lambda>-bad cell1", "<lambda>-bad cell2",  # the edit each makes
+        "<lambda>-wrong column count0", "<lambda>-wrong column count1"])
 def test_verify_report_malformed_embedded_row_exits_4(tmp_path, capsys, edit, message):
     """The first data row of trial 1's envelope CSV, edited cell by cell."""
     report = invert_report(tmp_path)
@@ -322,7 +323,8 @@ def test_verify_report_grid_header_number_of_the_wrong_type_exits_4(tmp_path, ca
     header, payload = path.read_bytes().split(b"\n", 1)
     edited = {**json.loads(header), field: value}
     path.write_bytes(json.dumps(edited, sort_keys=True).encode("ascii") + b"\n" + payload)
-    assert_verify_problem(capsys, out / "report.json", "input_trial_000.grid: not a grid function")
+    assert_verify_problem(capsys, out / "report.json",
+                          "input_trial_000.grid: differs from its re-derivation")
 
 
 def assert_config_error(tmp_path, capsys, argv):
@@ -432,9 +434,10 @@ def test_one_parser_and_independent_main_calls(tmp_path):
     assert (args.seed, args.trials, args.out) == (None, None, None)
 
 def wiener_config(path, **fields):
+    """The default wiener config with `fields` set; a field set to None is left out."""
     obj = {"symbol": "3+u+u^{-1}", "grid": 256, "out_radius": 20}
     obj.update(fields)
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps({key: value for key, value in obj.items() if value is not None}))
     return path
 
 
@@ -507,6 +510,13 @@ def test_wiener_negative_out_radius_exits_2(tmp_path, capsys):
     # a seq beside the symbol: the run would compute from one and echo the other
     {"seq": {"c": 1, "radius": 1, "entries": [{"index": [0], "re": 2.0, "im": 0.0},
                                               {"index": [1], "re": 1.0, "im": 0.0}]}},
+    # keys a nested object would leave unread, and the report would echo
+    {"weight": {"a": 0.5, "bb": 0.5}},  # would run with b = 0
+    {"weight": {"s": 1.0, "t ": 0.5}},
+    {"symbol": None, "seq": {"c": 1, "radius": 1, "raduis": 3,
+                             "entries": [{"index": [0], "re": 2.0, "im": 0.0}]}},
+    {"symbol": None, "seq": {"c": 1, "radius": 1,
+                             "entries": [{"index": [0], "re": 2.0, "im": 0.0, "imag": 5}]}},
 ])
 def test_wiener_rejects_what_it_would_ignore(tmp_path, capsys, fields):
     cfg = wiener_config(tmp_path / "w.json", **fields)
@@ -567,6 +577,76 @@ def test_a_version_4_report_of_the_json_layout_exits_4(tmp_path, capsys, command
 def test_a_report_whose_config_names_output_dir_exits_4(tmp_path, capsys, command):
     path = run_and_edit(tmp_path, command, lambda r: r["config"].update(output_dir="runs"))
     assert_verify_problem(capsys, path, "unknown config fields: ['output_dir']")
+
+
+@pytest.mark.parametrize("command, edit", [
+    ("invert", lambda cfg: cfg["weight"].update(bb=0.5)),
+    ("kernel", lambda cfg: cfg["envelope_profile"].update(power=7)),
+    ("wiener", lambda cfg: cfg["weight"].update({"t ": 0.5})),
+], ids=["invert-weight", "kernel-profile", "wiener-weight"])
+def test_a_report_whose_config_holds_an_unread_key_exits_4(tmp_path, capsys, command, edit):
+    path = run_and_edit(tmp_path, command, lambda r: edit(r["config"]))
+    assert_verify_problem(capsys, path, "config not reconstructible: bad ")
+
+
+def test_verify_report_retyped_envelope_row_exits_4(tmp_path, capsys):
+    """int() and float() read ' +0_0 ' as 0 and a trailing zero as the same float;
+    the runner writes repr text, so a re-typed row is no row it wrote."""
+    report = invert_report(tmp_path)
+    csv_path = report.parent / "envelope_trial_000.csv"
+    header, first, *rest = csv_path.read_text().splitlines()
+    m, beta, *cells = first.split(",")
+    assert m == "0" and float(beta + "0") == float(beta)
+    first = ",".join([" +0_0 ", beta + "0", *cells])
+    csv_path.write_text("\n".join([header, first, *rest]) + "\n")
+    assert verify_report(report) == ["envelope_trial_000.csv:2: m_1 mismatch",
+                                      "envelope_trial_000.csv:2: beta mismatch"]
+    assert_verify_problem(capsys, report, "envelope_trial_000.csv:2: beta mismatch")
+
+
+def kernel_report(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert main(["kernel", "--config", str(cfg), "--out", str(out)]) == 0
+    return out / "report.json"
+
+
+def test_verify_report_flipped_grid_payload_byte_exits_4(tmp_path, capsys):
+    report = kernel_report(tmp_path)
+    path = report.parent / "input_trial_000.grid"
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-1] + bytes([raw[-1] ^ 0xFF]))
+    assert verify_report(report) == ["input_trial_000.grid: differs from its re-derivation"]
+    assert_verify_problem(capsys, report, "input_trial_000.grid: differs from its re-derivation")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: row.__setitem__(slice(2, 3), [row[2]] * 3), "wrong column count"),
+    (lambda row: row.__setitem__(2, " " + row[2]), "re mismatch"),
+], ids=["tripled", "leading-space"])
+def test_verify_report_edited_kernel_block_cell_exits_4(tmp_path, capsys, edit, message):
+    """The block is re-rendered from its own re, im columns, so this checks its text,
+    not its values."""
+    report = kernel_report(tmp_path)
+    path = report.parent / "kernel_block_trial_000.csv"
+    header, *lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    edit(rows[1])
+    path.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+    assert verify_report(report) == [f"kernel_block_trial_000.csv:3: {message}"]
+    assert_verify_problem(capsys, report, f"kernel_block_trial_000.csv:3: {message}")
+
+
+def test_verify_report_unindented_operator_file_exits_4(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "operator_trial_000.json"
+    path.write_text(json.dumps(json.loads(path.read_text())))
+    assert verify_report(out / "report.json") == [
+        "operator_trial_000.json: differs from its re-derivation"]
+    assert_verify_problem(capsys, out / "report.json",
+                          "operator_trial_000.json: differs from its re-derivation")
 
 
 def recompute_aggregates(report):

@@ -1,6 +1,7 @@
 """Tests for experiment configs, operator generation, runners, verification."""
 
 import json
+import re
 import sys
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decayalg import harness
-from decayalg.blocking_kernel import GridFunction, assemble_kernel, write_grid_function
+from decayalg.blocking_kernel import GridFunction, assemble_kernel, grid_bytes
 from decayalg.cd_operator import (
     Envelope,
     Plan,
@@ -84,13 +85,20 @@ def test_config_round_trip():
     {"seed": 7.9},                          # int() would alias it to seed 7
     {"trials": 2.5},
     {"trials": True},
-    {"window_radius": "4"},
-    {"local_dim": np.bool_(True)},
+    {"N": "4"},
+    {"d": np.bool_(True)},
     {"block_rank": float("nan")},
+    # keys a nested object would leave unread: the run would ignore them
+    {"weight": {"a": 0.5, "bb": 0.5}},      # would run with b = 0
+    {"weight": {"s": 1.0, "t ": 0.5}},
+    {"envelope_profile": {"kind": "exponential", "rate": 1, "l1": 0.5, "power": 7,
+                          "values": [1]}},
+    {"envelope_profile": {"kind": "table", "values": [0.1, 0.2, 0.1], "rate": 1}},
 ])
 def test_config_rejects_bad_values(patch):
+    """Through the parser of the command line, which every config goes through."""
     with pytest.raises(ConfigError):
-        small_config(**patch)
+        ExperimentConfig.from_json({**small_config().to_json(), **patch})
 
 
 def test_config_accepts_python_and_numpy_integers():
@@ -898,21 +906,24 @@ def test_verify_report_rederives_the_offsets_of_an_envelope_table(tmp_path):
 
 
 @pytest.mark.parametrize("column, value, message", [
-    (0, 9, "offset (9,) outside the band |m| <= 3"),
-    (0, -5, "offset (-5,) outside the band |m| <= 3"),  # would wrap as an index
-    (1, -0.5, "negative beta"),
-])
+    # offsets are the table's row order, never read from the file: an index that
+    # would fall outside the band, or wrap as an array index, is just another text
+    (0, 9, "envelope_trial_000.csv:4: m_1 mismatch"),
+    (0, -5, "envelope_trial_000.csv:4: m_1 mismatch"),
+    (1, -0.5, "envelope_trial_000.csv: envelope values must be nonnegative"),
+], ids=["0-9-offset (9,) outside the band |m| <= 3",  # the edit each case makes
+        "0--5-offset (-5,) outside the band |m| <= 3", "1--0.5-negative beta"])
 def test_verify_report_lists_an_impossible_envelope_row(tmp_path, column, value, message):
     run_inverse_closedness(small_config(trials=1), out_dir=tmp_path)
     problems = tamper_csv(tmp_path / "envelope_trial_000.csv",
                           lambda rows: rows[2].__setitem__(column, repr(value)))
-    assert problems == [f"envelope_trial_000.csv:4: {message}"]
+    assert problems == [message]
 
 
 def test_verify_report_counts_the_envelope_rows(tmp_path):
     run_inverse_closedness(small_config(trials=1), out_dir=tmp_path)
     problems = tamper_csv(tmp_path / "envelope_trial_000.csv", lambda rows: rows.pop())
-    assert problems == ["trial 0: 6 envelope rows, want 7"]
+    assert problems == ["envelope_trial_000.csv: 6 envelope rows, want 7"]
 
 
 @pytest.mark.parametrize("overrides", [
@@ -969,14 +980,49 @@ def test_verify_report_finds_a_missing_kernel_sidecar(tmp_path):
 def test_verify_report_reads_the_kernel_grid_file_back(tmp_path):
     run_kernel(small_config(), out_dir=tmp_path)
     grid = tmp_path / "input_trial_000.grid"
-    grid.write_text("junk")
-    problems = verify_report(tmp_path / "report.json")
-    assert len(problems) == 1
-    assert problems[0].startswith("input_trial_000.grid: not a grid function")
+    for junk in (b"junk", b""):  # a file too short for the payload is compared unbuilt
+        grid.write_bytes(junk)
+        assert verify_report(tmp_path / "report.json") == [
+            "input_trial_000.grid: differs from its re-derivation"]
     # a well-formed grid function of another window
-    write_grid_function(GridFunction(1, 2, 2, np.zeros((5, 2))), grid)
+    grid.write_bytes(grid_bytes(GridFunction(1, 2, 2, np.zeros((5, 2)))))
     assert verify_report(tmp_path / "report.json") == [
-        "input_trial_000.grid: grid does not match the config's (c, N, q)"]
+        "input_trial_000.grid: differs from its re-derivation"]
+
+
+def retyped(data: bytes) -> bytes:
+    """data with a 0 appended to the fractional digits of its first float (0.5 becomes
+    0.50, 1.5e-07 becomes 1.50e-07): the same value in other text."""
+    end = re.search(rb"\d\.\d+", data).end()
+    return data[:end] + b"0" + data[end:]
+
+
+SMALL_RUNS = {
+    "invert": lambda out: run_inverse_closedness(small_config(), out_dir=out),
+    "wiener": lambda out: run_wiener({"symbol": "3+u+u^{-1}", "grid": 128, "out_radius": 8,
+                                      "weight": {"s": 1.0}}, out_dir=out),
+    "kernel": lambda out: run_kernel(small_config(), out_dir=out),
+    "gen": lambda out: run_gen(small_config(), out_dir=out),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_RUNS))
+def test_verify_report_checks_every_sidecar_as_text(tmp_path, kind):
+    """One edit of each file a run writes besides its report, a value-keeping
+    re-typing of a table or JSON file or a flipped last payload byte of the grid
+    file, is a problem that names the file."""
+    SMALL_RUNS[kind](tmp_path)
+    report = tmp_path / "report.json"
+    assert verify_report(report) == []
+    sidecars = sorted(p for p in tmp_path.iterdir() if p.name != "report.json")
+    assert sidecars
+    for path in sidecars:
+        original = path.read_bytes()
+        path.write_bytes(original[:-1] + bytes([original[-1] ^ 0xFF]) if path.suffix == ".grid"
+                         else retyped(original))
+        assert any(path.name in p for p in verify_report(report)), path.name
+        path.write_bytes(original)
+    assert verify_report(report) == []
 
 
 def test_verify_report_rejects_unreadable(tmp_path):
@@ -1070,7 +1116,9 @@ def test_verify_report_rederives_wiener_partial_sums_json(tmp_path):
     inverse["entries"][0].update(im=0.5)
     inverse_path.write_text(json.dumps(inverse))
     problems = verify_report(path)
-    assert problems and all("mismatch" in p or "match" in p for p in problems)
+    assert problems[0] == "inverse.json: differs from its re-derivation"
+    assert "partial_sums.csv:10: partial_sum mismatch" in problems
+    assert all("match" in p for p in problems[1:])
     inverse_path.write_text(stored)
     assert tamper(path, lambda r: r.pop("partial_sums_csv")) == [
         "wiener report has no partial sums"]
