@@ -17,9 +17,9 @@ operators; their symbol sum_m b_m e^{i m.theta} is a matrix function on
 the torus and, with the circulant boundary, its values at the grid
 points of order 2N+1 carry exactly the spectrum of the dense form.
 
-The module only computes: an envelope comes back as an `Envelope` of
-numbers, and the weighted envelope tables of a report are built and
-written by the harness.
+The module only computes: an envelope beta comes back as a real
+seq_algebra.FiniteSeq, an element of the algebra l_1(Z^c), and the
+weighted envelope tables of a report are built and written by the harness.
 
 Stored form.  An operator keeps its blocks as one (n_blocks, d, d)
 complex128 `stack` and an (n_blocks, 2, c) int64 `keys` table whose row
@@ -55,7 +55,7 @@ from .lattice import (
     window_indices,
     window_size,
 )
-from .seq_algebra import TorusPoint
+from .seq_algebra import FiniteSeq, TorusPoint
 
 __all__ = [
     "CDOperator",
@@ -63,7 +63,6 @@ __all__ = [
     "band_plan",
     "geometry_plan",
     "BlockVector",
-    "Envelope",
     "InversionResult",
     "ShapeMismatch",
     "NotShiftInvariant",
@@ -555,34 +554,7 @@ def laurent_symbol(op: CDOperator, u: TorusPoint) -> np.ndarray:
 # ------------------------------------------------------------ envelopes
 
 
-@dataclass
-class Envelope:
-    """Per-offset dominating bounds beta_m on the cube |m|_inf <= W."""
-
-    c: int
-    radius: int
-    values: np.ndarray  # float array of shape (2W+1,)*c
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        want = (2 * self.radius + 1,) * self.c
-        if v.shape != want:
-            raise ShapeMismatch(f"envelope array shape {v.shape}, want {want}")
-        if (v < 0).any():
-            raise ValueError("envelope values must be nonnegative")
-        self.values = v
-
-    def beta(self, m) -> float:
-        m = as_index(m, self.c)
-        if max(abs(x) for x in m) > self.radius:
-            return 0.0
-        return float(self.values[tuple(x + self.radius for x in m)])
-
-    def l1(self) -> float:
-        return float(self.values.sum())
-
-
-def fit_envelope(op: CDOperator, norm_kind: str = "nuclear") -> Envelope:
+def fit_envelope(op: CDOperator, norm_kind: str = "nuclear") -> FiniteSeq:
     """The tightest constant-in-k envelope: beta_m = max_k ||b_{k,m}||, the norm
     one of block_norms' kinds; the one envelope fit, T1's in invert_one_plus too.
 
@@ -625,11 +597,12 @@ def fit_envelope(op: CDOperator, norm_kind: str = "nuclear") -> Envelope:
       l1 = 1e-320 profile came out 0.7% off at d = 4.  The bound is far above
       the deviations seen: at most 2.5 d eps nu in 1.6e7 simulated rank-1
       and rank-2 blocks, d = 2 to 4.
-    - Otherwise, the upper bound B(g) = min(sqrt(d) ||g||_F, sum_j ||g e_j||_2,
+    - Otherwise, the upper bound B(g) = min(sum_j ||g e_j||_2,
       sum_i ||e_i^T g||_2) >= ||g||_S1 of every block, whose lead has the
-      largest ||g||_F.  Bounds and trace norms carry relative errors of order
-      d eps (9e-16 at d = 4, a 1000th of the margin).  B is taken in chunks,
-      blocks scaled by powers of two so that no square under- or overflows.
+      largest ||g||_F; by Cauchy-Schwarz both sums are at most sqrt(d) ||g||_F.
+      Bounds and trace norms carry relative errors of order d eps (9e-16 at
+      d = 4, a 1000th of the margin).  B is taken in chunks, blocks scaled by
+      powers of two so that no square under- or overflows.
 
     A non-finite entry takes every block's trace norm, which raises as LAPACK
     does.
@@ -651,7 +624,7 @@ def fit_envelope(op: CDOperator, norm_kind: str = "nuclear") -> Envelope:
         rest = bound * (1.0 + 1e-12) > beta[offsets] * scale
         rest[first] = False
         np.maximum.at(beta, offsets[rest], block_norms(stack[rest], norm_kind))
-    return Envelope(op.c, radius, beta.reshape((2 * radius + 1,) * op.c))
+    return FiniteSeq(op.c, radius, beta.reshape((2 * radius + 1,) * op.c))
 
 
 _FIT_CHUNK = 1 << 13  # entries per chunk of the trace-norm bounds: caps their temporaries
@@ -717,15 +690,15 @@ def _trace_norm_bounds(stack: np.ndarray) -> Optional[tuple]:
         sq *= sq
         rows, cols = sq @ np.ones(2 * d), ones @ sq  # |e_i^T g|^2; |g e_j|^2 in re, im parts
         f = np.sqrt(rows @ ones)
-        bound[part] = np.minimum(np.minimum(np.sqrt(d) * f, np.sqrt(rows) @ ones),
+        bound[part] = np.minimum(np.sqrt(rows) @ ones,
                                  np.sqrt(cols[:, 0::2] + cols[:, 1::2]) @ ones)
         frob[part] = f / scale[part]
     return bound, frob, scale
 
 
-def decay_slope(env: Envelope) -> float:
+def decay_slope(env: FiniteSeq) -> float:
     """Least-squares slope of ln(beta_m) against |m|_inf, over the beta_m above 1e-14."""
-    beta = env.values.reshape(-1)  # in window_array order
+    beta = env.data.reshape(-1)  # in window_array order
     above = beta > 1e-14
     if above.sum() < 2:
         return float("nan")
@@ -745,8 +718,8 @@ class InversionResult:
     residual: float  # sqrt(||R||_1 ||R||_inf) of the computed R = (1+T)X - 1
     condition: float  # a bound on ||1+T||_2 over sigma_min_lower
     sigma_min_lower: float  # a lower bound on the smallest singular value of 1 + T
-    envelope: Envelope  # nuclear envelope of t1
-    t_envelope: Envelope  # nuclear envelope of T
+    envelope: FiniteSeq  # nuclear envelope of t1
+    t_envelope: FiniteSeq  # nuclear envelope of T
 
 
 def _norm_bound(m: np.ndarray) -> float:
@@ -824,9 +797,9 @@ def invert_one_plus(op: CDOperator) -> InversionResult:
 
     t_envelope = fit_envelope(op, "nuclear")
     e_round = _gamma(n * d) * a_norm * x_norm
-    x_bound = min(x_norm, 1.0 + fitted.l1())  # 0 only where ||X||_1 ||X||_inf underflows
+    x_bound = min(x_norm, 1.0 + fitted.l1_norm())  # 0 only where ||X||_1 ||X||_inf underflows
     lower = (1.0 - residual - e_round) / x_bound if x_bound > 0 else 0.0
-    condition = min(a_norm, 1.0 + t_envelope.l1()) / lower if lower > 0 else np.inf
+    condition = min(a_norm, 1.0 + t_envelope.l1_norm()) / lower if lower > 0 else np.inf
     if not condition <= 1e12:
         raise NumericallySingular(f"condition {condition:.3e} exceeds 1.0e+12")
     return InversionResult(t1, residual, condition, lower, fitted, t_envelope)

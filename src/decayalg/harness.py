@@ -29,7 +29,6 @@ from .blocking_kernel import (GridFunction, apply_kernel, assemble_kernel, block
                               unblock)
 from .cd_operator import (
     CDOperator,
-    Envelope,
     NumericallySingular,
     apply,
     decay_slope,
@@ -310,20 +309,20 @@ def _shells(radius: int, c: int) -> list:
     return sorted(window_indices(radius, c), key=lambda m: (max(abs(x) for x in m), m))
 
 
-def _envelope_table(env: Envelope, weight: Weight) -> list:
+def _envelope_table(env: FiniteSeq, weight: Weight) -> list:
     """Rows [*m, beta_m, g(m), g(m) beta_m, running sum] in `_shells` order."""
     order = _shells(env.radius, env.c)
     gvals = weight.eval_many(np.array(order, dtype=float).reshape(len(order), env.c))
     rows, running = [], 0.0
     for m, g in zip(order, gvals):
-        beta = env.beta(m)
+        beta = env[m]
         weighted = float(g) * beta
         running += weighted
         rows.append([*m, beta, float(g), weighted, running])
     return rows
 
 
-def _envelope_csv(env: Envelope, weight: Weight) -> tuple:
+def _envelope_csv(env: FiniteSeq, weight: Weight) -> tuple:
     """An envelope table file, columns m_1..m_c, beta, weight, weighted_beta and cumsum,
     and its record's weighted_total, final_increment and slope."""
     header = [f"m_{i + 1}" for i in range(env.c)] + ["beta", "weight", "weighted_beta", "cumsum"]
@@ -345,8 +344,9 @@ def _aggregates(kind: str, records: list) -> dict:
         out["max_condition"] = max((r["condition"] for r in ok), default=None)
     elif kind == "kernel":
         out["max_kernel_rel_err"] = max((r["kernel_rel_err"] for r in ok), default=None)
-        out["all_isometries_exact"] = all(all(r["isometry_exact"].values()) for r in ok)
-        out["all_round_trips_exact"] = all(r["round_trip_exact"] for r in ok)
+        out["all_isometries_exact"] = all(
+            v is True for r in ok for v in r["isometry_exact"].values())
+        out["all_round_trips_exact"] = all(r["round_trip_exact"] is True for r in ok)
     return out
 
 
@@ -402,7 +402,7 @@ def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None) -> dict:
             res = invert_one_plus(generate_operator(cfg, trial))
         except NumericallySingular as exc:
             return {"trial": trial, "error": str(exc)}
-        env_l1 = res.t_envelope.l1()
+        env_l1 = res.t_envelope.l1_norm()
         table, fields = _envelope_csv(res.envelope, cfg.weight)
         rec = {
             "trial": trial,
@@ -410,7 +410,7 @@ def run_inverse_closedness(cfg: ExperimentConfig, out_dir=None) -> dict:
             "invertibility_check": "envelope_l1" if env_l1 < 1.0 else "residual",
             # the fitted beta_m is the max over cells, so this bounds every block
             "envelope_dominates": bool(
-                (res.t_envelope.values <= beta * (1.0 + 1e-12) + 1e-15).all()),
+                (res.t_envelope.data <= beta * (1.0 + 1e-12) + 1e-15).all()),
             "residual": _json_float(res.residual),
             "condition": _json_float(res.condition),
             "sigma_min_lower": _json_float(res.sigma_min_lower),
@@ -620,7 +620,7 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None) -> dict:
 def _operator_json(op: CDOperator) -> tuple:
     """A gen operator file, and its record's n_blocks and envelope_l1."""
     return _json_text(op.to_json()), {
-        "n_blocks": op.n_blocks, "envelope_l1": _json_float(fit_envelope(op, "nuclear").l1())}
+        "n_blocks": op.n_blocks, "envelope_l1": _json_float(fit_envelope(op, "nuclear").l1_norm())}
 
 
 def run_gen(cfg: ExperimentConfig, out_dir=None) -> dict:
@@ -695,7 +695,7 @@ def _check_file(out_dir: Path, rec: dict, key: str, rerender, what: str) -> list
                                      for field, value in fields.items() if rec.get(field) != value]
 
 
-def _table_envelope(text: str, cfg: ExperimentConfig) -> Envelope:
+def _table_envelope(text: str, cfg: ExperimentConfig) -> FiniteSeq:
     """T1's envelope on |m| <= N from an envelope table's beta column, its rows in
     `_shells` order; ValueError for a table of another size or a negative beta."""
     c, radius = cfg.c, cfg.window_radius
@@ -705,14 +705,16 @@ def _table_envelope(text: str, cfg: ExperimentConfig) -> Envelope:
     values = np.zeros((2 * radius + 1,) * c)
     for m, line in zip(_shells(radius, c), lines):
         values[tuple(x + radius for x in m)] = _cell(line, c)
-    return Envelope(c, radius, values)
+    if (values < 0).any():
+        raise ValueError("envelope values must be nonnegative")
+    return FiniteSeq(c, radius, values)
 
 
 def _verify_invert_record(out_dir: Path, rec: dict, cfg: ExperimentConfig) -> list:
     """Re-render the record's envelope table and the fields read off it, and re-derive its
     invertibility_check from its envelope_l1."""
     trial = rec.get("trial")
-    problems = ([] if rec.get("envelope_dominates", False)
+    problems = ([] if rec.get("envelope_dominates") is True
                 else [f"trial {trial}: envelope domination violated"])
     if rec.get("envelope_csv") is None:
         return problems + [f"trial {trial}: no envelope table"]

@@ -66,7 +66,8 @@ class FiniteSeq:
 
     Coefficients live on the cube [-radius, radius]^c, stored densely in
     lexicographic raster order; everything outside the window is exactly
-    zero by convention.
+    zero by convention.  Real data is kept as float64 and reads back as
+    floats (an operator's envelope, cd_operator.fit_envelope); other data is complex128.
     """
 
     c: int
@@ -75,15 +76,15 @@ class FiniteSeq:
 
     def __post_init__(self):
         shape = (2 * self.radius + 1,) * self.c
-        self.data = np.asarray(self.data, dtype=np.complex128)
+        self.data = np.asarray(self.data, np.complex128 if np.iscomplexobj(self.data) else float)
         if self.data.shape != shape:
             raise ValueError(f"data shape {self.data.shape} != window shape {shape}")
 
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def zeros(cls, c: int, radius: int) -> "FiniteSeq":
-        return cls(c, radius, np.zeros((2 * radius + 1,) * c, dtype=np.complex128))
+    def zeros(cls, c: int, radius: int, dtype=np.complex128) -> "FiniteSeq":
+        return cls(c, radius, np.zeros((2 * radius + 1,) * c, dtype=dtype))
 
     @classmethod
     def from_entries(cls, entries: dict, c: Optional[int] = None,
@@ -108,17 +109,17 @@ class FiniteSeq:
 
     # -- access ----------------------------------------------------------
 
-    def __getitem__(self, n) -> complex:
+    def __getitem__(self, n) -> complex | float:
         idx = as_index(n, self.c)
         if any(abs(i) > self.radius for i in idx):
-            return 0.0 + 0.0j
-        return complex(self.data[tuple(i + self.radius for i in idx)])
+            return self.data.dtype.type(0).item()
+        return self.data[tuple(i + self.radius for i in idx)].item()
 
-    def support(self) -> Iterator[tuple[tuple[int, ...], complex]]:
+    def support(self) -> Iterator[tuple[tuple[int, ...], complex | float]]:
         """Yield (index, coefficient) over nonzero entries, raster order."""
         for flat in np.flatnonzero(self.data.ravel()):
             pos = np.unravel_index(int(flat), self.data.shape)
-            yield tuple(int(p) - self.radius for p in pos), complex(self.data[pos])
+            yield tuple(int(p) - self.radius for p in pos), self.data[pos].item()
 
     def l1_norm(self) -> float:
         return float(np.abs(self.data).sum())
@@ -217,13 +218,13 @@ def weighted_norm(a: FiniteSeq, g: Weight) -> float:
 
 
 def convolve(a: FiniteSeq, b: FiniteSeq) -> FiniteSeq:
-    """Exact convolution; the result window has radius R_a + R_b."""
+    """Exact convolution; the result window has radius R_a + R_b, real for real a and b."""
     if a.c != b.c:
         raise ValueError("dimension mismatch")
     # iterate the sparser factor, accumulate shifted copies of the denser one
     if np.count_nonzero(a.data) > np.count_nonzero(b.data):
         a, b = b, a
-    out = FiniteSeq.zeros(a.c, a.radius + b.radius)
+    out = FiniteSeq.zeros(a.c, a.radius + b.radius, np.result_type(a.data, b.data))
     width_b = 2 * b.radius + 1
     for n, v in a.support():
         sl = tuple(slice(i + a.radius, i + a.radius + width_b) for i in n)

@@ -46,12 +46,12 @@ class Weight:
     Parameters
     ----------
     a, b : float
-        Sub-exponential factor exp(a |n|^b); requires a >= 0 and 0 <= b < 1.
+        Sub-exponential factor exp(a |n|^b); requires finite a >= 0 and 0 <= b < 1.
         (b = 1 would grow exponentially along rays and break axiom (e).)
     s : float
-        Polynomial factor (1 + |n|)^s; requires s >= 0.
+        Polynomial factor (1 + |n|)^s; requires finite s >= 0.
     t : float
-        Logarithmic factor ln^t(e + |n|); requires t >= 0.
+        Logarithmic factor ln^t(e + |n|); requires finite t >= 0.
     index_norm : str
         Which norm |n| means: "l1" (default), "l2" or "linf".  l1 keeps
         the base of the polynomial factor integral, hence exact.
@@ -64,14 +64,14 @@ class Weight:
     index_norm: str = "l1"
 
     def __post_init__(self):
-        if not (self.a >= 0):
-            raise ValueError("weight parameter a must be >= 0")
+        if not (0 <= self.a < np.inf):
+            raise ValueError("weight parameter a must be finite and >= 0")
         if not (0 <= self.b < 1):
             raise ValueError("weight parameter b must lie in [0, 1)")
-        if not (self.s >= 0):
-            raise ValueError("weight parameter s must be >= 0")
-        if not (self.t >= 0):
-            raise ValueError("weight parameter t must be >= 0")
+        if not (0 <= self.s < np.inf):
+            raise ValueError("weight parameter s must be finite and >= 0")
+        if not (0 <= self.t < np.inf):
+            raise ValueError("weight parameter t must be finite and >= 0")
         if self.index_norm not in _INDEX_NORMS:
             raise ValueError(f"index_norm must be one of {_INDEX_NORMS}")
 

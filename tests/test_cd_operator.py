@@ -8,7 +8,6 @@ import pytest
 from decayalg.cd_operator import (
     BlockVector,
     CDOperator,
-    Envelope,
     NotShiftInvariant,
     NumericallySingular,
     ShapeMismatch,
@@ -25,7 +24,7 @@ from decayalg.cd_operator import (
 from decayalg.harness import _envelope_csv, _envelope_table
 from decayalg.lattice import as_index, window_indices, window_size
 from decayalg.nuclear_blocks import operator_norm, trace_norm
-from decayalg.seq_algebra import FiniteSeq, TorusPoint
+from decayalg.seq_algebra import FiniteSeq, TorusPoint, convolve
 from decayalg.weights import Weight
 
 
@@ -209,25 +208,27 @@ def test_fit_envelope_values():
         },
     )
     env = fit_envelope(op, "nuclear")
-    assert env.beta((1,)) == pytest.approx(3.0)  # max over cells
-    assert env.beta((0,)) == pytest.approx(2.0)
-    assert env.beta((-1,)) == 0.0
-    assert env.beta((5,)) == 0.0
-    assert env.l1() == pytest.approx(5.0)
+    # an envelope is a real sequence of the convolution algebra and reads back as floats
+    assert isinstance(env, FiniteSeq) and env.data.dtype == np.float64
+    assert type(env[(1,)]) is float and type(env[(5,)]) is float
+    assert all(type(v) is float for _, v in env.support())
+    assert env[(1,)] == pytest.approx(3.0)  # max over cells
+    assert env[(0,)] == pytest.approx(2.0)
+    assert env[(-1,)] == 0.0
+    assert env[(5,)] == 0.0
+    assert env.l1_norm() == pytest.approx(5.0)
     env1 = fit_envelope(op, "operator_1")
-    assert env1.beta((1,)) == pytest.approx(2.0)
+    assert env1[(1,)] == pytest.approx(2.0)
 
 
 def test_envelope_validation():
-    with pytest.raises(ShapeMismatch):
-        Envelope(1, 2, np.zeros(3))
-    with pytest.raises(ValueError):
-        Envelope(1, 1, np.array([0.0, -1.0, 0.0]))
+    with pytest.raises(ValueError, match="window shape"):
+        FiniteSeq(1, 2, np.zeros(3))
 
 
 def test_envelope_report_order_and_cumsum():
     # rows walk outward shell by shell, lexicographic inside a shell
-    env = Envelope(2, 1, np.ones((3, 3)))
+    env = FiniteSeq(2, 1, np.ones((3, 3)))
     rows = _envelope_table(env, Weight())
     ms = [tuple(row[:2]) for row in rows]
     assert ms[0] == (0, 0)
@@ -240,7 +241,7 @@ def test_envelope_report_order_and_cumsum():
 
 
 def test_envelope_report_csv():
-    env = Envelope(1, 1, np.array([0.25, 1.0, 0.5]))
+    env = FiniteSeq(1, 1, np.array([0.25, 1.0, 0.5]))
     rows = _envelope_table(env, Weight(s=1.0))
     lines = _envelope_csv(env, Weight(s=1.0))[0].splitlines()
     assert lines[0] == "m_1,beta,weight,weighted_beta,cumsum"
@@ -257,9 +258,9 @@ def test_envelope_report_csv():
 
 def test_decay_slope_exponential():
     ms = np.arange(-5, 6)
-    env = Envelope(1, 5, np.exp(-np.abs(ms, dtype=float)))
+    env = FiniteSeq(1, 5, np.exp(-np.abs(ms, dtype=float)))
     assert decay_slope(env) == pytest.approx(-1.0, abs=1e-12)
-    flat = Envelope(1, 2, np.zeros(5))
+    flat = FiniteSeq(1, 2, np.zeros(5))
     assert np.isnan(decay_slope(flat))
 
 
@@ -325,7 +326,7 @@ def test_invert_one_plus_bounds_dominate_the_exact_values():
         assert res.residual >= operator_norm(r, 2) * (1 - 1e-12)
         assert res.condition >= np.linalg.cond(a)
         assert 0 < res.sigma_min_lower <= s[-1]
-        np.testing.assert_array_equal(res.t_envelope.values, fit_envelope(op, "nuclear").values)
+        np.testing.assert_array_equal(res.t_envelope.data, fit_envelope(op, "nuclear").data)
 
 
 @pytest.mark.parametrize("inverse", ["raises", "not finite"])
@@ -432,7 +433,7 @@ def test_cd_operator_validation():
     lambda: as_index("0"),
     lambda: CDOperator(1, 2, 1, 1, "circulant", {((0.7,), (1.2,)): np.eye(1)}),
     lambda: FiniteSeq.from_entries({(0.5,): 1.0}),
-    lambda: Envelope(1, 1, np.ones(3)).beta([True]),
+    lambda: FiniteSeq(1, 1, np.ones(3))[[True]],
     lambda: Weight(s=1.0).eval([1.9]),
 ], ids=["fraction", "fraction-above-1", "bool", "string", "operator-key", "seq-entry",
         "envelope-beta", "weight-eval"])
@@ -499,7 +500,7 @@ def test_apply_bounded_by_envelope_l1(p, kind):
         boundary = ("circulant", "dirichlet")[trial % 2]
         op = random_op(rng, c=c, N=N, W=W, d=d, boundary=boundary)
         x = random_vector(rng, c, N, d)
-        bound = fit_envelope(op, kind).l1() * x.norm(p)
+        bound = fit_envelope(op, kind).l1_norm() * x.norm(p)
         assert apply(op, x).norm(p) <= bound * (1 + 1e-10)
 
 
@@ -516,12 +517,9 @@ def test_composition_envelope_subconvolutive():
             beta = fit_envelope(b, "nuclear")
             ab = compose(a, b)
             gamma = fit_envelope(ab, "nuclear")
+            conv = convolve(alpha, beta)
             for m in window_indices(ab.band_radius, ab.c):
-                conv = sum(
-                    alpha.beta(m1) * beta.beta(tuple(x - y for x, y in zip(m, m1)))
-                    for m1 in window_indices(a.band_radius, a.c)
-                )
-                assert gamma.beta(m) <= conv + 1e-10
+                assert gamma[m] <= conv[m] + 1e-10
 
 
 def test_inverse_is_two_sided_identity():
@@ -529,7 +527,7 @@ def test_inverse_is_two_sided_identity():
     rng = np.random.default_rng(63)
     for _ in range(10):
         op = random_op(rng, c=1, N=4, W=2, d=2, boundary="circulant")
-        scale = 0.5 / fit_envelope(op, "nuclear").l1()
+        scale = 0.5 / fit_envelope(op, "nuclear").l1_norm()
         op = CDOperator(op.c, op.window_radius, op.band_radius, op.local_dim,
                         op.boundary, {km: blk * scale for km, blk in op.blocks.items()})
         t1 = invert_one_plus(op).t1
@@ -559,7 +557,7 @@ def test_scalar_shift_inverse_is_geometric():
         expected = alpha ** (m % L) * wrap
         if m == 0:
             expected = abs(wrap - 1.0)  # identity part is excluded from T1
-        assert env.beta((m,)) == pytest.approx(expected, rel=1e-9, abs=1e-15)
+        assert env[(m,)] == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
 
 def test_laurent_example_diagonal_plus_shift():
@@ -584,4 +582,4 @@ def test_fit_envelope_ones_block_example():
     op = CDOperator.shift_invariant(1, N, W, d, "circulant", offset_blocks)
     env = fit_envelope(op, "nuclear")
     for m in range(-W, W + 1):
-        assert env.beta((m,)) == pytest.approx(d * np.exp(-abs(m)), rel=1e-12)
+        assert env[(m,)] == pytest.approx(d * np.exp(-abs(m)), rel=1e-12)

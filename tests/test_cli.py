@@ -690,3 +690,34 @@ def test_verify_report_wrongly_shaped_report_exits_4(tmp_path, capsys, command, 
     assert main(["verify-report", str(path)]) == 4
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("invert", lambda rec: rec.update(envelope_dominates="no"),
+     "trial 0: envelope domination violated"),
+    ("invert", lambda rec: rec.update(envelope_dominates=1),
+     "trial 0: envelope domination violated"),
+    ("kernel", lambda rec: rec.update(round_trip_exact="no"),
+     "aggregate all_round_trips_exact does not match records"),
+    ("kernel", lambda rec: rec["isometry_exact"].update({"1": "no"}),
+     "aggregate all_isometries_exact does not match records"),
+], ids=["envelope-dominates-string", "envelope-dominates-1", "round-trip-string",
+        "isometry-string"])
+def test_verify_report_flag_of_the_wrong_type_exits_4(tmp_path, capsys, command, edit, message):
+    # a flag holds only when it is JSON true: "no" and 1 are truthy, but no flag the runner writes
+    path = run_and_edit(tmp_path, command, lambda r: edit(r["records"][0]))
+    assert_verify_problem(capsys, path, message)
+
+
+@pytest.mark.parametrize("command, weight", [
+    ("invert", {"a": "HUGE", "b": 0.5}),
+    ("invert", {"s": "HUGE"}),
+    ("wiener", {"t": "HUGE"}),
+], ids=["invert-a", "invert-s", "wiener-t"])
+def test_a_weight_parameter_that_reads_as_infinite_exits_2(tmp_path, capsys, command, weight):
+    # JSON 1e400 reads as inf, which passes every ">= 0" check
+    cfg = (wiener_config if command == "wiener" else write_config)(tmp_path / "c.json",
+                                                                   weight=weight)
+    cfg.write_text(cfg.read_text().replace('"HUGE"', "1e400"))
+    assert float("inf") in json.loads(cfg.read_text())["weight"].values()
+    assert_config_error(tmp_path, capsys, [command, "--config", str(cfg)])

@@ -86,7 +86,7 @@ def operators(draw):
 def test_pruned_fit_equals_the_full_maximum(op, chunk):
     saved, cd_operator._FIT_CHUNK = cd_operator._FIT_CHUNK, chunk
     try:
-        got = fit_envelope(op, "nuclear").values
+        got = fit_envelope(op, "nuclear").data
     finally:
         cd_operator._FIT_CHUNK = saved
     assert_bitwise(got, full_fit(op))
@@ -101,12 +101,12 @@ def test_pruned_fit_of_tight_bounds_far_outside_the_squares_range(d, scale):
     rng = np.random.default_rng(d)
     op = CDOperator(1, 20, 0, d, "circulant",
                     {((k,), (0,)): scale * unitary(rng, d) for k in range(-20, 21)})
-    assert_bitwise(fit_envelope(op, "nuclear").values, full_fit(op))
+    assert_bitwise(fit_envelope(op, "nuclear").data, full_fit(op))
 
 
 def test_pruned_fit_of_empty_operators():
     for op in (CDOperator(1, 2, 1, 3, "circulant", {}), CDOperator(2, 1, 1, 2, "dirichlet", {})):
-        assert_bitwise(fit_envelope(op, "nuclear").values, full_fit(op))
+        assert_bitwise(fit_envelope(op, "nuclear").data, full_fit(op))
 
 
 def test_pruned_fit_takes_few_trace_norms(monkeypatch):
@@ -129,7 +129,7 @@ def test_pruned_fit_takes_few_trace_norms(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     for x, want in zip(ops, wants):
         counted.clear()
-        assert_bitwise(fit_envelope(x, "nuclear").values, want)
+        assert_bitwise(fit_envelope(x, "nuclear").data, want)
         assert sum(counted) < x.n_blocks / 2
 
 
@@ -141,7 +141,7 @@ def test_the_inversion_fits_t1_with_fit_envelope():
         blocks = {(tuple(k), tuple(m)): 0.1 * (rng.standard_normal((d, d)) + 1j)
                   for k in cells for m in window_array(1, c)}
         res = invert_one_plus(CDOperator(c, radius, 1, d, "circulant", blocks))
-        assert_bitwise(res.envelope.values, full_fit(res.t1))
+        assert_bitwise(res.envelope.data, full_fit(res.t1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, complex(0, np.nan)])
@@ -188,7 +188,7 @@ def generated_configs(draw):
 def test_the_fit_from_nominal_norms_equals_the_full_maximum(cfg):
     op = generate_operator(cfg, 0)
     assert op.nominal_norms is not None
-    assert_bitwise(fit_envelope(op, "nuclear").values, full_fit(op))
+    assert_bitwise(fit_envelope(op, "nuclear").data, full_fit(op))
 
 
 def counted_svds(monkeypatch):
@@ -210,11 +210,11 @@ def test_the_nominal_fit_takes_one_trace_norm_per_offset(monkeypatch):
         op = generate_operator(cfg, trial)
         bare = CDOperator.from_arrays(op.c, op.window_radius, op.band_radius, op.local_dim,
                                       op.boundary, op.keys, op.stack)
-        want = fit_envelope(bare, "nuclear").values
+        want = fit_envelope(bare, "nuclear").data
         with monkeypatch.context() as patch:
             counted = counted_svds(patch)
             patch.setattr(cd_operator, "_trace_norm_bounds", None)  # any call fails
-            got = fit_envelope(op, "nuclear").values
+            got = fit_envelope(op, "nuclear").data
         assert sum(counted) == 9
         assert_bitwise(got, want)
         assert_bitwise(got, full_fit(op))
@@ -227,7 +227,7 @@ def test_nominal_norms_outside_the_normal_range_take_the_bound_route(monkeypatch
     bounded, bounds = [], cd_operator._trace_norm_bounds
     monkeypatch.setattr(cd_operator, "_trace_norm_bounds",
                         lambda stack: bounded.append(1) or bounds(stack))
-    assert_bitwise(fit_envelope(op, "nuclear").values, full_fit(op))
+    assert_bitwise(fit_envelope(op, "nuclear").data, full_fit(op))
     assert bounded == ([1] if outside else [])
 
 
@@ -246,9 +246,9 @@ def test_a_cancelling_rank_2_block_takes_the_bound_route(monkeypatch):
     bounded, bounds = [], cd_operator._trace_norm_bounds
     monkeypatch.setattr(cd_operator, "_trace_norm_bounds",
                         lambda stack: bounded.append(1) or bounds(stack))
-    assert_bitwise(fit_envelope(op, "nuclear").values, full_fit(op))
+    assert_bitwise(fit_envelope(op, "nuclear").data, full_fit(op))
     assert bounded == []
-    assert_bitwise(fit_envelope(cancelled, "nuclear").values, full_fit(cancelled))
+    assert_bitwise(fit_envelope(cancelled, "nuclear").data, full_fit(cancelled))
     assert bounded == [1]
 
 
@@ -267,7 +267,7 @@ def test_a_dropped_block_keeps_the_other_nominal_norms(monkeypatch):
         op = generate_operator(cfg, 0)
     assert op.n_blocks == full.n_blocks - 1
     assert_bitwise(op.nominal_norms, np.delete(full.nominal_norms, 1))
-    assert_bitwise(fit_envelope(op, "nuclear").values, full_fit(op))
+    assert_bitwise(fit_envelope(op, "nuclear").data, full_fit(op))
 
 
 @pytest.mark.parametrize("rank", [1, 2, 4])
@@ -281,8 +281,8 @@ def test_gen_reports_verify_by_the_bound_route(tmp_path, rank):
     assert back.nominal_norms is None
     op = generate_operator(cfg, 0)
     assert op.nominal_norms is not None
-    assert report["records"][0]["envelope_l1"] == fit_envelope(back, "nuclear").l1() \
-        == fit_envelope(op, "nuclear").l1()
+    assert report["records"][0]["envelope_l1"] == fit_envelope(back, "nuclear").l1_norm() \
+        == fit_envelope(op, "nuclear").l1_norm()
 
 
 @pytest.mark.parametrize("bad", [np.nan, complex(0, np.nan)])

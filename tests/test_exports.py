@@ -144,3 +144,26 @@ def test_the_benchmark_tracer_patches_every_layer(monkeypatch):
         assert t.missing == []
         assert harness._map_trials is not map_trials
     assert np.linalg.svd is svd and harness._map_trials is map_trials
+
+
+def foreign_imports(source: str) -> list:
+    """Top-level names a module imports that are neither standard library, numpy, nor
+    relative: the runtime depends on numpy alone."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "__future__"}
+    names = [(node.module if isinstance(node, ast.ImportFrom) else alias.name).split(".")[0]
+             for node in ast.walk(ast.parse(source))
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and not getattr(node, "level", 0)
+             for alias in node.names]
+    return [name for name in names if name not in allowed]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_imports_only_the_standard_library_numpy_or_itself(name):
+    module = importlib.import_module(name)
+    assert foreign_imports(Path(module.__file__).read_text()) == []
+
+
+def test_foreign_imports_sees_a_third_party_import():
+    source = ("import numpy as np\nimport os.path\nfrom . import lattice\nfrom .rng import lanes\n"
+              "import scipy.linalg\nfrom hypothesis import given\nfrom decayalg import rng\n")
+    assert foreign_imports(source) == ["scipy", "hypothesis", "decayalg"]

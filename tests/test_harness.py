@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from decayalg import harness
 from decayalg.blocking_kernel import GridFunction, assemble_kernel, grid_bytes
 from decayalg.cd_operator import (
-    Envelope,
     Plan,
     ShapeMismatch,
     densify,
@@ -38,7 +37,8 @@ from decayalg.cd_operator import CDOperator, NumericallySingular, decay_slope, i
 from decayalg.lattice import window_array, window_indices
 from decayalg.nuclear_blocks import trace_norm
 from decayalg.rng import Xoshiro256StarStar, lane_key
-from decayalg.seq_algebra import SymbolVanishes, symbol_on_grid, symbol_vanishes, wiener_inverse
+from decayalg.seq_algebra import (FiniteSeq, SymbolVanishes, symbol_on_grid, symbol_vanishes,
+                                  weighted_norm, wiener_inverse)
 from decayalg.weights import Weight
 
 
@@ -156,7 +156,7 @@ def test_generate_operator_respects_envelope():
         assert tn >= 0.5 * bound * (1 - 1e-12)
     fitted = fit_envelope(op, "nuclear")
     for m in ((-1,), (0,), (1,)):
-        assert fitted.beta(m) <= beta[m[0] + 1] * (1 + 1e-12)
+        assert fitted[m] <= beta[m[0] + 1] * (1 + 1e-12)
 
 
 def test_generate_operator_factorizations_assemble():
@@ -432,7 +432,7 @@ def envelope_values_by_loop(cfg):
 def decay_slope_by_loop(env, floor=1e-14):
     xs, ys = [], []
     for m in window_indices(env.radius, env.c):
-        b = env.beta(m)
+        b = env[m]
         if b > floor:
             xs.append(max(abs(x) for x in m))
             ys.append(np.log(b))
@@ -463,7 +463,7 @@ def test_decay_slope_equals_the_loop_bitwise(c, radius, seed, zero_frac):
     values = np.exp(-gen.uniform(0, 30, (2 * radius + 1,) * c))
     values[gen.uniform(size=values.shape) < zero_frac] = 0.0
     values.flat[::3] *= 1e-16  # some entries under the floor
-    env = Envelope(c, radius, values)
+    env = FiniteSeq(c, radius, values)
     got, want = decay_slope(env), decay_slope_by_loop(env)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
@@ -690,8 +690,23 @@ def test_run_inverse_closedness_slope_from_fitted_envelope(tmp_path):
     cfg = small_config(trials=1)
     report = run_inverse_closedness(cfg, out_dir=tmp_path)
     res = invert_one_plus(generate_operator(cfg, 0))
-    assert np.array_equal(res.envelope.values, fit_envelope(res.t1, "nuclear").values)
+    assert np.array_equal(res.envelope.data, fit_envelope(res.t1, "nuclear").data)
     assert report["records"][0]["slope"] == decay_slope(res.envelope)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(weight=Weight(a=0.5, b=0.5, s=1.0, t=2.0)),
+    dict(c=2, window_radius=2, weight=Weight(s=1.5, index_norm="linf")),
+], ids=["c1", "c2"])
+def test_weighted_total_is_the_weighted_norm_of_the_envelope(tmp_path, overrides):
+    # the table sums g(m) beta_m shell by shell, weighted_norm in raster order
+    cfg = small_config(**overrides)
+    report = run_inverse_closedness(cfg, out_dir=tmp_path)
+    for rec in report["records"]:
+        env = invert_one_plus(generate_operator(cfg, rec["trial"])).envelope
+        assert rec["weighted_total"] > 0
+        assert rec["weighted_total"] == pytest.approx(weighted_norm(env, cfg.weight),
+                                                      rel=1e-12, abs=0)
 
 
 def test_run_wiener_three_term(tmp_path):

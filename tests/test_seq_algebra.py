@@ -75,6 +75,21 @@ def test_convolve_matches_bruteforce():
                 assert got[n] == pytest.approx(v, rel=1e-13, abs=1e-13)
 
 
+def test_real_data_stays_real():
+    rng = np.random.default_rng(4)
+    real = FiniteSeq(1, 2, rng.random(5))
+    cplx = random_seq(rng, 1, 1, density=1.0)
+    assert real.data.dtype == np.float64 and FiniteSeq(1, 1, [1, 2, 3]).data.dtype == np.float64
+    assert cplx.data.dtype == np.complex128
+    assert type(real[(1,)]) is float and type(real[(7,)]) is float
+    assert type(cplx[(1,)]) is complex and type(cplx[(7,)]) is complex
+    assert convolve(real, real).data.dtype == np.float64
+    assert convolve(real, cplx).data.dtype == np.complex128
+    # a real convolution is the real part of the complex one, value for value
+    np.testing.assert_array_equal(convolve(real, real).data,
+                                  convolve(real, FiniteSeq(1, 2, real.data + 0j)).data.real)
+
+
 def test_weighted_norm_values():
     g = Weight(s=1.0)
     assert weighted_norm(delta(1), g) == 1.0

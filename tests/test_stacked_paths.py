@@ -253,7 +253,7 @@ def test_apply_and_densify_equal_block_by_block(geom, d):
 def test_fit_envelope_equals_block_by_block(geom, d):
     _, op = build(geom, d)
     for kind in _NORMS:
-        assert_bitwise(fit_envelope(op, kind).values, ref_fit_envelope(op, kind))
+        assert_bitwise(fit_envelope(op, kind).data, ref_fit_envelope(op, kind))
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 5])
@@ -268,7 +268,7 @@ def test_block_norms_equal_numpy_block_by_block(d):
         assert_bitwise(block_norms(stack, kind), want)
         assert_bitwise(block_norms(stack[:0], kind), np.zeros(0))
         assert [fit_envelope(CDOperator(1, 0, 0, d, "circulant", {((0,), (0,)): blk}),
-                             kind).values[0] for blk in stack] == list(want)
+                             kind).data[0] for blk in stack] == list(want)
     for blk in stack:
         assert trace_norm(blk) == _NORMS["nuclear"](blk)
         for p, kind in ((1, "operator_1"), (2, "operator_2"), (np.inf, "operator_inf"),
@@ -365,7 +365,7 @@ def test_invert_reblocking_equals_block_by_block(c, N, d):
     assert list(res.t1.blocks) == sorted(want)  # T1's blocks come in sorted (k, m) order
     for key, blk in want.items():
         assert_bitwise(res.t1.blocks[key], blk)
-    assert_bitwise(res.envelope.values, ref_fit_envelope(res.t1, "nuclear"))
+    assert_bitwise(res.envelope.data, ref_fit_envelope(res.t1, "nuclear"))
 
 
 @pytest.mark.parametrize("c,N,d", [(1, 3, 2), (2, 1, 2), (1, 0, 3)])
