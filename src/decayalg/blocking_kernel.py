@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,18 +106,12 @@ class Kernel(BlockStore):
     cell pair (k, l) instead of (cell, offset).
     """
 
-    def __init__(self, c: int, window_radius: int, q: int, blocks: Mapping):
-        self._set(c, window_radius, q, *self._table(blocks, c, (q ** c, q ** c)))
-
     @classmethod
     def from_arrays(cls, c: int, window_radius: int, q: int, keys, stack) -> "Kernel":
-        kern = cls.__new__(cls)
-        kern._set(c, window_radius, q, keys, stack)
+        kern = cls()
+        kern.c, kern.window_radius, kern.q = c, window_radius, q
+        kern._store(keys, stack, (q ** c, q ** c), (window_radius,) * 2, ("cell", "cell"))
         return kern
-
-    def _set(self, c, window_radius, q, keys, stack) -> None:
-        self.c, self.window_radius, self.q = c, window_radius, q
-        self._store(keys, stack, (q ** c, q ** c), (window_radius,) * 2, ("cell", "cell"))
 
 
 class MissingFactorization(ValueError):

@@ -5,10 +5,12 @@ and every cell of a kernel run's grid, draws from its own xoshiro256**
 lane keyed by (seed, domain, trial, cell[, offset]).  Trials may run in
 parallel (capped by the DECAYALG_THREADS environment variable) but are
 merged in trial order, and every output file is byte-stable: sorted keys,
-repr'd floats, no timestamps.  Each file has one renderer here, a function
-returning its content and the record fields read off it; the runner writes
-that content, and verify_report calls the same renderer on the evidence the
-report holds and compares text and fields exactly.
+repr'd floats, no timestamps.  Each file of invert, kernel and gen has one
+renderer here, a function returning its content and the record fields read
+off it; the runner writes that content, and verify_report calls the same
+renderer on the evidence the report holds and compares text and fields
+exactly.  A wiener report is re-run instead: verify_report calls the function
+that makes its report and files on the echoed config and compares each one.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ from .cd_operator import (
 )
 from .lattice import as_number, only_keys, window_array, window_indices, window_size
 from .rng import box_muller, lane_keys, lanes, uniforms
-from .seq_algebra import (FiniteSeq, SymbolVanishes, check_sizes, convolve, delta,
-                          symbol_on_grid, symbol_vanishes, wiener_inverse)
+from .seq_algebra import FiniteSeq, SymbolVanishes, check_sizes, wiener_inverse
 from .weights import Weight
 
 __all__ = [
@@ -432,12 +433,8 @@ _TERM_START = re.compile(r"(?<=[^eE^+\-*({])(?=[+-])")
 _TERM = re.compile(r"([+-]*)(?:([^u]*?)\**u(?:\^[{}]*(.*?)[{}]*)?|([^u]*))", re.DOTALL)
 
 
-def parse_symbol(text: str) -> FiniteSeq:
-    """Parse a one-variable symbol like "2+u", "3+u+u^{-1}", "1-0.5*u^2".
-
-    Terms are [coefficient][*][u[^exponent]]; exponents may be braced.
-    Only c=1 symbols are expressible; richer inputs go through JSON.
-    """
+def _symbol_terms(text: str) -> dict:
+    """{exponent: coefficient} of a one-variable symbol's text; see parse_symbol."""
     s = text.replace("−", "-").replace("⋅", "*").replace(" ", "")
     entries: dict = {}
     for term in _TERM_START.split(s):
@@ -454,7 +451,16 @@ def parse_symbol(text: str) -> FiniteSeq:
             raise ConfigError(f"bad coefficient or exponent in {term!r}") from exc
         sign = -1.0 if signs.count("-") % 2 else 1.0
         entries[power] = entries.get(power, 0j) + sign * coef
-    return FiniteSeq.from_entries(entries, c=1)
+    return entries
+
+
+def parse_symbol(text: str) -> FiniteSeq:
+    """Parse a one-variable symbol like "2+u", "3+u+u^{-1}", "1-0.5*u^2".
+
+    Terms are [coefficient][*][u[^exponent]]; exponents may be braced.
+    Only c=1 symbols are expressible; richer inputs go through JSON.
+    """
+    return FiniteSeq.from_entries(_symbol_terms(text), c=1)
 
 
 def _geometric_closed_form_error(seq: FiniteSeq, inverse: FiniteSeq) -> Optional[float]:
@@ -487,19 +493,23 @@ _WIENER_FIELDS = ("symbol", "seq", "grid", "out_radius", "weight")
 
 
 def _wiener_inputs(cfg: dict) -> tuple:
-    """(seq, grid, out_radius, weight) of a wiener config, checked up front."""
+    """(seq, grid, out_radius, weight) of a wiener config, checked up front: the grid
+    against the symbol's radius before the symbol's window is built."""
     _config_object(cfg, _WIENER_FIELDS, ("grid", "out_radius"), "wiener config")
     if ("seq" in cfg) == ("symbol" in cfg):
         raise ConfigError("wiener config needs exactly one of 'symbol' and 'seq'")
     if "seq" in cfg:
-        seq = _parsed("seq", lambda: FiniteSeq.from_json(cfg["seq"]))
+        radius = _parsed("seq", lambda: as_number(cfg["seq"]["radius"], int, "radius"))
     else:
-        seq = _parsed("symbol", lambda: parse_symbol(cfg["symbol"]))
-    if not np.isfinite(seq.data).all():
-        raise ConfigError("wiener coefficients must be finite")
+        terms = _parsed("symbol", lambda: _symbol_terms(cfg["symbol"]))
+        radius = max(map(abs, terms))
     grid, out_radius = _parsed("grid or out_radius", lambda: [
         as_number(cfg[key], int, key) for key in ("grid", "out_radius")])
-    _parsed("grid or out_radius", lambda: check_sizes(grid, seq.radius, out_radius))
+    _parsed("grid or out_radius", lambda: check_sizes(grid, radius, out_radius))
+    seq = (_parsed("seq", lambda: FiniteSeq.from_json(cfg["seq"])) if "seq" in cfg
+           else FiniteSeq.from_entries(terms, c=1))
+    if not np.isfinite(seq.data).all():
+        raise ConfigError("wiener coefficients must be finite")
     weight = _parsed("weight", lambda: Weight.from_json(cfg["weight"]) if "weight" in cfg
                      else Weight())
     return seq, grid, out_radius, weight
@@ -521,11 +531,10 @@ def _partial_sums_csv(inverse: FiniteSeq, weight: Weight, out_radius: int) -> tu
         "weighted_total": _json_float(running), "final_increment": _json_float(increments[-1])}
 
 
-def run_wiener(cfg: dict, out_dir=None) -> dict:
-    """Invert a scalar symbol on the torus and report coefficient decay."""
+def _wiener_outputs(cfg: dict) -> tuple:
+    """A wiener run's report and its other files {name: content}, from its config alone;
+    run_wiener writes them and verify_report compares them."""
     seq, grid, out_radius, weight = _wiener_inputs(cfg)
-    out_path = _resolve_out_dir(out_dir)
-
     report: dict = {
         "format_version": FORMAT_VERSION,
         "kind": "wiener",
@@ -541,20 +550,24 @@ def run_wiener(cfg: dict, out_dir=None) -> dict:
         result = wiener_inverse(seq, grid, out_radius)
     except SymbolVanishes as exc:
         report.update(min_modulus=_json_float(exc.min_modulus), error=f"symbol_vanishes: {exc}")
-        _write(out_path / "report.json", _json_text(report))
-        return report
-
+        return report, {}
     closed = _geometric_closed_form_error(seq, result.inverse)
     partial, fields = _partial_sums_csv(result.inverse, weight, out_radius)
-
     report["min_modulus"] = _json_float(result.min_modulus)
     report["residual"] = _json_float(result.residual)
     if closed is not None:
         report["closed_form_max_err"] = _json_float(closed)
     report.update(fields, inverse_json="inverse.json", partial_sums_csv="partial_sums.csv")
-    _write(out_path / "inverse.json", _json_text(result.inverse.to_json()))
-    _write(out_path / "partial_sums.csv", partial)
-    _write(out_path / "report.json", _json_text(report))
+    return report, {"inverse.json": _json_text(result.inverse.to_json()),
+                    "partial_sums.csv": partial}
+
+
+def run_wiener(cfg: dict, out_dir=None) -> dict:
+    """Invert a scalar symbol on the torus and report coefficient decay."""
+    report, files = _wiener_outputs(cfg)
+    out_path = _resolve_out_dir(out_dir)
+    for name, content in {**files, "report.json": _json_text(report)}.items():
+        _write(out_path / name, content)
     return report
 
 
@@ -679,7 +692,7 @@ def _diff(name: str, got, want) -> list:
 
 
 def _check_file(out_dir: Path, rec: dict, key: str, rerender, what: str) -> list:
-    """Problems of the file that `rec` (a record or a wiener report) names under `key`:
+    """Problems of the file that the record `rec` names under `key`:
     missing or unreadable, refused by rerender (a ValueError naming why), or unlike
     rerender(content), its re-rendering from the evidence it holds, in its text or in
     the fields of `rec` read off it; `what` names the file in a field's problem."""
@@ -728,36 +741,19 @@ def _verify_invert_record(out_dir: Path, rec: dict, cfg: ExperimentConfig) -> li
 
 
 def _verify_wiener(report: dict, out_dir: Path) -> list:
-    """Re-derive min_modulus, and whether an error belongs, from the echoed symbol and
-    grid; re-render the stored inverse, and derive residual, closed_form_max_err and the
-    partial sums from it."""
+    """Re-run the echoed config; compare each report field and each file with the re-run's."""
     try:
-        seq, grid, out_radius, weight = _wiener_inputs(report.get("config"))
+        want, files = _wiener_outputs(report.get("config"))
     except ConfigError as exc:
         return [f"wiener config not reconstructible: {exc}"]
-    mod = np.abs(symbol_on_grid(seq, grid))
-    problems = ([] if report.get("min_modulus") == _json_float(mod.min())
-                else ["min_modulus does not match the symbol"])
-    if ("error" in report) != symbol_vanishes(mod):
-        problems.append("error disagrees with whether the symbol vanishes")
-    elif "error" in report:
-        return problems
-    name = report.get("inverse_json")
-    text, found = _read(out_dir, name, f"wiener inverse not reconstructible: no file {name!r}")
-    try:
-        inverse = FiniteSeq.from_json(json.loads(text))
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        return problems + (found or [f"wiener inverse not reconstructible: {exc!r}"])
-    closed = _geometric_closed_form_error(seq, inverse)
-    derived = {"residual": _json_float((convolve(seq, inverse) - delta(seq.c)).l1_norm()),
-               "closed_form_max_err": None if closed is None else _json_float(closed)}
-    problems += _diff(name, text, _json_text(inverse.to_json())) + [
-        f"{key} does not match the stored inverse"
-        for key, value in derived.items() if report.get(key) != value]
-    if report.get("partial_sums_csv") is None:
-        return problems + ["wiener report has no partial sums"]
-    return problems + _check_file(out_dir, report, "partial_sums_csv", lambda _: _partial_sums_csv(
-        inverse, weight, out_radius), "the partial sums")
+    # each field as JSON text, so 1 is no 1.0 or true; a field on one side only reads None
+    got, ran = ({key: _json_text(value) for key, value in rep.items()} for rep in (report, want))
+    problems = [f"{key} does not match a re-run"
+                for key in sorted(got.keys() | ran.keys()) if got.get(key) != ran.get(key)]
+    for name, content in files.items():
+        text, missing = _read(out_dir, name, f"missing {name!r}")
+        problems += missing or _diff(name, text, content)
+    return problems
 
 
 def _file_operator(text: str, cfg: ExperimentConfig) -> CDOperator:

@@ -87,9 +87,9 @@ class FiniteSeq:
         return cls(c, radius, np.zeros((2 * radius + 1,) * c, dtype=dtype))
 
     @classmethod
-    def from_entries(cls, entries: dict, c: Optional[int] = None,
-                     radius: Optional[int] = None) -> "FiniteSeq":
-        """Build from a map index -> coefficient (indices as ints or tuples)."""
+    def from_entries(cls, entries: dict, c: Optional[int] = None) -> "FiniteSeq":
+        """Build from a map index -> coefficient (indices as ints or tuples) on the
+        smallest window that holds them."""
         norm = {}
         for n, v in entries.items():
             idx = as_index(n, c)
@@ -97,11 +97,7 @@ class FiniteSeq:
             norm[idx] = norm.get(idx, 0.0) + complex(v)
         if c is None:
             raise ValueError("cannot infer dimension from empty entries")
-        spread = max((max(abs(v) for v in n) for n in norm), default=0)
-        if radius is None:
-            radius = spread
-        elif spread > radius:
-            raise ValueError("entry index outside the requested window")
+        radius = max((max(abs(v) for v in n) for n in norm), default=0)
         seq = cls.zeros(c, radius)
         for n, v in norm.items():
             seq.data[tuple(i + radius for i in n)] = v

@@ -151,11 +151,11 @@ def test_kernel_requires_matching_q():
 
 def test_kernel_validation():
     with pytest.raises(ShapeMismatch):
-        Kernel(1, 1, 2, {((0,), (0,)): np.zeros((3, 3))})
+        Kernel.from_arrays(1, 1, 2, [[[0], [0]]], [np.zeros((3, 3))])
     with pytest.raises(ShapeMismatch):
-        Kernel(1, 1, 2, {((5,), (0,)): np.zeros((2, 2))})
+        Kernel.from_arrays(1, 1, 2, [[[5], [0]]], [np.zeros((2, 2))])
     f = GridFunction(1, 1, 2, np.zeros((3, 2)))
-    kern = Kernel(1, 2, 2, {})
+    kern = Kernel.from_arrays(1, 2, 2, np.zeros((0, 2, 1), dtype=int), np.zeros((0, 2, 2)))
     with pytest.raises(ShapeMismatch):
         apply_kernel(kern, f)
 

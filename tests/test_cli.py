@@ -9,6 +9,7 @@ from decayalg import harness
 from decayalg.cd_operator import CDOperator
 from decayalg.cli import build_parser, main
 from decayalg.harness import verify_report
+from decayalg.seq_algebra import FiniteSeq, convolve, delta
 
 
 def write_config(path, **overrides):
@@ -494,6 +495,59 @@ def test_wiener_bad_grid_exits_2(tmp_path, capsys, grid):
     assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])
 
 
+# a radius of 10^12 would build a dense window of 29 TiB before the grid is refused
+@pytest.mark.parametrize("fields", [
+    {"symbol": "2+u^1000000000000"},
+    {"symbol": None, "seq": {"c": 1, "radius": 10 ** 12,
+                             "entries": [{"index": [0], "re": 2.0, "im": 0.0}]}},
+], ids=["symbol", "seq"])
+def test_wiener_huge_radius_exits_2(tmp_path, capsys, fields):
+    cfg = wiener_config(tmp_path / "w.json", grid=128, out_radius=10, **fields)
+    assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])
+
+
+def test_a_report_whose_echoed_symbol_has_a_huge_radius_exits_4(tmp_path, capsys):
+    path = run_and_edit(tmp_path, "wiener",
+                        lambda r: r["config"].update(symbol="2+u^1000000000000"))
+    assert_verify_problem(capsys, path, "wiener config not reconstructible: bad grid")
+
+
+def test_a_self_consistent_wiener_report_of_a_wrong_inverse_exits_4(tmp_path, capsys):
+    """One inverse coefficient made wrong, with every field and file derived from the
+    inverse rewritten to agree with it: only a re-run of the config tells."""
+    cfg = wiener_config(tmp_path / "w.json", symbol="2+u", grid=128, out_radius=10,
+                        weight={"s": 1.0})
+    out = tmp_path / "out"
+    assert main(["wiener", "--config", str(cfg), "--out", str(out)]) == 0
+    seq, _, out_radius, weight = harness._wiener_inputs(json.loads(cfg.read_text()))
+    inverse = FiniteSeq.from_json(json.loads((out / "inverse.json").read_text()))
+    inverse.data[out_radius + 3] *= 1.5  # the coefficient at m = 3
+    table, fields = harness._partial_sums_csv(inverse, weight, out_radius)
+    report = json.loads((out / "report.json").read_text())
+    report.update(fields, residual=(convolve(seq, inverse) - delta()).l1_norm(),
+                  closed_form_max_err=harness._geometric_closed_form_error(seq, inverse))
+    (out / "inverse.json").write_text(harness._json_text(inverse.to_json()))
+    (out / "partial_sums.csv").write_text(table)
+    (out / "report.json").write_text(harness._json_text(report))
+    assert_verify_problem(capsys, out / "report.json", "inverse.json: differs")
+
+
+def test_verify_report_of_a_wiener_report_writes_nothing(tmp_path, capsys, monkeypatch):
+    """The verifier re-runs the runner's computation; it leaves every file as it was,
+    in the report's directory and in the working directory, a file it finds wrong too."""
+    monkeypatch.chdir(tmp_path)
+    cfg = wiener_config(tmp_path / "w.json", weight={"s": 1.0})
+    assert main(["wiener", "--config", str(cfg), "--out", "out"]) == 0
+    files = lambda: {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert {p.name for p in files()} == {"w.json", "inverse.json", "partial_sums.csv",
+                                         "report.json"}
+    for code in (0, 4):
+        before = files()
+        assert main(["verify-report", "out/report.json"]) == code
+        assert files() == before
+        (tmp_path / "out" / "partial_sums.csv").write_text("radius,partial_sum,increment\n")
+
+
 def test_wiener_negative_out_radius_exits_2(tmp_path, capsys):
     cfg = wiener_config(tmp_path / "w.json", out_radius=-1)
     assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])
@@ -567,7 +621,9 @@ def drop_sidecar_names(report):
 @pytest.mark.parametrize("command, message", [
     ("invert", "trial 0: no envelope table"),
     ("kernel", "trial 0: names no grid_file"),
-    ("wiener", "wiener inverse not reconstructible"),
+    # the id keeps the message of the verifier that re-derived wiener from its files
+    pytest.param("wiener", "inverse_json does not match a re-run",
+                 id="wiener-wiener inverse not reconstructible"),
 ])
 def test_a_version_4_report_of_the_json_layout_exits_4(tmp_path, capsys, command, message):
     assert_verify_problem(capsys, run_and_edit(tmp_path, command, drop_sidecar_names), message)

@@ -448,8 +448,9 @@ def test_an_index_outside_the_window_is_refused_at_any_magnitude(index):
     for key in (((index,), (0,)), ((0,), (index,))):
         with pytest.raises(ShapeMismatch):
             CDOperator(1, 2, 1, 2, "circulant", {key: blk})
-        with pytest.raises(ShapeMismatch):
-            Kernel(1, 2, 1, {key: np.eye(1)})
-    if -2**63 <= index < 2**63:
+    if -2**63 <= index < 2**63:  # a Kernel is built from an int64 key table only
+        for key in ([[index], [0]], [[0], [index]]):
+            with pytest.raises(ShapeMismatch, match="outside radius"):
+                Kernel.from_arrays(1, 2, 1, [key], [np.eye(1)])
         with pytest.raises(ShapeMismatch, match="outside radius"):
             CDOperator.from_arrays(1, 2, 1, 2, "circulant", [[[index], [0]]], [blk])
