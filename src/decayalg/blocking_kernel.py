@@ -14,7 +14,10 @@ A banded block operator that carries nuclear factor terms (`op.factors`,
 block = sum_i y_i (x) a_i) turns into a sampled integral kernel: the block
 feeding cell k from cell l is b_{k,k-l} / h^c, assembled from the
 rank-one terms, and applying the kernel with the h^c quadrature weight
-reproduces the block operator exactly.
+reproduces the block operator exactly.  A kernel is what assemble_kernel
+builds: its blocks as one stack, row i feeding the flat window row
+cells[i] from the row sources[i], the rows ascending by (cell, source) pair;
+both row arrays are the `pairs` of the operator's plan.
 """
 
 from __future__ import annotations
@@ -26,14 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cd_operator import (
-    BlockStore,
     BlockVector,
     CDOperator,
     ShapeMismatch,
     lp_accumulate,
     sum_groups,
 )
-from .lattice import flat_offsets, window_indices, window_size
+from .lattice import window_indices, window_size
 
 __all__ = [
     "GridFunction",
@@ -99,19 +101,18 @@ def unblock(v: BlockVector, q: int) -> GridFunction:
     return GridFunction(v.c, v.window_radius, q, v.values.copy())
 
 
-class Kernel(BlockStore):
-    """A sampled integral kernel between cell pairs of the window.
+@dataclass(frozen=True, eq=False)
+class Kernel:
+    """A sampled integral kernel between cell pairs of the window: q^c x q^c
+    block i of `stack` feeds the flat window row cells[i] from the row
+    sources[i], the rows ascending by pair; all three arrays are read-only."""
 
-    Its q^c x q^c blocks are stored like a CDOperator's, keyed by the
-    cell pair (k, l) instead of (cell, offset).
-    """
-
-    @classmethod
-    def from_arrays(cls, c: int, window_radius: int, q: int, keys, stack) -> "Kernel":
-        kern = cls()
-        kern.c, kern.window_radius, kern.q = c, window_radius, q
-        kern._store(keys, stack, (q ** c, q ** c), (window_radius,) * 2, ("cell", "cell"))
-        return kern
+    c: int
+    window_radius: int
+    q: int
+    cells: np.ndarray  # (n_blocks,) int64
+    sources: np.ndarray  # (n_blocks,) int64
+    stack: np.ndarray  # (n_blocks, q^c, q^c) complex128
 
 
 class MissingFactorization(ValueError):
@@ -119,14 +120,16 @@ class MissingFactorization(ValueError):
 
 
 def attach_svd_factorizations(op: CDOperator) -> CDOperator:
-    """Set op.factors to the minimal (SVD) decompositions of its blocks.
+    """A new operator over op's keys, stack and plan whose factor terms are the
+    minimal (SVD) decompositions of its blocks; op itself is unchanged.
 
     Terms of zero singular value come out as zero terms, which add
     exactly nothing.
     """
     u, s, vh = np.linalg.svd(op.stack)
-    op.factors = (s[..., None] * vh, u.transpose(0, 2, 1))
-    return op
+    return CDOperator.from_arrays(op.c, op.window_radius, op.band_radius, op.local_dim,
+                                  op.boundary, op.keys, op.stack, plan=op.plan,
+                                  factors=(s[..., None] * vh, u.transpose(0, 2, 1)))
 
 
 def assemble_kernel(op: CDOperator, q: int) -> Kernel:
@@ -136,7 +139,7 @@ def assemble_kernel(op: CDOperator, q: int) -> Kernel:
     block is their rank-one assembly divided by the cell quadrature weight h^c.
     Offsets that wrap onto the same source cell accumulate, mirroring
     the circulant apply, in ascending order of the offset; the grouping
-    is the `pairs` of the operator's plan.
+    and the kernel's rows are the `pairs` of the operator's plan.
     """
     if q ** op.c != op.local_dim:
         raise ShapeMismatch(
@@ -145,15 +148,16 @@ def assemble_kernel(op: CDOperator, q: int) -> Kernel:
     if op.factors is None:
         raise MissingFactorization("operator carries no factor terms")
     h_pow = q ** (-op.c)
-    group, order, keys = op.plan.pairs
+    group, order, cells, sources = op.plan.pairs
     a, y = (op.plan.gather(f) for f in op.factors)
     assembled = np.zeros((len(group), op.local_dim, op.local_dim), dtype=np.complex128)
     term = np.empty_like(assembled)
     for j in range(a.shape[1]):
         assembled += np.multiply(y[:, j, :, None], a[:, j, None, :], out=term)
     assembled /= h_pow
-    return Kernel.from_arrays(op.c, op.window_radius, q, keys,
-                              sum_groups(assembled, group, order))
+    stack = sum_groups(assembled, group, order)
+    stack.flags.writeable = False
+    return Kernel(op.c, op.window_radius, q, cells, sources, stack)
 
 
 def apply_kernel(kernel: Kernel, f: GridFunction) -> GridFunction:
@@ -164,14 +168,9 @@ def apply_kernel(kernel: Kernel, f: GridFunction) -> GridFunction:
     if (f.c, f.window_radius, f.q) != (kernel.c, kernel.window_radius, kernel.q):
         raise ShapeMismatch("grid function does not match kernel geometry")
     h_pow = kernel.q ** (-kernel.c)
-    rows_k = flat_offsets(kernel.keys[:, 0], kernel.window_radius)
-    rows_l = flat_offsets(kernel.keys[:, 1], kernel.window_radius)
-    code = rows_k * len(f.values) + rows_l  # sorted already for an assembled kernel
-    rows = (slice(None) if kernel.stack.flags.c_contiguous and (code[1:] >= code[:-1]).all()
-            else np.argsort(code, kind="stable"))
-    prod = (kernel.stack[rows] @ f.values[rows_l[rows], :, None])[..., 0]
+    prod = (kernel.stack @ f.values[kernel.sources, :, None])[..., 0]
     out = np.zeros_like(f.values)
-    np.add.at(out, rows_k[rows], prod * h_pow)
+    np.add.at(out, kernel.cells, prod * h_pow)
     return GridFunction(f.c, f.window_radius, f.q, out)
 
 

@@ -25,12 +25,13 @@ Stored form.  An operator keeps its blocks as one (n_blocks, d, d)
 complex128 `stack` and an (n_blocks, 2, c) int64 `keys` table whose row
 i holds the cell k and the offset m of block i; optional nuclear
 factor terms are two more stacks, `factors`, the one form in which an
-operator carries them.  All are validated in bulk once, at
+operator carries them.  All are given and validated in bulk once, at
 construction, and are read-only afterwards.  `blocks` is a read-only
 {(k, m): block} view whose values are rows of the stack.
 The `route` of an operator's `Plan` is the one place a block is routed
 to its source cell; apply, densify, compose, the kernel assembly and the
-re-blocking of an inverse all go through it.  The first four add their
+re-blocking of an inverse all go through it, and the plan's `pairs` are
+the cell and source rows of a sampled kernel.  The first four add their
 terms with one np.add.at over terms sorted by target and then by the
 order of a block-by-block walk over sorted keys.  The results
 rely on add.at being unbuffered: it adds repeated indices one at a time,
@@ -159,90 +160,42 @@ def lp_accumulate(values: np.ndarray, p, cell_weight: float = 1.0) -> float:
     raise ValueError(f"unsupported exponent {p!r}")
 
 
-# ----------------------------------------------------------- block store
+def _table(blocks: Mapping, c: int, d: int) -> tuple:
+    """(keys, stack) of a {(k, m): d x d block} dict, in its order.
 
-
-class BlockStore:
-    """Blocks kept as one stack plus a key table of index pairs.
-
-    Row i of `stack` is the block at the key (keys[i, 0], keys[i, 1]),
-    each an index of the lattice Z^c.  Both arrays are read-only.
+    Indices go through as_index (a plain int is accepted for c == 1);
+    a key that normalizes onto an earlier one replaces its block.
     """
-
-    c: int
-    keys: np.ndarray  # (n_blocks, 2, c) int64
-    stack: np.ndarray  # (n_blocks, r, r) complex128
-
-    def _store(self, keys, stack, block_shape: tuple, radii: tuple,
-               names: tuple) -> None:
-        """Validate and keep the arrays: one shape check, one bounds check per key part."""
-        stack = np.asarray(stack, dtype=np.complex128)
-        keys = np.asarray(keys, dtype=np.int64)
-        if stack.shape[1:] != block_shape:
-            raise ShapeMismatch(f"blocks have shape {stack.shape[1:]}, want {block_shape}")
-        if keys.shape != (len(stack), 2, self.c):
-            raise ShapeMismatch(f"key table has shape {keys.shape}, "
-                                f"want {(len(stack), 2, self.c)}")
-        for part, (radius, name) in enumerate(zip(radii, names)):
-            outside = np.flatnonzero(
-                ((keys[:, part] < -radius) | (keys[:, part] > radius)).any(axis=1))
-            if outside.size:
-                raise ShapeMismatch(
-                    f"{name} {tuple(keys[outside[0], part].tolist())} outside radius {radius}"
-                )
-        keys.flags.writeable = False
-        stack.flags.writeable = False
-        self.keys, self.stack = keys, stack
-
-    @staticmethod
-    def _table(blocks: Mapping, c: int, block_shape: tuple) -> tuple:
-        """(keys, stack) of a {(index, index): block} dict, in its order.
-
-        Indices go through as_index (a plain int is accepted for c == 1);
-        a key that normalizes onto an earlier one replaces its block.
-        """
-        table = {(as_index(a, c), as_index(b, c)): blk for (a, b), blk in blocks.items()}
-        try:
-            keys = np.array(list(table), dtype=np.int64).reshape(len(table), 2, c)
-            return keys, np.array(list(table.values()) or np.zeros((0,) + block_shape),
-                                  dtype=np.complex128)
-        except OverflowError as exc:
-            raise ShapeMismatch("an index does not fit in int64") from exc
-        except ValueError as exc:  # blocks of differing shapes
-            raise ShapeMismatch(f"blocks differ in shape, want {block_shape}") from exc
-
-    @cached_property
-    def blocks(self) -> Mapping:
-        """Read-only {(index tuple, index tuple): block} view in row order, built
-        on first use; the blocks are rows of `stack`."""
-        return MappingProxyType({(tuple(a), tuple(b)): blk
-                                 for (a, b), blk in zip(self.keys.tolist(), self.stack)})
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.stack)
+    table = {(as_index(a, c), as_index(b, c)): blk for (a, b), blk in blocks.items()}
+    try:
+        keys = np.array(list(table), dtype=np.int64).reshape(len(table), 2, c)
+        return keys, np.array(list(table.values()) or np.zeros((0, d, d)), dtype=np.complex128)
+    except OverflowError as exc:
+        raise ShapeMismatch("an index does not fit in int64") from exc
+    except ValueError as exc:  # blocks of differing shapes
+        raise ShapeMismatch(f"blocks differ in shape, want {(d, d)}") from exc
 
 
-class CDOperator(BlockStore):
+class CDOperator:
     """Banded block operator with explicit boundary convention.
 
     Built from a {(k, m): d x d block} dict, or from its stored arrays by
-    `from_arrays`.  `factors`, when set, is a pair (a, y) of
-    (n_blocks, rank, d) stacks with block i = sum_j outer(y[i, j], a[i, j]);
-    a block of lower rank is padded with zero terms, which add exactly
-    nothing.  They are the only form in which an operator carries factor
-    terms.  `nominal_norms`, when set, is the (n_blocks,) array of the trace
-    norms the generator scaled each block to (see fit_envelope); only
-    generated operators carry them.  `plan` is the `Plan` of the key
-    table, the operator's own or one shared by every operator over the
-    same key array.
+    `from_arrays`; row i of `stack` is the block at (keys[i, 0], keys[i, 1]),
+    the cell k and the offset m.  `factors`, set only by `from_arrays`, is a
+    pair (a, y) of (n_blocks, rank, d) stacks with block i =
+    sum_j outer(y[i, j], a[i, j]); a block of lower rank is padded with zero
+    terms, which add exactly nothing.  They are the only form in which an
+    operator carries factor terms.  `nominal_norms`, when set, is the
+    (n_blocks,) array of the trace norms the generator scaled each block to
+    (see fit_envelope); only generated operators carry them.  `plan` is the
+    `Plan` of the key table, the operator's own or one shared by every
+    operator over the same key array.
     """
 
     def __init__(self, c: int, window_radius: int, band_radius: int,
                  local_dim: int, boundary: str, blocks: Optional[Mapping] = None):
         self._set(c, window_radius, band_radius, local_dim, boundary,
-                  *self._table(blocks or {}, c, (local_dim, local_dim)))
-        self.factors = self.nominal_norms = None
+                  *_table(blocks or {}, c, local_dim))
 
     @classmethod
     def from_arrays(cls, c: int, window_radius: int, band_radius: int,
@@ -256,47 +209,60 @@ class CDOperator(BlockStore):
         `plan` must be over this very key array and geometry.
         """
         op = cls.__new__(cls)
-        op._set(c, window_radius, band_radius, local_dim, boundary, keys, stack, plan)
-        op.factors = factors
-        if nominal_norms is not None:
-            nominal_norms = np.asarray(nominal_norms, dtype=float)
-            if nominal_norms.shape != (op.n_blocks,):
-                raise ShapeMismatch(f"{nominal_norms.shape} nominal norms "
-                                    f"for {op.n_blocks} blocks")
-            nominal_norms.flags.writeable = False
-        op.nominal_norms = nominal_norms
+        op._set(c, window_radius, band_radius, local_dim, boundary, keys, stack, plan,
+                factors, nominal_norms)
         return op
 
     def _set(self, c, window_radius, band_radius, local_dim, boundary, keys, stack,
-             plan=None) -> None:
+             plan=None, factors=None, nominal_norms=None) -> None:
+        """Validate and keep every array: one shape check each, one bounds check per key part."""
         if boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}")
         self.c, self.window_radius, self.band_radius = c, window_radius, band_radius
         self.local_dim, self.boundary = local_dim, boundary
-        self._store(keys, stack, (local_dim, local_dim), (window_radius, band_radius),
-                    ("cell index", "offset"))
+        stack = np.asarray(stack, dtype=np.complex128)
+        keys = np.asarray(keys, dtype=np.int64)
+        n = len(stack)
+        if stack.shape[1:] != (local_dim, local_dim):
+            raise ShapeMismatch(f"blocks have shape {stack.shape[1:]}, "
+                                f"want {(local_dim, local_dim)}")
+        if keys.shape != (n, 2, c):
+            raise ShapeMismatch(f"key table has shape {keys.shape}, want {(n, 2, c)}")
+        for part, radius, name in ((0, window_radius, "cell index"), (1, band_radius, "offset")):
+            outside = np.flatnonzero(
+                ((keys[:, part] < -radius) | (keys[:, part] > radius)).any(axis=1))
+            if outside.size:
+                raise ShapeMismatch(
+                    f"{name} {tuple(keys[outside[0], part].tolist())} outside radius {radius}")
+        self.keys, self.stack = _read_only(keys, stack)
         if plan is None:
-            plan = Plan(self.keys, window_radius, band_radius, boundary)
-        elif plan.keys is not self.keys or \
-                (plan.window_radius, plan.band_radius, plan.boundary) != \
+            plan = Plan(keys, window_radius, band_radius, boundary)
+        elif plan.keys is not keys or (plan.window_radius, plan.band_radius, plan.boundary) != \
                 (window_radius, band_radius, boundary):
             raise ShapeMismatch("the plan is over another key table or geometry")
         self.plan = plan
-
-    @property
-    def factors(self) -> Optional[tuple]:
-        """The factor term stacks (a, y), or None."""
-        return self._factors
-
-    @factors.setter
-    def factors(self, factors: Optional[tuple]) -> None:
         if factors is not None:
             a, y = (np.asarray(f, dtype=np.complex128) for f in factors)
-            if a.shape != y.shape or a.ndim != 3 or a.shape[::2] != (self.n_blocks, self.local_dim):
+            if a.shape != y.shape or a.ndim != 3 or a.shape[::2] != (n, local_dim):
                 raise ShapeMismatch(f"factor stacks of shapes {a.shape} and {y.shape}")
-            a.flags.writeable = y.flags.writeable = False
-            factors = (a, y)
-        self._factors = factors
+            factors = _read_only(a, y)
+        if nominal_norms is not None:
+            nominal_norms = np.asarray(nominal_norms, dtype=float)
+            if nominal_norms.shape != (n,):
+                raise ShapeMismatch(f"{nominal_norms.shape} nominal norms for {n} blocks")
+            nominal_norms.flags.writeable = False
+        self.factors, self.nominal_norms = factors, nominal_norms
+
+    @cached_property
+    def blocks(self) -> Mapping:
+        """Read-only {(k, m): block} view in row order, built on first use; the
+        blocks are rows of `stack`."""
+        return MappingProxyType({(tuple(a), tuple(b)): blk
+                                 for (a, b), blk in zip(self.keys.tolist(), self.stack)})
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.stack)
 
     @property
     def n_cells(self) -> int:
@@ -391,15 +357,14 @@ class Plan:
 
     @cached_property
     def pairs(self) -> tuple:
-        """(group, order, keys) of the kernel assembly: each routed block's
-        kernel block, the order its terms add in (ascending offset), and the
-        kernel's key table of cell pairs."""
+        """(group, order, cells, sources) of the kernel assembly: each routed block's
+        kernel block, the order its terms add in (ascending offset), and the flat
+        window rows of each kernel block's cell and source, ascending by pair."""
         rows, cells, sources = self.route
-        window = window_array(self.window_radius, self.keys.shape[2])
-        n = len(window)
+        n = window_size(self.window_radius, self.keys.shape[2])
         codes, group = np.unique(cells * n + sources, return_inverse=True)
         return _read_only(group, flat_offsets(self.keys[rows, 1], self.band_radius),
-                          np.stack((window[codes // n], window[codes % n]), axis=1))
+                          codes // n, codes % n)
 
 
 def _read_only(*arrays) -> tuple:

@@ -7,8 +7,9 @@ Subcommands:
     kernel         blocking isometry / integral-kernel consistency run
     verify-report  re-derive a report's derivable content, list mismatches
 
-Exit codes: 0 success; 2 bad usage or configuration; 3 every trial
-failed numerically; 4 report verification found mismatches.
+Exit codes: 0 success; 2 bad usage or configuration, a config too large
+to allocate too; 3 every trial failed numerically; 4 report verification
+found mismatches.
 """
 
 from __future__ import annotations
@@ -105,7 +106,10 @@ def _run_report_command(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify-report":
-        problems = verify_report(args.report)
+        try:
+            problems = verify_report(args.report)
+        except MemoryError as exc:  # an echoed config too large to allocate
+            problems = [f"config too large to allocate: {exc}".rstrip(": ")]
         if problems:
             for p in problems:
                 print(p, file=sys.stderr)
@@ -114,8 +118,8 @@ def main(argv=None) -> int:
         return _EXIT_OK
     try:
         return _run_report_command(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:  # an array too large is refused at once
+        print(f"config error: {str(exc) or 'too large to allocate'}", file=sys.stderr)
         return _EXIT_CONFIG
 
 

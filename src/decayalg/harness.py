@@ -351,6 +351,28 @@ def _aggregates(kind: str, records: list) -> dict:
     return out
 
 
+# each kind's record fields: those every record has, and those only some have; a
+# refused invert trial's record has exactly "trial" and "error" instead
+_RECORD_FIELDS = {
+    "inverse_closedness": (("trial", "envelope_l1", "invertibility_check", "envelope_dominates",
+                            "residual", "condition", "sigma_min_lower", "weighted_total",
+                            "final_increment", "slope", "envelope_csv"), ()),
+    "kernel": (("trial", "kernel_rel_err", "isometry_exact", "round_trip_exact"),
+               ("kernel_block_csv", "grid_file")),
+    "gen": (("trial", "n_blocks", "envelope_l1", "operator_json"), ()),
+}
+
+
+def _field_problems(kind: str, rec: dict) -> list:
+    """Each field of _RECORD_FIELDS that the record lacks and each it has beyond them;
+    the runners and verify_report share it."""
+    every, some = (("trial", "error"), ()) if kind == "inverse_closedness" and "error" in rec \
+        else _RECORD_FIELDS[kind]
+    prefix = f"trial {rec.get('trial')}: "
+    return [f"{prefix}missing field {key}" for key in every if key not in rec] + \
+        [f"{prefix}unknown field {key}" for key in sorted(rec.keys() - {*every, *some})]
+
+
 def _resolve_out_dir(out_dir) -> Path:
     """The output directory (default "."), made if absent; ConfigError if it cannot be."""
     path = Path(out_dir if out_dir is not None else ".")
@@ -371,6 +393,9 @@ def _run_trials(kind: str, cfg: ExperimentConfig, out_dir, run_trial) -> dict:
     worker_count()  # a bad DECAYALG_THREADS is refused before the directory is made
     out_path = _resolve_out_dir(out_dir)
     records = _map_trials(lambda trial: run_trial(trial, out_path), cfg.trials)
+    slips = [p for rec in records for p in _field_problems(kind, rec)]
+    if slips:  # a runner that writes other fields than verify_report expects
+        raise RuntimeError(f"records off _RECORD_FIELDS: {slips}")
     report = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -494,18 +519,19 @@ _WIENER_FIELDS = ("symbol", "seq", "grid", "out_radius", "weight")
 
 def _wiener_inputs(cfg: dict) -> tuple:
     """(seq, grid, out_radius, weight) of a wiener config, checked up front: the grid
-    against the symbol's radius before the symbol's window is built."""
+    against the symbol's rank and radius before the symbol's window is built."""
     _config_object(cfg, _WIENER_FIELDS, ("grid", "out_radius"), "wiener config")
     if ("seq" in cfg) == ("symbol" in cfg):
         raise ConfigError("wiener config needs exactly one of 'symbol' and 'seq'")
     if "seq" in cfg:
-        radius = _parsed("seq", lambda: as_number(cfg["seq"]["radius"], int, "radius"))
+        c, radius = _parsed("seq", lambda: [
+            as_number(cfg["seq"][key], int, key) for key in ("c", "radius")])
     else:
         terms = _parsed("symbol", lambda: _symbol_terms(cfg["symbol"]))
-        radius = max(map(abs, terms))
+        c, radius = 1, max(map(abs, terms))
     grid, out_radius = _parsed("grid or out_radius", lambda: [
         as_number(cfg[key], int, key) for key in ("grid", "out_radius")])
-    _parsed("grid or out_radius", lambda: check_sizes(grid, radius, out_radius))
+    _parsed("grid or out_radius", lambda: check_sizes(grid, radius, out_radius, c))
     seq = (_parsed("seq", lambda: FiniteSeq.from_json(cfg["seq"])) if "seq" in cfg
            else FiniteSeq.from_entries(terms, c=1))
     if not np.isfinite(seq.data).all():
@@ -616,7 +642,8 @@ def run_kernel(cfg: ExperimentConfig, out_dir=None) -> dict:
             "round_trip_exact": bool(np.array_equal(unblock(blocked, cfg.q).values, f.values)),
         }
         if trial == 0:
-            center = np.flatnonzero(~kern.keys.any(axis=(1, 2)))  # the block at (0, 0)
+            mid = op.n_cells // 2  # the flat row of cell 0
+            center = np.flatnonzero((kern.cells == mid) & (kern.sources == mid))
             if center.size:  # a zero centre offset assembles no block
                 rec["kernel_block_csv"] = name = "kernel_block_trial_000.csv"
                 _write(out_path / name, _kernel_block_csv(kern.stack[center[0]]))
@@ -798,12 +825,13 @@ def verify_report(path) -> list:
         return ["records is not a list of objects"]
     if not isinstance(aggregates, dict):
         return ["aggregates is not an object"]
+    problems = [p for rec in records for p in _field_problems(kind, rec)]
     try:
         derived = _aggregates(kind, records)
     except (AttributeError, KeyError, TypeError) as exc:
-        return [f"aggregates not derivable from the records: {exc!r}"]
-    problems = [f"aggregate {key} does not match records"
-                for key, value in derived.items() if aggregates.get(key) != value]
+        return problems + [f"aggregates not derivable from the records: {exc!r}"]
+    problems += [f"aggregate {key} does not match records"
+                 for key, value in derived.items() if aggregates.get(key) != value]
     try:  # the parser of the command line, so the checks below see a valid config
         cfg = ExperimentConfig.from_json(report.get("config"))
     except ConfigError as exc:

@@ -266,10 +266,16 @@ class WienerResult:
     min_modulus: float       # smallest sampled |symbol|
 
 
-def check_sizes(grid: int, radius: int, out_radius: int) -> None:
-    """ValueError unless grid is a power of two, out_radius >= 0 and
-    grid >= 2(R + R') + 2 for the symbol radius R and R' = out_radius."""
+_TORUS_LOG2 = 24  # the largest sampled torus, 2^24 points (256 MiB of complex128)
+
+
+def check_sizes(grid: int, radius: int, out_radius: int, c: int) -> None:
+    """ValueError unless grid is a power of two, the torus grid^c has at most
+    2^24 points, out_radius >= 0 and grid >= 2(R + R') + 2 for the symbol
+    radius R and R' = out_radius."""
     _require_pow2(grid, "grid")
+    if c * (int(grid).bit_length() - 1) > _TORUS_LOG2:
+        raise ValueError(f"a torus of grid^c = {grid}^{c} points exceeds 2^{_TORUS_LOG2}")
     if out_radius < 0:
         raise ValueError(f"out_radius must be >= 0, got {out_radius}")
     if grid < 2 * (radius + out_radius) + 2:
@@ -287,12 +293,12 @@ def wiener_inverse(a: FiniteSeq, grid: int, out_radius: int) -> WienerResult:
 
     Samples 1/symbol on the N^c grid, transforms back, and keeps the
     coefficients in [-R', R']^c.  Requires N >= 2(R + R') + 2 so the kept
-    coefficients see at most one aliased image, and a symbol bounded away
+    coefficients see at most one aliased image, N^c <= 2^24, and a symbol bounded away
     from zero (SymbolVanishes otherwise).  The l1 residual of
     a * b - delta is computed exactly and returned, never judged here:
     callers decide what residual they accept.
     """
-    check_sizes(grid, a.radius, out_radius)
+    check_sizes(grid, a.radius, out_radius, a.c)
     sym = symbol_on_grid(a, grid)
     mod = np.abs(sym)
     min_mod = float(mod.min())

@@ -5,7 +5,6 @@ import pytest
 
 from decayalg.blocking_kernel import (
     GridFunction,
-    Kernel,
     MissingFactorization,
     apply_kernel,
     assemble_kernel,
@@ -117,29 +116,62 @@ def test_kernel_two_dimensional():
     np.testing.assert_allclose(via_kernel.values, via_blocks.values, atol=1e-10)
 
 
+def with_factors(op, factors=None):
+    """An operator over op's arrays and plan with the given factor terms."""
+    return CDOperator.from_arrays(op.c, op.window_radius, op.band_radius, op.local_dim,
+                                  op.boundary, op.keys, op.stack, plan=op.plan, factors=factors)
+
+
 def test_kernel_block_values_rank_one():
-    # a single rank-one factor term: the kernel block is outer(y, a)/h^c
+    # a single rank-one factor term: the kernel block is outer(y, a)/h^c,
+    # fed into cell 0 (flat row 1 of the window [-1..1]) from cell 0
     a = np.array([1.0, 2.0], dtype=complex)
     y = np.array([0.5, -1.0], dtype=complex)
-    blk = np.outer(y, a)
-    op = CDOperator(1, 1, 0, 2, "circulant", blocks={((0,), (0,)): blk})
-    op.factors = (a[None, None], y[None, None])
+    op = CDOperator.from_arrays(1, 1, 0, 2, "circulant", [[[0], [0]]], [np.outer(y, a)],
+                                factors=(a[None, None], y[None, None]))
     kern = assemble_kernel(op, q=2)
-    np.testing.assert_allclose(
-        kern.blocks[((0,), (0,))], np.outer(y, a) * 2.0, atol=1e-15
-    )
+    assert kern.cells.tolist() == kern.sources.tolist() == [1]
+    np.testing.assert_allclose(kern.stack[0], np.outer(y, a) * 2.0, atol=1e-15)
 
 
 def test_kernel_requires_factorizations():
     rng = np.random.default_rng(89)
-    op = random_factored_op(rng, 1, 1, 2, 1)
-    op.factors = None
+    op = with_factors(random_factored_op(rng, 1, 1, 2, 1))
     with pytest.raises(MissingFactorization):
         assemble_kernel(op, 2)
     # every block needs its terms: an operator cannot hold stacks for a subset
     a, y = random_factored_op(rng, 1, 1, 2, 1).factors
     with pytest.raises(ShapeMismatch):
-        op.factors = (a[1:], y[1:])
+        with_factors(op, (a[1:], y[1:]))
+
+
+def test_attaching_factorizations_makes_a_new_operator():
+    rng = np.random.default_rng(91)
+    op = with_factors(random_factored_op(rng, 2, 1, 2, 1))
+    factored = attach_svd_factorizations(op)
+    assert factored is not op and op.factors is None
+    assert factored.keys is op.keys and factored.stack is op.stack and factored.plan is op.plan
+    a, y = factored.factors
+    assert a.shape == y.shape == (op.n_blocks, 4, 4)
+    assert not (a.flags.writeable or y.flags.writeable)
+    np.testing.assert_allclose(np.einsum("nji,njk->nik", y, a), op.stack, atol=1e-12)
+
+
+@pytest.mark.parametrize("c, N, W, boundary", [
+    (1, 2, 1, "circulant"), (1, 1, 3, "circulant"), (1, 2, 1, "dirichlet"),
+    (2, 1, 2, "circulant"), (2, 2, 1, "dirichlet")])
+def test_kernel_rows_are_the_plans_pairs_in_ascending_order(c, N, W, boundary):
+    rng = np.random.default_rng(93)
+    op = random_factored_op(rng, c, N, 2, W, boundary, density=0.7)
+    kern = assemble_kernel(op, 2)
+    assert kern.cells is op.plan.pairs[2] and kern.sources is op.plan.pairs[3]
+    assert len(kern.cells) == len(kern.sources) == len(kern.stack)
+    code = kern.cells * op.n_cells + kern.sources
+    assert (np.diff(code) > 0).all()
+    for part in (kern.cells, kern.sources, kern.stack):
+        assert not part.flags.writeable
+    with pytest.raises(AttributeError):
+        kern.q = 3
 
 
 def test_kernel_requires_matching_q():
@@ -150,12 +182,8 @@ def test_kernel_requires_matching_q():
 
 
 def test_kernel_validation():
-    with pytest.raises(ShapeMismatch):
-        Kernel.from_arrays(1, 1, 2, [[[0], [0]]], [np.zeros((3, 3))])
-    with pytest.raises(ShapeMismatch):
-        Kernel.from_arrays(1, 1, 2, [[[5], [0]]], [np.zeros((2, 2))])
     f = GridFunction(1, 1, 2, np.zeros((3, 2)))
-    kern = Kernel.from_arrays(1, 2, 2, np.zeros((0, 2, 1), dtype=int), np.zeros((0, 2, 2)))
+    kern = assemble_kernel(random_factored_op(np.random.default_rng(99), 1, 2, 2, 1), 2)
     with pytest.raises(ShapeMismatch):
         apply_kernel(kern, f)
 
@@ -184,7 +212,9 @@ def test_kernel_block_csv(tmp_path):
     lines = (tmp_path / "kernel_block_trial_000.csv").read_text().splitlines()
     assert lines[0] == "i,j,re,im"
     assert len(lines) == 5
-    blk = assemble_kernel(generate_operator(cfg, 0), cfg.q).blocks[((0,), (0,))]
+    kern = assemble_kernel(generate_operator(cfg, 0), cfg.q)
+    centre, = np.flatnonzero((kern.cells == 2) & (kern.sources == 2))  # cell 0 of [-2..2]
+    blk = kern.stack[centre]
     cells = [line.split(",") for line in lines[1:]]
     assert [(int(i), int(j)) for i, j, _, _ in cells] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     for i, j, re, im in cells:

@@ -334,6 +334,7 @@ def assert_config_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not out.exists()  # rejected before any work
+    return err
 
 
 @pytest.mark.parametrize("profile", [
@@ -510,6 +511,48 @@ def test_a_report_whose_echoed_symbol_has_a_huge_radius_exits_4(tmp_path, capsys
     path = run_and_edit(tmp_path, "wiener",
                         lambda r: r["config"].update(symbol="2+u^1000000000000"))
     assert_verify_problem(capsys, path, "wiener config not reconstructible: bad grid")
+
+
+# tori of 2^50 and 2^60 points: refused by the size of grid^c, before anything is allocated
+@pytest.mark.parametrize("fields", [
+    {"symbol": "2+u", "grid": 2 ** 50, "out_radius": 10},
+    {"symbol": None, "grid": 2 ** 30, "out_radius": 10,
+     "seq": {"c": 2, "radius": 1, "entries": [{"index": [0, 0], "re": 2.0, "im": 0.0}]}},
+], ids=["symbol", "seq-c2"])
+def test_wiener_torus_too_large_exits_2(tmp_path, capsys, fields):
+    cfg = wiener_config(tmp_path / "w.json", **fields)
+    err = assert_config_error(tmp_path, capsys, ["wiener", "--config", str(cfg)])
+    assert "exceeds 2^24" in err
+
+
+def test_a_report_whose_echoed_grid_is_too_large_exits_4(tmp_path, capsys):
+    path = run_and_edit(tmp_path, "wiener", lambda r: r["config"].update(grid=2 ** 50))
+    assert_verify_problem(capsys, path, "exceeds 2^24")
+
+
+# arrays of 393 TiB (the operator's blocks at d = 10^6) and 2.33 TiB (the dense
+# system at N = 10^5), which numpy refuses at once
+@pytest.mark.parametrize("command, fields", [
+    ("gen", {"d": 10 ** 6}),
+    ("kernel", {"d": 10 ** 6, "q": 10 ** 6}),
+    ("invert", {"N": 10 ** 5, "d": 2, "block_rank": 1, "trials": 1}),
+], ids=["gen", "kernel", "invert"])
+def test_a_config_too_large_to_allocate_exits_2(tmp_path, capsys, command, fields):
+    cfg = write_config(tmp_path / "c.json", **fields)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: Unable to allocate" in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+# a band of radius 10^12: its offsets are refused at once, as a tuple of 2 10^12 + 1 entries
+def test_a_band_too_large_to_allocate_exits_2_and_its_echo_4(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", W=10 ** 12)
+    assert "too large to allocate" in assert_config_error(tmp_path, capsys,
+                                                          ["gen", "--config", str(cfg)])
+    path = run_and_edit(tmp_path, "gen", lambda r: r["config"].update(W=10 ** 12))
+    assert_verify_problem(capsys, path, "config too large to allocate")
 
 
 def test_a_self_consistent_wiener_report_of_a_wrong_inverse_exits_4(tmp_path, capsys):

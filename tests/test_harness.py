@@ -314,8 +314,9 @@ def test_trials_of_one_config_share_one_read_only_plan():
     assert plan is geometry_plan(1, 3, 1, "circulant", (0, 1, 2))
     assert first.keys is plan.keys
     kern = assemble_kernel(first, cfg.q)
-    assert kern.keys is plan.pairs[2]
-    assert assemble_kernel(second, cfg.q).keys is kern.keys
+    assert kern.cells is plan.pairs[2] and kern.sources is plan.pairs[3]
+    again = assemble_kernel(second, cfg.q)
+    assert again.cells is kern.cells and again.sources is kern.sources
     for part in (plan.keys, *plan.route, *plan.pairs):
         assert not part.flags.writeable
     with pytest.raises(ValueError):
@@ -398,7 +399,10 @@ def test_an_all_zero_table_computes_its_own_empty_route():
     op = generate_operator(cfg, 0)
     assert op.plan is not generate_operator(cfg, 1).plan
     assert_plan_of_a_copied_table(op)
-    assert [len(part) for part in (*op.plan.route, *op.plan.pairs)] == [0] * 6
+    assert [len(part) for part in (*op.plan.route, *op.plan.pairs)] == [0] * 7
+    kern = assemble_kernel(op, cfg.q)
+    assert kern.cells is op.plan.pairs[2] and kern.sources is op.plan.pairs[3]
+    assert kern.stack.shape == (0, cfg.local_dim, cfg.local_dim)
 
 
 def test_from_arrays_takes_only_a_plan_over_its_own_key_array():
@@ -975,6 +979,51 @@ def test_verify_report_reads_the_operator_files_back(tmp_path):
     (tmp_path / "operator_trial_000.json").write_text(json.dumps(other.to_json()))
     assert verify_report(path) == [
         "operator_trial_000.json: operator does not match the config's (c, N, W, d, boundary)"]
+
+
+def recompute(edit):
+    """The report edit, then the report's aggregates derived afresh from its records."""
+    return lambda r: edit(r) or r.update(aggregates=harness._aggregates(r["kind"], r["records"]))
+
+
+def per_record(**edits):
+    """An edit of records by index, each as edits[f"r{index}"](record)."""
+    return lambda r: [edit(r["records"][int(key[1:])]) for key, edit in edits.items()]
+
+
+def error_record(**extra):
+    """An edit that replaces record 1 by an error record with `extra` fields too."""
+    return recompute(lambda r: r["records"].__setitem__(
+        1, {"trial": 1, "error": "condition inf exceeds 1.0e+12", **extra}))
+
+
+@pytest.mark.parametrize("runner, edit, want", [
+    (run_inverse_closedness, per_record(r0=lambda rec: rec.pop("sigma_min_lower"),
+                                        r1=lambda rec: rec.update(bogus=1)),
+     ["trial 0: missing field sigma_min_lower", "trial 1: unknown field bogus"]),
+    (run_inverse_closedness, error_record(), []),
+    (run_inverse_closedness, error_record(slope=None), ["trial 1: unknown field slope"]),
+    (run_kernel, error_record(),
+     ["trial 1: missing field kernel_rel_err", "trial 1: missing field isometry_exact",
+      "trial 1: missing field round_trip_exact", "trial 1: unknown field error"]),
+    (run_kernel, per_record(r1=lambda rec: rec.update(slope=0.0)),
+     ["trial 1: unknown field slope"]),
+    (run_gen, per_record(r1=lambda rec: rec.update(count=rec.pop("n_blocks"))),
+     ["trial 1: missing field n_blocks", "trial 1: unknown field count",
+      "trial 1: n_blocks does not match its operator file"]),
+], ids=["invert", "invert-error-record", "invert-error-record-with-more", "kernel-error-record",
+        "kernel", "gen"])
+def test_verify_report_lists_a_record_off_its_kinds_fields(tmp_path, runner, edit, want):
+    runner(small_config(), out_dir=tmp_path)
+    assert tamper(tmp_path / "report.json", edit) == want
+
+
+def test_a_runner_writes_exactly_its_kinds_fields(tmp_path, monkeypatch):
+    every, some = harness._RECORD_FIELDS["gen"]
+    monkeypatch.setitem(harness._RECORD_FIELDS, "gen", (every[:-1], some))
+    with pytest.raises(RuntimeError, match="trial 0: unknown field operator_json"):
+        run_gen(small_config(), out_dir=tmp_path)
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("runner", [run_inverse_closedness, run_kernel, run_gen])

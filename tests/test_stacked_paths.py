@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from decayalg.blocking_kernel import (
     GridFunction,
-    Kernel,
     apply_kernel,
     assemble_kernel,
     attach_svd_factorizations,
@@ -128,6 +127,7 @@ def ref_svd_terms(blk):
 
 
 def ref_assemble_kernel(op, q, terms):
+    """{(cell row, source row): kernel block} by flat window rows."""
     h_pow = q ** (-op.c)
     zero = np.zeros((op.local_dim, op.local_dim), dtype=np.complex128)
     blocks = {}
@@ -136,20 +136,20 @@ def ref_assemble_kernel(op, q, terms):
         if src is None:
             continue
         contrib = sum((np.outer(y, a) for a, y in terms[(k, m)]), zero) / h_pow
-        if (k, src) in blocks:
-            blocks[(k, src)] += contrib
+        pair = (flat_offset(k, op.window_radius), flat_offset(src, op.window_radius))
+        if pair in blocks:
+            blocks[pair] += contrib
         else:
-            blocks[(k, src)] = contrib
+            blocks[pair] = contrib
     return blocks
 
 
-def ref_apply_kernel(kernel, f):
-    h_pow = kernel.q ** (-kernel.c)
+def ref_apply_kernel(blocks, f):
+    """The reference kernel's blocks walked in sorted (cell row, source row) order."""
+    h_pow = f.q ** (-f.c)
     out = np.zeros_like(f.values)
-    for (k, l) in sorted(kernel.blocks):
-        rk = flat_offset(k, kernel.window_radius)
-        rl = flat_offset(l, kernel.window_radius)
-        out[rk] += (kernel.blocks[(k, l)] @ f.values[rl]) * h_pow
+    for (rk, rl) in sorted(blocks):
+        out[rk] += (blocks[(rk, rl)] @ f.values[rl]) * h_pow
     return out
 
 
@@ -307,16 +307,14 @@ def test_kernel_paths_equal_block_by_block(geom, q):
     terms = {key: ref_svd_terms(blk) for key, blk in op.blocks.items()}
     kern = assemble_kernel(op, q)
     want = ref_assemble_kernel(op, q, terms)
-    assert set(kern.blocks) == set(want)
-    for key, blk in want.items():
-        assert_bitwise(kern.blocks[key], blk)
+    pairs = list(zip(kern.cells.tolist(), kern.sources.tolist()))
+    assert pairs == sorted(want)
+    for pair, blk in zip(pairs, kern.stack):
+        assert_bitwise(blk, want[pair])
 
     f = GridFunction(c, N, q, rand_complex(rng, op.n_cells, q ** c))
-    if shuffle:
-        perm = rng.permutation(kern.n_blocks)
-        kern = Kernel.from_arrays(c, N, q, kern.keys[perm], kern.stack[perm])
     got = apply_kernel(kern, f).values
-    assert_bitwise(got, ref_apply_kernel(kern, f))
+    assert_bitwise(got, ref_apply_kernel(want, f))
     # the kernel with its quadrature weight is the operator's dense form
     np.testing.assert_allclose(got.reshape(-1), ref_densify(op) @ f.values.reshape(-1),
                                atol=1e-12)
@@ -448,9 +446,6 @@ def test_an_index_outside_the_window_is_refused_at_any_magnitude(index):
     for key in (((index,), (0,)), ((0,), (index,))):
         with pytest.raises(ShapeMismatch):
             CDOperator(1, 2, 1, 2, "circulant", {key: blk})
-    if -2**63 <= index < 2**63:  # a Kernel is built from an int64 key table only
-        for key in ([[index], [0]], [[0], [index]]):
-            with pytest.raises(ShapeMismatch, match="outside radius"):
-                Kernel.from_arrays(1, 2, 1, [key], [np.eye(1)])
+    if -2**63 <= index < 2**63:  # from_arrays takes an int64 key table only
         with pytest.raises(ShapeMismatch, match="outside radius"):
             CDOperator.from_arrays(1, 2, 1, 2, "circulant", [[[index], [0]]], [blk])
